@@ -47,6 +47,7 @@ ML_RTOL = 1e-6  # parameter agreement with the independent optimum
 PB_GRAD_TOL = 1e-6  # normalized percentile-objective gradient
 MOMENT_RTOL = 1e-8  # closed-form moment against quadrature
 UNIFORM_CLIP = 1e-15  # documented clamp of the uniform draws
+BOUNDARY_SCAN_POINTS = 4000  # profile points of the fine scan in classify_boundary
 
 
 def rel_err(a: float, b: float) -> float:
@@ -177,7 +178,7 @@ def profile_loglik(x: np.ndarray, lams: np.ndarray) -> np.ndarray:
             - 3.0 * np.sum(np.log(s), axis=1) - sum_log_u)
 
 
-def classify_boundary(x: np.ndarray, points: int = 4000) -> tuple[str, float, float]:
+def classify_boundary(x: np.ndarray) -> tuple[str, float, float]:
     """Split a 'no interior likelihood maximum' failure in two.
 
     The fitter compares against the profile at its grid ends,
@@ -189,7 +190,7 @@ def classify_boundary(x: np.ndarray, points: int = 4000) -> tuple[str, float, fl
     center = float(np.median(x)) / math.sqrt(3.0)
     ends = np.array([center * 4.0 ** -20, center * 4.0 ** 20])
     boundary = float(np.max(profile_loglik(x, ends)))
-    grid = center * np.exp(np.linspace(-20 * math.log(4.0), 20 * math.log(4.0), points))
+    grid = center * np.exp(np.linspace(-20 * math.log(4.0), 20 * math.log(4.0), BOUNDARY_SCAN_POINTS))
     values = profile_loglik(x, grid)
     k = int(np.nanargmax(values[1:-1])) + 1
     res = optimize.minimize_scalar(lambda t: -profile_loglik(x, np.array([math.exp(t)]))[0],

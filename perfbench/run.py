@@ -19,9 +19,12 @@ Times are reported at reference machine speed. The benchmark shares its
 host with other tenants, and on the 2-core VM it was built on the same
 work ran up to 2x slower for spells of seconds to a minute. After each
 round the loop runs a fixed calibration chunk for about 5 % of the
-round's time; the ratio of the mean chunk time to CAL_REF_S is the run's
-slowness, and timings are divided by it (rates multiplied). The report
-prints the as-run figures next to them.
+round's time; the ratio of the mean chunk time to CAL_REF_S is the
+round's slowness, and the round's times are divided by it. The report
+prints the as-run figures next to them; over ten seeds those spread by
+more than the bounds in BENCHMARK.json. Set-up time is reported as run:
+a fresh interpreter's imports are not the work the chunk samples, and
+dividing by it made the set-up figures less steady, not more.
 
 The report goes to standard output; its last line is one JSON object
 with ``correct``, ``attempted``, ``failed`` and ``metrics``. Spans are
@@ -70,21 +73,15 @@ def calibration_chunk() -> float:
     return time.perf_counter() - t0
 
 
-def calibrate_after(busy: float, chunks: list[float]) -> None:
-    """Append calibration chunks worth CAL_SHARE of ``busy`` seconds, at least one."""
-    spent = 0.0
-    while True:
+def calibrate_after(busy: float) -> float:
+    """How much slower than the reference the machine runs just after
+    ``busy`` seconds of measured work: the mean of calibration chunks worth
+    CAL_SHARE of it (at least one) over CAL_REF_S. Work sharing a host
+    with other tenants speeds up and slows down by up to 2x within
+    seconds, and the chunks sample that next to the measured work."""
+    chunks = []
+    while not chunks or sum(chunks) < CAL_SHARE * busy:
         chunks.append(calibration_chunk())
-        spent += chunks[-1]
-        if spent >= CAL_SHARE * busy:
-            return
-
-
-def slowness(chunks: list[float]) -> float:
-    """How much slower than the reference the machine ran, on average over
-    the chunks: work sharing a host with other tenants speeds up and slows
-    down by up to 2x within seconds, and the chunks sample that alongside
-    the measured work."""
     return statistics.fmean(chunks) / CAL_REF_S
 
 
@@ -149,19 +146,17 @@ def _python(args: list[str], src: Path) -> subprocess.CompletedProcess:
                           timeout=120, check=True)
 
 
-def measure_setup(modules: tuple[str, ...], src: Path) -> tuple[list[float], list[float]]:
-    """Wall times of fresh interpreters importing the workload's modules,
-    and the calibration chunks run between them; one unmeasured start
-    first writes the bytecode caches."""
+def measure_setup(modules: tuple[str, ...], src: Path) -> list[float]:
+    """Wall times of fresh interpreters importing the workload's modules;
+    one unmeasured start first writes the bytecode caches."""
     code = f"import {', '.join(modules)}"
     _python(["-c", code], src)
-    times, chunks = [], []
+    times = []
     for _ in range(SETUP_REPEATS):
         t0 = time.perf_counter()
         _python(["-c", code], src)
         times.append(time.perf_counter() - t0)
-        calibrate_after(times[-1], chunks)
-    return times, chunks
+    return times
 
 
 def measure_imports(src: Path) -> dict[str, float]:
@@ -170,14 +165,14 @@ def measure_imports(src: Path) -> dict[str, float]:
     return {name: statistics.median(r.get(name, 0.0) for r in runs) for name in layers.IMPORT_MODULES}
 
 
-def loop(wl, seconds: float, install=None) -> tuple[list, list, list[float], Tracer | None]:
+def loop(wl, seconds: float, install=None) -> tuple[list, list, Tracer | None]:
     """Closed loop: whole rounds back to back until ``seconds`` have
-    passed, each followed by its calibration chunks. With ``install`` (a
+    passed, each followed by its calibration. With ``install`` (a
     function wrapping the layers around a tracer), every other round runs
     traced, so traced and untraced rounds share the machine's slow and
-    fast spells. Returns (untraced rounds, traced rounds, chunks, tracer).
+    fast spells. Returns (untraced rounds, traced rounds, tracer).
     """
-    plain, traced, chunks = [], [], []
+    plain, traced = [], []
     tracer = Tracer() if install else None
     deadline = time.perf_counter() + seconds
     while True:
@@ -196,16 +191,22 @@ def loop(wl, seconds: float, install=None) -> tuple[list, list, list[float], Tra
             if patches:
                 patches.restore()
         (traced if patches else plain).append(r)
-        calibrate_after(r.wall, chunks)
+        r.slowness = calibrate_after(r.wall)
         if time.perf_counter() >= deadline:
-            return plain, traced, chunks, tracer
+            return plain, traced, tracer
 
 
-def latencies_of(rounds) -> list[float]:
+def latencies_of(rounds, adjust: bool) -> list[float]:
+    """Per-op seconds, divided by their round's slowness when ``adjust``."""
     out = []
     for r in rounds:
-        out.extend(r.latencies if r.latencies is not None else [r.wall / r.ops])
+        k = r.slowness if adjust else 1.0
+        out.extend(t / k for t in (r.latencies if r.latencies is not None else [r.wall / r.ops]))
     return out
+
+
+def adjusted_wall(r) -> float:
+    return r.wall / r.slowness
 
 
 def fmt(value) -> str:
@@ -221,66 +222,78 @@ def run(args, root: Path, ecrlab, workdir: str) -> tuple[dict, list[str]]:
 
     if args.trace:
         imports = measure_imports(src)
-    else:
-        setup, setup_chunks = measure_setup(wl.modules, src)
     wl.prepare()
 
     if args.trace:
         replicate = getattr(wl, "workers", 1) == 1
-        untraced, traced, chunks, tracer = loop(
+        untraced, traced, tracer = loop(
             wl, args.seconds, lambda t: layers.install(ecrlab, t, replicate=replicate))
         rounds = untraced + traced
     else:
-        rounds, _, chunks, _ = loop(wl, args.seconds)
-        peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        rounds, _, _ = loop(wl, args.seconds)
+        # On the pool workload the workers' largest peak counts once per
+        # worker; it is read before any set-up interpreter has run.
+        own_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        worker_mb = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024.0
+        workers = getattr(wl, "workers", 1)
+        workers = workers if workers > 1 else 0
+        peak_rss_mb = own_mb + workers * worker_mb
+        setup = measure_setup(wl.modules, src)
 
     verdict = wl.check(rounds)
-    attempted = sum(r.ops for r in rounds)
+    timed_ops = sum(r.ops for r in rounds)
+    attempted = timed_ops + verdict.checked_untimed
     wall = sum(r.wall for r in rounds)
     known = sum(verdict.known.values())
     fail_ratio = (verdict.failed + known) / attempted
-    lat = latencies_of(rounds)
+    lat = latencies_of(rounds, adjust=True)
     q = wl.tail_percentile
     beyond = int(len(lat) * (1.0 - q / 100.0))
 
     walls = sorted(r.wall for r in rounds)
-    slow = slowness(chunks)
-    lines.append(f"timed: {len(rounds)} rounds, {attempted} ops, {wall:.3f} s wall; round wall "
+    slow = sorted(r.slowness for r in rounds)
+    lines.append(f"timed: {len(rounds)} rounds, {timed_ops} ops, {wall:.3f} s wall; round wall "
                  f"min {walls[0]:.4g} s, median {statistics.median(walls):.4g} s, max {walls[-1]:.4g} s")
-    lines.append(f"slowness {slow:.4f}: mean of {len(chunks)} calibration chunks over {CAL_REF_S * 1e3:g} ms; "
-                 f"times below are as run divided by it, rates multiplied by it")
+    lines.append(f"slowness after each round (mean calibration chunk over {CAL_REF_S * 1e3:g} ms): min {slow[0]:.4f}, "
+                 f"median {statistics.median(slow):.4f}, max {slow[-1]:.4f}; a round's times below are as run "
+                 f"divided by it")
     lines.append("end-to-end:")
     e2e_lines = []
     if not args.trace:
+        lat_as_run = latencies_of(rounds, adjust=False)
         as_run = {
             "setup_s": statistics.median(setup),
-            "ops_per_s": attempted / wall,
+            "ops_per_s": statistics.median(r.ops / r.wall for r in rounds),
+            "op_p50_ms": 1e3 * statistics.median(lat_as_run),
+            "op_tail_ms": 1e3 * layers.percentile(lat_as_run, q),
+        }
+        metrics = {
+            "setup_s": as_run["setup_s"],
+            # Rounds are identical work: the median round's rate, like the
+            # latencies, is steadier under spells than the mean.
+            "ops_per_s": statistics.median(r.ops / adjusted_wall(r) for r in rounds),
             "op_p50_ms": 1e3 * statistics.median(lat),
             "op_tail_ms": 1e3 * layers.percentile(lat, q),
-        }
-        setup_slow = slowness(setup_chunks)
-        metrics = {
-            "setup_s": as_run["setup_s"] / setup_slow,
-            "ops_per_s": as_run["ops_per_s"] * slow,
-            "op_p50_ms": as_run["op_p50_ms"] / slow,
-            "op_tail_ms": as_run["op_tail_ms"] / slow,
             "peak_rss_mb": peak_rss_mb,
         }
         notes = {
-            "setup_s": f"median of {len(setup)} fresh interpreters importing {', '.join(wl.modules)}; "
-                       f"slowness {setup_slow:.4f}",
+            "setup_s": f"median of {len(setup)} fresh interpreters importing {', '.join(wl.modules)}",
+            "ops_per_s": f"median over rounds; {timed_ops} ops in {wall:.3f} s as run",
+            "peak_rss_mb": f"this process {own_mb:.1f} MB" + (f" + {workers} pool workers x their largest "
+                                                              f"peak {worker_mb:.1f} MB" if workers else ""),
             "op_p50_ms": f"{len(lat)} samples" + ("" if rounds[0].latencies else
                                                  "; one per round: round wall / replications"),
             "op_tail_ms": f"p{q:g} of {len(lat)} samples, {beyond} beyond"
                           + ("" if beyond >= MIN_BEYOND else f"; fewer than {MIN_BEYOND} beyond, so not a tail"),
         }
-        for name in as_run:
+        for name in ("ops_per_s", "op_p50_ms", "op_tail_ms"):
             notes[name] = "; ".join([f"as run {as_run[name]:.6g}"] + ([notes[name]] if name in notes else []))
         for name, unit in END_TO_END:
             e2e_lines.append(f"  {name:16s} {fmt(metrics[name])} {unit}" + (f"  ({notes[name]})" if name in notes else ""))
     lines += e2e_lines
+    untimed = f", {verdict.checked_untimed} of them run by the oracle only" if verdict.checked_untimed else ""
     lines.append(f"  {'fail_ratio':16s} {fmt(fail_ratio)} ratio  ({verdict.failed} unexpected + {known} known "
-                 f"contract breaks of {attempted} ops)")
+                 f"contract breaks of {attempted} ops{untimed})")
     if verdict.fit_attempts:
         lines.append(f"  {'fit_fail_ratio':16s} {fmt(verdict.fit_failures / verdict.fit_attempts)} ratio  "
                      f"({verdict.fit_failures} of {verdict.fit_attempts} fits per round)")
@@ -288,9 +301,11 @@ def run(args, root: Path, ecrlab, workdir: str) -> tuple[dict, list[str]]:
         lines.append(f"  {'fit_fail_ratio':16s} not measured: this workload attempts no fits")
     lines.append("oracle:")
     for name, count in sorted(verdict.known.items()):
-        lines.append(f"  known defect {name}: {count} ops  ({workloads.KNOWN_DEFECTS[name]})")
+        lines.append(f"  known defect {name}: {verdict.known_inputs[name]} inputs, {count} ops  "
+                     f"({workloads.KNOWN_DEFECTS[name]})")
     if "boundary_genuine" in verdict.extra:
-        lines.append(f"  'no interior likelihood maximum' ml failures per round: "
+        lines.append(f"  'no interior likelihood maximum' ml failures in the {workloads.ORACLE_REPS} "
+                     f"replications per cell the oracle checks: "
                      f"{verdict.extra['boundary_genuine']} genuine (boundary dominates), "
                      f"{verdict.extra['boundary_spurious']} spurious (an interior maximum was missed)")
     for key, value in verdict.extra.items():
@@ -300,7 +315,8 @@ def run(args, root: Path, ecrlab, workdir: str) -> tuple[dict, list[str]]:
 
     if args.trace:
         rounds_traced = len(traced)
-        overhead = 100.0 * (statistics.median(r.wall for r in traced) / statistics.median(r.wall for r in untraced) - 1.0)
+        overhead = 100.0 * (statistics.median(map(adjusted_wall, traced))
+                            / statistics.median(map(adjusted_wall, untraced)) - 1.0)
         own = layers.layer_metrics(tracer, rounds_traced)
         ref_values, ref_tracer = layers.reference_points(ecrlab, workdir)
         ref = layers.layer_metrics(ref_tracer, 1)
@@ -317,7 +333,7 @@ def run(args, root: Path, ecrlab, workdir: str) -> tuple[dict, list[str]]:
             "env.cores": os.cpu_count(),
             "trace.overhead_pct": overhead,
             "fail_ratio": fail_ratio,
-            "oracle.known_breaks": known / len(rounds),
+            "oracle.known_breaks": sum(verdict.known_inputs.values()),
             "oracle.boundary_genuine": verdict.extra.get("boundary_genuine", 0),
             "oracle.boundary_spurious": verdict.extra.get("boundary_spurious", 0),
         })

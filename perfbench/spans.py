@@ -14,6 +14,8 @@ import sys
 import time
 from collections import Counter, defaultdict
 
+PACKAGE = "ecrlab"  # the package whose modules ``Patches.everywhere`` rebinds
+
 
 class Tracer:
     def __init__(self, clock=time.perf_counter):
@@ -108,13 +110,13 @@ class Patches:
         mapping[key] = value
         self._undo.append(lambda: mapping.__setitem__(key, old))
 
-    def everywhere(self, original, replacement, package: str = "ecrlab") -> int:
+    def everywhere(self, original, replacement) -> int:
         """Rebind ``original`` to ``replacement`` under every name any
-        loaded module of ``package`` holds it by, so that both the defining
+        loaded module of ``PACKAGE`` holds it by, so that both the defining
         module and the modules that imported the name see the wrapper."""
         hits = 0
         for mod_name, module in list(sys.modules.items()):
-            if module is None or not (mod_name == package or mod_name.startswith(package + ".")):
+            if module is None or not (mod_name == PACKAGE or mod_name.startswith(PACKAGE + ".")):
                 continue
             for attr, value in list(vars(module).items()):
                 if value is original:

@@ -17,8 +17,10 @@ sys.path.insert(0, str(HERE.parent / "src"))
 import layers  # noqa: E402
 import oracles as O  # noqa: E402
 import run  # noqa: E402
+import workloads  # noqa: E402
 from spans import Patches, Tracer, self_times  # noqa: E402
 
+import ecrlab.cli  # noqa: E402
 from ecrlab import ecr, inference  # noqa: E402
 from ecrlab.data import Dataset  # noqa: E402
 
@@ -71,8 +73,6 @@ def test_layer_metrics_counts_kernel_passes_per_fit():
 
 
 def test_patches_reach_imported_names_and_restore():
-    import ecrlab.cli
-
     original = ecr.raw_moment
     patches = Patches()
     assert patches.everywhere(original, "patched") >= 2  # ecrlab.ecr and ecrlab.cli
@@ -165,6 +165,42 @@ def test_gof_oracle_rejects_a_wrong_ks():
     assert O.check_gof_report(x, report) is None
     report["ks"] += 1e-6
     assert O.check_gof_report(x, report) is not None
+
+
+def test_gof_model_error_is_known_only_on_the_input_it_was_recorded_on(tmp_path):
+    session = workloads.AnalysisSession(ecrlab, 3, str(tmp_path))
+    recorded = next(c for c in session.commands if c.known_model_error)
+    crowley_hu = next(c for c in session.commands if c.check == "ch_gof")
+    nan = "The function value at x=100.0 is NaN; solver cannot continue."
+
+    def check(cmd, model, error):
+        reports = [{"model": model, "error": error}] + [{"model": m, "error": "later"}
+                                                        for m in O.CH_GOF if m != model]
+        return session._check_output(cmd, json.dumps({"reports": reports}), None)
+
+    assert check(recorded, "weibull", nan)[0] == "gof.untyped_model_error"
+    assert isinstance(check(recorded, "lognormal", nan), str)  # another model: a failure
+    assert isinstance(check(recorded, "weibull", "math domain error"), str)  # another error: a failure
+    assert isinstance(check(crowley_hu, "weibull", nan), str)  # another input: a failure
+
+
+@pytest.mark.parametrize("defect", sorted(workloads.MC_KNOWN))
+def test_mc_known_defect_above_its_cap_fails(defect):
+    study = workloads.MonteCarlo(ecrlab, 1, "", workers=1)
+    study.reference_csv = "csv"
+    study._check_summaries = lambda v: None
+    cap = workloads.MC_KNOWN[defect][1]
+    rounds = [workloads.Round(30, 1.0, "csv")] * 3
+
+    def score(hits):
+        study._check_replications = lambda v: {(0, rep): defect for rep in range(hits)}
+        return study.check(rounds)
+
+    at_cap = score(cap)
+    assert at_cap.failed == 0 and at_cap.known_inputs[defect] == cap
+    assert at_cap.known[defect] == 3 * workloads.MC_REPS + cap - workloads.MC_REPS
+    above = score(cap + 1)
+    assert not above.known and above.failed == 3 * workloads.MC_REPS + cap + 1 - workloads.MC_REPS
 
 
 def test_benchmark_json_lists_exactly_the_reported_metrics():
