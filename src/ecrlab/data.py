@@ -44,22 +44,30 @@ class InputError(ValueError):
 
 @dataclass(frozen=True)
 class Dataset:
-    """Validated positive observations with a cached sorted view."""
+    """Validated positive observations with a cached sorted view.
+
+    ``values`` is a read-only copy of the input, and the sorted view is
+    read-only too, so later changes to the caller's array cannot bypass
+    validation or leave the sorted view stale.
+    """
 
     values: np.ndarray
     source: str = "<memory>"
     _sorted: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        arr = np.asarray(self.values, dtype=float)
+        arr = np.array(self.values, dtype=float)
         if arr.ndim != 1 or arr.size == 0:
             raise InputError("dataset must contain at least one observation")
         if not np.all(np.isfinite(arr)):
             raise InputError("dataset contains non-finite values")
         if np.any(arr <= 0.0):
             raise InputError("dataset contains non-positive values")
+        ordered = np.sort(arr)
+        arr.flags.writeable = False
+        ordered.flags.writeable = False
         object.__setattr__(self, "values", arr)
-        object.__setattr__(self, "_sorted", np.sort(arr))
+        object.__setattr__(self, "_sorted", ordered)
 
     @property
     def n(self) -> int:

@@ -75,7 +75,12 @@ class Params:
 
     def __post_init__(self) -> None:
         for name, value in (("beta", self.beta), ("lam", self.lam)):
-            if not (isinstance(value, (int, float)) and math.isfinite(value) and value > 0):
+            if not (
+                isinstance(value, (int, float))
+                and not isinstance(value, bool)
+                and math.isfinite(value)
+                and value > 0
+            ):
                 raise ValueError(f"{name} must be a positive finite real, got {value!r}")
             object.__setattr__(self, name, float(value))
 

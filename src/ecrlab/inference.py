@@ -62,6 +62,13 @@ _MAX_ITER = 200
 _SCORE_TOL = 1e-10  # |profile score| < tol * n declares stationarity
 _STEP_TOL = 1e-12  # relative bracket width below which iteration stops
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+# Grid passes broadcast a column of parameter values against the sample
+# in row blocks of about this many elements. At small n one block holds
+# the whole grid, so numpy's per-call overhead (the whole cost there) is
+# paid once; at large n a block is one row, so the temporaries stay as
+# small as a scalar evaluation's instead of growing to (grid, n) arrays of
+# tens of MB, which would also run slower.
+_BLOCK_ELEMENTS = 2**13
 
 
 class FitError(RuntimeError):
@@ -148,14 +155,37 @@ def profile_beta(data: Dataset, lam: float) -> float:
 
 def profile_log_likelihood(data: Dataset, lam: float) -> float:
     x = data.values
-    n = data.n
     sum_log_s, sum_log_u, _, _ = _sums(x, lam)
-    return (
-        n * (math.log(-n * lam / sum_log_u) - 1.0)
-        + float(np.sum(np.log(x)))
-        - 3.0 * sum_log_s
-        - sum_log_u
-    )
+    return _profile_from_sums(data.n, lam, float(np.sum(np.log(x))), sum_log_s, sum_log_u)
+
+
+def _profile_from_sums(n: int, lam: float, sum_log_x: float, sum_log_s: float,
+                       sum_log_u: float) -> float:
+    return n * (math.log(-n * lam / sum_log_u) - 1.0) + sum_log_x - 3.0 * sum_log_s - sum_log_u
+
+
+def _row_blocks(values: np.ndarray, n: int):
+    """Yield ``values`` as (k, 1) columns of at most _BLOCK_ELEMENTS // n rows."""
+    rows = max(1, _BLOCK_ELEMENTS // n)
+    for start in range(0, values.size, rows):
+        yield values[start : start + rows, None]
+
+
+def _profile_grid(data: Dataset, grid: np.ndarray) -> list[float]:
+    """:func:`profile_log_likelihood` at every scale of ``grid``, to the bit,
+    from one broadcast pass per row block."""
+    x = data.values
+    n = data.n
+    sum_log_x = float(np.sum(np.log(x)))
+    values = []
+    for col in _row_blocks(grid, n):
+        sums_log_s = np.sum(np.log(np.hypot(col, x)), axis=1).tolist()
+        sums_log_u = np.sum(_log_kernel(x, col), axis=1).tolist()
+        for lam, sum_log_s, sum_log_u in zip(col[:, 0], sums_log_s, sums_log_u):
+            if sum_log_u >= 0.0:
+                raise ValueError(f"scale {lam!r} is too small relative to the data")
+            values.append(_profile_from_sums(n, lam, sum_log_x, sum_log_s, sum_log_u))
+    return values
 
 
 def profile_score(data: Dataset, lam: float) -> float:
@@ -194,10 +224,15 @@ def _golden_max(f, lo: float, hi: float, rel_tol: float, max_iter: int):
 def fit_ml(data: Dataset, init: Params | None = None) -> FitResult:
     """Maximum likelihood via the profile in the scale parameter.
 
-    A geometric grid brackets the profile maximum, golden section
+    A 41-point geometric grid (factor 4 around ``init.lam`` or the
+    median / sqrt(3)) brackets the profile maximum, golden section
     narrows it, and bisection on the profile score polishes the root.
-    Standard errors are the square roots of the diagonal of the inverse
-    expected information divided by n.
+    The grid is evaluated in one broadcast pass per row block, with the
+    same values :func:`profile_log_likelihood` gives point by point.
+    ``iterations`` counts grid points, golden-section evaluations,
+    bracket probes and bisection steps. Standard errors are the square
+    roots of the diagonal of the inverse expected information divided
+    by n.
     """
     x = data.values
     n = data.n
@@ -206,7 +241,7 @@ def fit_ml(data: Dataset, init: Params | None = None) -> FitResult:
 
     center = init.lam if init is not None else float(np.median(x)) / math.sqrt(3.0)
     grid = center * 4.0 ** np.arange(-20.0, 21.0)
-    values = [profile_log_likelihood(data, lam) for lam in grid]
+    values = _profile_grid(data, grid)
     k = int(np.argmax(values))
     iterations = grid.size
     if k == 0 or k == grid.size - 1:
@@ -263,7 +298,7 @@ def fit_ml(data: Dataset, init: Params | None = None) -> FitResult:
     # Stationary but not the global optimum: the likelihood can still be
     # higher at the scale -> 0 boundary (the family degenerates to an
     # inverse-exponential limit there, where no interior MLE exists).
-    if profile_log_likelihood(data, float(grid[0])) > profile_log_likelihood(data, lam):
+    if values[0] > profile_log_likelihood(data, lam):
         raise FitError(
             "no interior likelihood maximum: the (shape -> inf, scale -> 0) "
             "boundary dominates the stationary point",
@@ -566,15 +601,18 @@ def cs_correctable(n: int, beta_hat: float) -> bool:
     return beta_hat - bias_b > 0.0 and 1.0 - bias_l_unit > 0.0
 
 
-def fit_cs_ml(data: Dataset) -> FitResult:
+def fit_cs_ml(data: Dataset, ml: FitResult | None = None) -> FitResult:
     """Cox-Snell bias-corrected maximum likelihood.
 
-    Runs :func:`fit_ml` and subtracts the closed-form second-order bias
-    evaluated at the estimate. When either corrected parameter would be
+    Subtracts the closed-form second-order bias evaluated at the ML
+    estimate. ``ml`` is :func:`fit_ml`'s result on ``data`` when the
+    caller already has it (the simulation engine does); without it the
+    ML fit runs here. When either corrected parameter would be
     non-positive the outcome is flagged ``correctable=False`` and the
     uncorrected ML fit is returned.
     """
-    ml = fit_ml(data)
+    if ml is None:
+        ml = fit_ml(data)
     bias = cox_snell_bias(ml.params, data.n)
     beta_c = ml.params.beta - bias[0]
     lam_c = ml.params.lam - bias[1]
@@ -597,16 +635,57 @@ def fit_cs_ml(data: Dataset) -> FitResult:
 # Percentile-based estimation
 
 
-def _pb_pieces(beta: float, xs: np.ndarray, ps: np.ndarray):
-    """Sorted-sample sums behind the percentile objective derivatives."""
+def _pb_pieces(beta, xs: np.ndarray, ps: np.ndarray):
+    """Sorted-sample sums behind the percentile objective derivatives.
+
+    ``beta`` is a float or a (k, 1) column of shapes; the sums run along
+    the last axis, giving one value per shape.
+    """
     w = ps ** (1.0 / beta)
     one_minus = 1.0 - w
     log_p = np.log(ps)
-    d_shape_quad = float(np.sum(w * log_p / one_minus**3))
-    d_shape_cross = float(np.sum(xs * log_p / one_minus**2 * np.sqrt(w / (2.0 - w))))
-    cross = -float(np.sum(xs * np.sqrt((2.0 - w) * w) / one_minus))
-    quad = xs.size - float(np.sum(1.0 / one_minus**2))
+    d_shape_quad = np.sum(w * log_p / one_minus**3, axis=-1)
+    d_shape_cross = np.sum(xs * log_p / one_minus**2 * np.sqrt(w / (2.0 - w)), axis=-1)
+    cross = -np.sum(xs * np.sqrt((2.0 - w) * w) / one_minus, axis=-1)
+    quad = xs.size - np.sum(1.0 / one_minus**2, axis=-1)
     return d_shape_quad, d_shape_cross, cross, quad
+
+
+def _pb_grid(betas: np.ndarray, xs: np.ndarray, ps: np.ndarray):
+    """Root values t6 t8 - t7 t9 and scales lam2 = t8/t9 at every shape of
+    ``betas``, from one broadcast pass per row block; lam2 is inf or NaN
+    where t9 vanishes."""
+    blocks = [_pb_pieces(col, xs, ps) for col in _row_blocks(betas, xs.size)]
+    t6, t7, t8, t9 = (np.concatenate(parts) for parts in zip(*blocks))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return t6 * t8 - t7 * t9, t8 / t9
+
+
+def _bisect_brackets(root_values, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray):
+    """Geometric bisection of the sign-change brackets [lo_j, hi_j] together.
+
+    ``root_values`` maps an array of points to root-function values.
+    Each bracket stops on its own: at an exact zero, once its width is at
+    most _STEP_TOL * hi, or after _MAX_ITER steps. Returns the bracket
+    midpoints sqrt(lo hi) and the steps taken by all brackets.
+    """
+    lo, hi, f_lo = lo.copy(), hi.copy(), f_lo.copy()
+    active = np.arange(lo.size)
+    steps = 0
+    for _ in range(_MAX_ITER):
+        if not active.size:
+            break
+        steps += active.size
+        mid = np.sqrt(lo[active] * hi[active])
+        f_mid = root_values(mid)
+        zero = f_mid == 0.0
+        up = ~zero & ((f_mid > 0) == (f_lo[active] > 0))
+        lo[active[zero | up]] = mid[zero | up]
+        f_lo[active[up]] = f_mid[up]
+        hi[active[~up]] = mid[~up]
+        done = zero | (hi[active] - lo[active] <= _STEP_TOL * hi[active])
+        active = active[~done]
+    return np.sqrt(lo * hi), steps
 
 
 def pb_objective(data: Dataset, p: Params) -> float:
@@ -627,7 +706,7 @@ def pb_gradient(data: Dataset, p: Params) -> tuple[float, float]:
     t6, t7, t8, t9 = _pb_pieces(p.beta, xs, ps)
     d_beta = 2.0 * p.lam / p.beta**2 * (t7 - p.lam * t6)
     d_lam = 2.0 * (t8 - p.lam * t9)
-    return d_beta, d_lam
+    return float(d_beta), float(d_lam)
 
 
 def fit_pb(data: Dataset) -> FitResult:
@@ -639,6 +718,15 @@ def fit_pb(data: Dataset) -> FitResult:
     [1e-3, 1e3] and bisection; with several candidate roots the one with
     the smallest objective wins. If no sign change exists, the profile
     objective (with lam2 substituted) is minimized by golden section.
+    A shape whose lam2 is not positive and finite scores an infinite
+    objective; if the chosen shape has no admissible scale the fit
+    raises :class:`FitError`.
+
+    The 241-point grid is evaluated in one broadcast pass per row block,
+    the no-sign-change fallback reuses its lam2 values, and all sign-change
+    brackets are bisected together, each with its own stopping rule.
+    ``iterations`` counts grid points, bisection steps, fallback grid
+    points and golden-section evaluations.
     """
     xs = data.sorted_values
     n = data.n
@@ -646,59 +734,44 @@ def fit_pb(data: Dataset) -> FitResult:
         raise FitError("need at least two distinct observations to fit")
     ps = np.arange(1, n + 1) / (n + 1.0)
 
-    def root_fn(beta: float) -> float:
-        t6, t7, t8, t9 = _pb_pieces(beta, xs, ps)
-        return t6 * t8 - t7 * t9
-
-    def lam2(beta: float) -> float:
-        _, _, t8, t9 = _pb_pieces(beta, xs, ps)
-        return t8 / t9
-
-    def objective(beta: float) -> float:
-        lam = lam2(beta)
+    def objective(beta: float, lam: float) -> float:
         if not (math.isfinite(lam) and lam > 0.0):
             return math.inf
         return pb_objective(data, Params(beta, lam))
 
+    def lam2(beta: float) -> float:
+        return float(_pb_grid(np.array([beta]), xs, ps)[1][0])
+
     grid = np.logspace(-3.0, 3.0, 241)
-    vals = np.array([root_fn(b) for b in grid])
+    vals, grid_lams = _pb_grid(grid, xs, ps)
     iterations = grid.size
 
-    candidates: list[tuple[float, float]] = []
     sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    for k in sign_change:
-        lo, hi = float(grid[k]), float(grid[k + 1])
-        f_lo = vals[k]
-        for _ in range(_MAX_ITER):
-            iterations += 1
-            mid = math.sqrt(lo * hi)
-            f_mid = root_fn(mid)
-            if f_mid == 0.0:
-                lo = hi = mid
-                break
-            if (f_mid > 0) == (f_lo > 0):
-                lo, f_lo = mid, f_mid
-            else:
-                hi = mid
-            if (hi - lo) <= _STEP_TOL * hi:
-                break
-        beta = math.sqrt(lo * hi)
-        candidates.append((objective(beta), beta))
-
-    if not candidates:
-        k = int(np.argmin([objective(b) for b in grid]))
+    if sign_change.size:
+        roots, steps = _bisect_brackets(
+            lambda betas: _pb_grid(betas, xs, ps)[0],
+            grid[sign_change], grid[sign_change + 1], vals[sign_change],
+        )
+        iterations += steps
+        root_lams = _pb_grid(roots, xs, ps)[1]
+        candidates = [
+            (objective(beta, lam), beta, lam)
+            for beta, lam in zip(roots.tolist(), root_lams.tolist())
+        ]
+    else:
+        k = int(np.argmin([objective(b, lam) for b, lam in zip(grid, grid_lams.tolist())]))
         iterations += grid.size
         if k == 0 or k == grid.size - 1:
             raise FitError("percentile objective has no interior minimum")
         beta, golden_iters, _ = _golden_max(
-            lambda b: -objective(b), float(grid[k - 1]), float(grid[k + 1]),
+            lambda b: -objective(b, lam2(b)), float(grid[k - 1]), float(grid[k + 1]),
             _STEP_TOL, _MAX_ITER,
         )
         iterations += golden_iters
-        candidates.append((objective(beta), beta))
+        lam = lam2(beta)
+        candidates = [(objective(beta, lam), beta, lam)]
 
-    _, beta = min(candidates)
-    lam = lam2(beta)
+    _, beta, lam = min(candidates)
     if lam <= 0.0 or not math.isfinite(lam):
         raise FitError("percentile scale estimate left the parameter space")
     params = Params(beta, lam)

@@ -5,9 +5,10 @@ Each replication draws its own generator from
 so the stream of every (cell, replication) pair is a pure function of
 the master seed and the engine produces bit-identical summaries whether
 replications run serially or on a process pool. Estimates come from the
-same public fitting entry points a caller would use directly; fit
-failures and uncorrectable Cox-Snell outcomes are counted per cell and
-excluded from the bias/SSD averages.
+same public fitting entry points a caller would use directly, bit for
+bit; a replication fits ML once and hands that fit to ``fit_cs_ml``
+rather than refitting. Fit failures and uncorrectable Cox-Snell outcomes
+are counted per cell and excluded from the bias/SSD averages.
 """
 
 from __future__ import annotations
@@ -97,26 +98,38 @@ def _replicate(args) -> list[tuple[str, float, float] | tuple[str, None, None]]:
     with (estimator, None, None) marking a failed fit and a NaN pair
     marking an uncorrectable Cox-Snell outcome. FitError and ValueError
     are the recognized per-replication numerical failure modes; anything
-    else is a bug and propagates."""
+    else is a bug and propagates.
+
+    ML is fitted at most once: csml corrects that same fit through
+    ``fit_cs_ml(data, ml=...)``, and when the ML fit failed csml records
+    a failure too without fitting again."""
     beta_true, lam_true, n, estimators, master_seed, cell_index, rep_index = args
     seed = np.random.SeedSequence(master_seed, spawn_key=(cell_index, rep_index))
     rng = np.random.default_rng(seed)
     data = Dataset(sample_from(rng, n, Params(beta_true, lam_true)), source="<sim>")
+    ml = None  # the replication's one ML fit; None if it failed or is not asked for
+    if "ml" in estimators or "csml" in estimators:
+        try:
+            ml = inference.fit_ml(data)
+        except (inference.FitError, ValueError):
+            pass
     out = []
     for est in estimators:
         try:
-            if est == "ml":
-                fit = inference.fit_ml(data)
-            elif est == "csml":
-                fit = inference.fit_cs_ml(data)
-                if not fit.correctable:
-                    out.append((est, math.nan, math.nan))
-                    continue
-            else:
+            if est == "pb":
                 fit = inference.fit_pb(data)
-            out.append((est, fit.params.beta, fit.params.lam))
+            elif ml is None or est == "ml":
+                fit = ml
+            else:
+                fit = inference.fit_cs_ml(data, ml=ml)
         except (inference.FitError, ValueError):
+            fit = None
+        if fit is None:
             out.append((est, None, None))
+        elif not fit.correctable:
+            out.append((est, math.nan, math.nan))
+        else:
+            out.append((est, fit.params.beta, fit.params.lam))
     return out
 
 

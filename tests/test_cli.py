@@ -93,6 +93,15 @@ class TestFit:
         assert code == 0
         assert payload["std_errors"] is None
 
+    def test_pb_small_sample_exits_cleanly(self, capsys, tmp_path):
+        path = tmp_path / "fifteen.txt"
+        path.write_text("\n".join(repr(v) for v in sample(15, Params(1.0, 1.0), seed=3).tolist()))
+        code, out, err = run_cli(capsys, "fit", str(path), "--method", "pb")
+        assert code == 0, err
+        payload = json.loads(out)
+        assert payload["params"]["beta"] > 0.0
+        assert payload["params"]["lambda"] > 0.0
+
     def test_comparison_model(self, capsys):
         code, out, _ = run_cli(capsys, "fit", EMBEDDED_NAME, "--model", "weibull")
         payload = json.loads(out)

@@ -49,6 +49,11 @@ class TestParams:
         with pytest.raises(ValueError):
             Params(beta, lam)
 
+    @pytest.mark.parametrize("beta,lam", [(True, 1.0), (1.0, True), (False, 1.0)])
+    def test_rejects_bool(self, beta, lam):
+        with pytest.raises(ValueError):
+            Params(beta, lam)
+
 
 class TestCdfQuantile:
     def test_cdf_at_zero(self):

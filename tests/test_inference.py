@@ -1,8 +1,11 @@
 import math
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from ecrlab import inference
 from ecrlab.data import Dataset
 from ecrlab.ecr import Params, quantile, sample
 from ecrlab.inference import (
@@ -27,6 +30,7 @@ from ecrlab.inference import (
     pb_gradient,
     pb_objective,
     profile_beta,
+    profile_log_likelihood,
     score,
     third_cumulants,
 )
@@ -339,6 +343,9 @@ class TestCsMl:
         assert a.correctable == b.correctable
         assert cs_correctable(heart_data.n, fit_ml(heart_data).params.beta)
 
+    def test_reuses_given_ml_fit(self, heart_data):
+        assert fit_cs_ml(heart_data, ml=fit_ml(heart_data)) == fit_cs_ml(heart_data)
+
     def test_cs_correctable_boundary(self):
         # shape 2 at n=10 gives bias > 2, not correctable; n=1000 is
         assert not cs_correctable(10, 2.0)
@@ -396,6 +403,119 @@ class TestFitPb:
         g_beta, g_lam = pb_gradient(heart_data, fit.params)
         assert abs(g_beta) < 1e-5 * scale * heart_data.n
         assert abs(g_lam) < 1e-5 * scale * heart_data.n
+
+
+    def test_tiny_shape_end_without_scale(self):
+        # at n = 15, w = p^(1/beta) underflows against 1 at beta = 1e-3, so
+        # t9 = n - sum 1/(1-w)^2 is exactly 0 there and lam2 is undefined
+        data = Dataset(sample(15, Params(1.0, 1.0), seed=3))
+        ps = np.arange(1, 16) / 16.0
+        assert inference._pb_pieces(1e-3, data.sorted_values, ps)[3] == 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            fit = fit_pb(data)
+        assert fit.params.beta > 0.0 and fit.params.lam > 0.0
+        assert math.isfinite(fit.loglik)
+
+    def test_no_admissible_scale_raises_fit_error(self, monkeypatch):
+        pieces = inference._pb_pieces
+
+        def without_scale(beta, xs, ps):
+            t6, t7, t8, t9 = pieces(beta, xs, ps)
+            return t6, t7, t8, 0.0 * t9
+
+        monkeypatch.setattr(inference, "_pb_pieces", without_scale)
+        with pytest.raises(FitError):
+            fit_pb(Dataset(sample(20, Params(1.0, 1.0), seed=1)))
+
+    def test_peak_allocation_bounded_at_large_n(self):
+        data = Dataset(sample(5000, Params(0.8, 2.0), seed=5))
+        fit_pb(data)
+        tracemalloc.start()
+        try:
+            fit_pb(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2_000_000
+
+
+def scalar_bisect(root_fn, lo, hi, f_lo):
+    """The one-bracket-at-a-time geometric bisection the joint one replaces."""
+    steps = 0
+    for _ in range(200):
+        steps += 1
+        mid = math.sqrt(lo * hi)
+        f_mid = root_fn(mid)
+        if f_mid == 0.0:
+            lo = hi = mid
+            break
+        if (f_mid > 0) == (f_lo > 0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+        if (hi - lo) <= 1e-12 * hi:
+            break
+    return math.sqrt(lo * hi), steps
+
+
+class TestBlockedPasses:
+    """The broadcast passes must reproduce the point-by-point functions to
+    the bit. n = 20 puts a whole grid in one row block; n = 5000 is above
+    the block budget, so every row is its own block."""
+
+    def test_sizes_straddle_the_block_budget(self):
+        assert 241 * 20 <= inference._BLOCK_ELEMENTS < 2 * 5000
+
+    @pytest.mark.parametrize("n", [20, 5000])
+    def test_profile_grid_matches_scalar(self, n):
+        data = Dataset(sample(n, Params(0.8, 2.0), seed=n))
+        center = float(np.median(data.values)) / math.sqrt(3.0)
+        grid = center * 4.0 ** np.arange(-20.0, 21.0)
+        expected = [profile_log_likelihood(data, lam) for lam in grid]
+        assert inference._profile_grid(data, grid) == expected
+
+    @pytest.mark.parametrize("n", [20, 5000])
+    def test_pb_grid_matches_scalar(self, n):
+        data = Dataset(sample(n, Params(0.8, 2.0), seed=n))
+        xs = data.sorted_values
+        ps = np.arange(1, n + 1) / (n + 1.0)
+        grid = np.logspace(-3.0, 3.0, 241)
+        roots, lams = inference._pb_grid(grid, xs, ps)
+        for beta, root, lam in zip(grid.tolist(), roots.tolist(), lams.tolist()):
+            t6, t7, t8, t9 = inference._pb_pieces(beta, xs, ps)
+            assert root == t6 * t8 - t7 * t9
+            if t9 != 0.0:
+                assert lam == t8 / t9
+
+    def test_joint_bisection_matches_one_at_a_time(self):
+        data = Dataset(sample(20, Params(0.5, 1.0), seed=2))
+        xs = data.sorted_values
+        ps = np.arange(1, 21) / 21.0
+        grid = np.logspace(-3.0, 3.0, 241)
+        vals, _ = inference._pb_grid(grid, xs, ps)
+        k = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
+        assert k.size >= 2
+        roots, steps = inference._bisect_brackets(
+            lambda b: inference._pb_grid(b, xs, ps)[0], grid[k], grid[k + 1], vals[k]
+        )
+
+        def root_fn(beta):
+            t6, t7, t8, t9 = inference._pb_pieces(beta, xs, ps)
+            return t6 * t8 - t7 * t9
+
+        expected = [scalar_bisect(root_fn, grid[j], grid[j + 1], vals[j]) for j in k]
+        assert roots.tolist() == [r for r, _ in expected]
+        assert steps == sum(s for _, s in expected)
+
+    def test_joint_bisection_stops_each_bracket_on_its_own(self):
+        # the first bracket's first midpoint is an exact root
+        lo, hi = np.array([0.5, 2.5]), np.array([2.0, 3.5])
+        roots, steps = inference._bisect_brackets(lambda b: b - np.round(b), lo, hi, lo - np.round(lo))
+        expected = [scalar_bisect(lambda b: b - round(b), a, b, a - round(a)) for a, b in zip(lo, hi)]
+        assert expected[0] == (1.0, 1)
+        assert roots.tolist() == [r for r, _ in expected]
+        assert steps == sum(s for _, s in expected)
 
 
 class TestIntervalsAndTests:

@@ -1,10 +1,14 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from ecrlab.data import Dataset
 from ecrlab.ecr import Params, sample_from
-from ecrlab.inference import FitError, fit_ml
+from ecrlab.inference import FitError, fit_cs_ml, fit_ml, fit_pb
+from ecrlab import inference, sim
 from ecrlab.sim import (
+    ESTIMATORS,
     CellSummary,
     StudyConfig,
     run_convergence_study,
@@ -61,23 +65,28 @@ class TestDeterminism:
 class TestEngineAgainstDirectCalls:
     def test_estimates_match_inference_module(self):
         # regenerate the replication streams and fit them directly; the
-        # cell means must match to the bit
-        cfg = StudyConfig(Params(0.5, 0.6), (30,), 8, ("ml",), master_seed=7)
+        # cell means must match to the bit for every estimator
+        cfg = StudyConfig(Params(0.5, 0.6), (30,), 8, ESTIMATORS, master_seed=7)
         summaries = run_convergence_study(cfg)
-        estimates = []
-        for rep in range(cfg.replications):
-            seed = np.random.SeedSequence(7, spawn_key=(0, rep))
-            rng = np.random.default_rng(seed)
-            data = Dataset(sample_from(rng, 30, cfg.truth))
-            try:
-                estimates.append(fit_ml(data).params.beta)
-            except FitError:
-                pass
-        beta_row = next(
-            s for s in summaries if s.parameter == "beta" and s.estimator == "ml"
-        )
-        assert beta_row.mean_bias == float(np.mean(estimates)) - cfg.truth.beta
-        assert beta_row.successes == len(estimates)
+        direct = {"ml": fit_ml, "csml": fit_cs_ml, "pb": fit_pb}
+        for est, fit in direct.items():
+            estimates = []
+            for rep in range(cfg.replications):
+                seed = np.random.SeedSequence(7, spawn_key=(0, rep))
+                rng = np.random.default_rng(seed)
+                data = Dataset(sample_from(rng, 30, cfg.truth))
+                try:
+                    result = fit(data)
+                except FitError:
+                    continue
+                if result.correctable:
+                    estimates.append(result.params.beta)
+            beta_row = next(
+                s for s in summaries if s.parameter == "beta" and s.estimator == est
+            )
+            assert estimates, est
+            assert beta_row.mean_bias == float(np.mean(estimates)) - cfg.truth.beta, est
+            assert beta_row.successes == len(estimates), est
 
     def test_summary_statistics_definitions(self):
         cfg = StudyConfig(Params(0.5, 0.6), (30,), 8, ("ml",), master_seed=7)
@@ -181,3 +190,48 @@ class TestQualitativeBehavior:
         rows = run_grid_study(cfg)
         rel = {r.estimator: abs(r.relative_bias) for r in rows if r.parameter == "beta"}
         assert rel["csml"] < rel["ml"]
+
+
+class TestPercentileStudy:
+    def test_small_samples_complete(self):
+        # at n = 15 the shape grid's tiny-beta end has t9 = 0 exactly, where
+        # the scale lam2 = t8/t9 is undefined; the study must still finish
+        cfg = StudyConfig(Params(1, 1), (15,), 3, ("pb",))
+        rows = run_convergence_study(cfg)
+        assert all(r.successes + r.failures + r.uncorrectable == 3 for r in rows)
+
+    def test_no_runtime_warning(self):
+        cfg = StudyConfig(Params(1, 1), (15, 20), 10, ("pb",), master_seed=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            run_convergence_study(cfg)
+
+
+class TestOneMlFitPerReplication:
+    ARGS = (0.5, 0.6, 30, ("ml", "csml", "pb"), 7, 0, 1)
+
+    def counting_fit_ml(self, monkeypatch, fail=False):
+        calls = []
+        fit_ml_direct = inference.fit_ml
+
+        def counted(data):
+            calls.append(data)
+            if fail:
+                raise FitError("forced")
+            return fit_ml_direct(data)
+
+        monkeypatch.setattr(inference, "fit_ml", counted)
+        return calls
+
+    def test_csml_reuses_the_ml_fit(self, monkeypatch):
+        expected = sim._replicate(self.ARGS)
+        calls = self.counting_fit_ml(monkeypatch)
+        assert sim._replicate(self.ARGS) == expected
+        assert len(calls) == 1
+
+    def test_ml_failure_is_csml_failure(self, monkeypatch):
+        calls = self.counting_fit_ml(monkeypatch, fail=True)
+        out = sim._replicate(self.ARGS)
+        assert len(calls) == 1
+        assert out[:2] == [("ml", None, None), ("csml", None, None)]
+        assert out[2][0] == "pb" and out[2][1] is not None
