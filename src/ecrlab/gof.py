@@ -22,7 +22,7 @@ from scipy.special import gammainc, gammaln, ndtr, ndtri
 from scipy.special import digamma as _digamma
 
 from . import inference
-from .data import Dataset
+from .data import Dataset, InputError
 from .ecr import Params, cdf as ecr_cdf
 
 __all__ = [
@@ -341,8 +341,12 @@ def fit_comparison_models(data: Dataset) -> list[ComparisonFit]:
     """Fit all registered models and report them sorted by W*.
 
     A model that fails to fit is kept in the output with its error
-    message and sorts last.
+    message and sorts last. Data with fewer than two distinct
+    observations raise :class:`InputError` before any model is fitted.
     """
+    xs = data.sorted_values
+    if xs[0] == xs[-1]:
+        raise InputError("goodness of fit needs at least two distinct observations")
     fits: list[ComparisonFit] = []
     for name in MODEL_ORDER:
         entry = MODELS[name]

@@ -9,9 +9,10 @@ s_i = sqrt(lam^2 + x_i^2):
                    + (beta - 1) sum log u_i
 
 For fixed lam the shape score vanishes at beta(lam) = -n / sum log u_i,
-so fitting reduces to a one-dimensional search over the scale: a golden
-section pass on the profile log-likelihood followed by bisection on the
-profile score.
+so fitting reduces to a one-dimensional search over the scale: a grid
+and a golden section pass on the profile log-likelihood, then Brent's
+method (scipy's brentq) on the profile score. Every pass of one fit
+goes through a per-sample kernel object that holds log x and its sum.
 """
 
 from __future__ import annotations
@@ -21,10 +22,11 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+from scipy.optimize import brentq
 from scipy.special import erfc, ndtri
 
 from .data import Dataset
-from .ecr import Params, _log_kernel
+from .ecr import Params
 
 __all__ = [
     "FitResult",
@@ -59,7 +61,6 @@ __all__ = [
 ]
 
 _MAX_ITER = 200
-_SCORE_TOL = 1e-10  # |profile score| < tol * n declares stationarity
 _STEP_TOL = 1e-12  # relative bracket width below which iteration stops
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Grid passes broadcast a column of parameter values against the sample
@@ -90,6 +91,11 @@ class FitResult:
     ``params`` equals the ML estimate minus that bias. ``correctable``
     is False only when a requested Cox-Snell correction would have left
     the parameter space, in which case the plain ML fit is carried.
+    ``iterations`` counts objective and score evaluations over all
+    phases: for ML the grid points, golden-section evaluations, bracket
+    probes and Brent's score evaluations (csml carries its ML fit's
+    count); for the CR submodel Brent's evaluations; for "pb" the
+    phases :func:`fit_pb` lists.
     """
 
     params: Params
@@ -107,32 +113,94 @@ class FitResult:
 # Likelihood pieces
 
 
-def _sums(x: np.ndarray, lam: float) -> tuple[float, float, float, float]:
-    """Return (sum log s, sum log u, sum 1/s, lam * sum 1/s^2).
+class _Kernel:
+    """Per-sample pieces of the likelihood kernel, built once per fit.
 
-    sum log u is strictly negative for positive data; it can underflow
-    to zero only when lam is many orders of magnitude below every
-    observation, which the fitters never probe.
+    log x, 2 log x and sum log x are computed here once; each method then
+    makes one pass over the sample at scale ``lam`` (hypot once, with log
+    u derived from the same s and log s) and returns only the sums its
+    caller needs. Values equal :func:`ecrlab.ecr._log_kernel` and the
+    point-by-point public functions to the bit: the same numpy operations
+    run in the same order.
     """
-    s = np.hypot(lam, x)
-    log_u = _log_kernel(x, lam)
-    sum_log_u = float(np.sum(log_u))
+
+    def __init__(self, x: np.ndarray):
+        log_x = np.log(x)
+        self.x = x
+        self.n = x.size
+        self.two_log_x = 2.0 * log_x
+        self.sum_log_x = float(log_x.sum())
+
+    def log_u(self, lam, s, log_s):
+        """log u_i from s_i = hypot(lam, x_i) and log s_i; see _log_kernel."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            rational = self.two_log_x - log_s - np.log(s + lam)
+            direct = np.log1p(-lam / s)
+        return np.where(self.x < lam, rational, direct)
+
+    def scan(self, lam: float):
+        """s, log s and the checked sum log u at ``lam``."""
+        s = np.hypot(lam, self.x)
+        log_s = np.log(s)
+        return s, log_s, _checked_sum_log_u(lam, float(self.log_u(lam, s, log_s).sum()))
+
+    def log_sums(self, lam: float) -> tuple[float, float]:
+        """(sum log s, sum log u) at ``lam``."""
+        _, log_s, sum_log_u = self.scan(lam)
+        return float(log_s.sum()), sum_log_u
+
+    def profile(self, lam: float) -> float:
+        """:func:`profile_log_likelihood` at ``lam``."""
+        return _profile_from_sums(self.n, lam, self.sum_log_x, *self.log_sums(lam))
+
+    def profile_grid(self, grid: np.ndarray) -> list[float]:
+        """:meth:`profile` at every scale of ``grid``, to the bit, from one
+        broadcast pass per row block."""
+        values = []
+        for col in _row_blocks(grid, self.n):
+            s = np.hypot(col, self.x)
+            log_s = np.log(s)
+            sums_log_s = log_s.sum(axis=1).tolist()
+            sums_log_u = self.log_u(col, s, log_s).sum(axis=1).tolist()
+            for lam, sum_log_s, sum_log_u in zip(col[:, 0], sums_log_s, sums_log_u):
+                sum_log_u = _checked_sum_log_u(lam, sum_log_u)
+                values.append(_profile_from_sums(self.n, lam, self.sum_log_x, sum_log_s, sum_log_u))
+        return values
+
+    def score(self, lam: float) -> float:
+        """:func:`profile_score` at ``lam``."""
+        n = self.n
+        s, _, sum_log_u = self.scan(lam)
+        sum_inv_s, lam_sum_inv_s2 = _inverse_sums(lam, s)
+        ratio = n / sum_log_u
+        return n / lam + (1.0 + ratio) * sum_inv_s - (2.0 - ratio) * lam_sum_inv_s2
+
+
+def _inverse_sums(lam: float, s: np.ndarray) -> tuple[float, float]:
+    """(sum 1/s, lam * sum 1/s^2)."""
+    return float((1.0 / s).sum()), float(lam * (1.0 / (s * s)).sum())
+
+
+def _checked_sum_log_u(lam: float, sum_log_u: float) -> float:
+    """sum log u is strictly negative for positive data; it can underflow
+    to zero only when lam is many orders of magnitude below every
+    observation, which the fitters never probe."""
     if sum_log_u >= 0.0:
         raise ValueError(f"scale {lam!r} is too small relative to the data")
-    return (
-        float(np.sum(np.log(s))),
-        sum_log_u,
-        float(np.sum(1.0 / s)),
-        float(lam * np.sum(1.0 / (s * s))),
-    )
+    return sum_log_u
 
 
 def log_likelihood(data: Dataset, p: Params) -> float:
-    x = data.values
-    sum_log_s, sum_log_u, _, _ = _sums(x, p.lam)
+    kernel = _Kernel(data.values)
+    sum_log_s, sum_log_u = kernel.log_sums(p.lam)
+    return _log_likelihood_from_sums(kernel, p, sum_log_s, sum_log_u)
+
+
+def _log_likelihood_from_sums(kernel: _Kernel, p: Params, sum_log_s: float,
+                              sum_log_u: float) -> float:
     return (
-        data.n * math.log(p.beta * p.lam)
-        + float(np.sum(np.log(x)))
+        kernel.n * math.log(p.beta * p.lam)
+        + kernel.sum_log_x
         - 3.0 * sum_log_s
         + (p.beta - 1.0) * sum_log_u
     )
@@ -141,7 +209,8 @@ def log_likelihood(data: Dataset, p: Params) -> float:
 def score(data: Dataset, p: Params) -> tuple[float, float]:
     """Analytic gradient of the log-likelihood, (d/dbeta, d/dlam)."""
     n = data.n
-    _, sum_log_u, sum_inv_s, lam_sum_inv_s2 = _sums(data.values, p.lam)
+    s, _, sum_log_u = _Kernel(data.values).scan(p.lam)
+    sum_inv_s, lam_sum_inv_s2 = _inverse_sums(p.lam, s)
     u_beta = n / p.beta + sum_log_u
     u_lam = n / p.lam + (1.0 - p.beta) * sum_inv_s - (p.beta + 2.0) * lam_sum_inv_s2
     return u_beta, u_lam
@@ -149,14 +218,12 @@ def score(data: Dataset, p: Params) -> tuple[float, float]:
 
 def profile_beta(data: Dataset, lam: float) -> float:
     """Exact shape estimate at fixed scale: beta(lam) = -n / sum log u_i."""
-    _, sum_log_u, _, _ = _sums(data.values, lam)
+    _, sum_log_u = _Kernel(data.values).log_sums(lam)
     return -data.n / sum_log_u
 
 
 def profile_log_likelihood(data: Dataset, lam: float) -> float:
-    x = data.values
-    sum_log_s, sum_log_u, _, _ = _sums(x, lam)
-    return _profile_from_sums(data.n, lam, float(np.sum(np.log(x))), sum_log_s, sum_log_u)
+    return _Kernel(data.values).profile(lam)
 
 
 def _profile_from_sums(n: int, lam: float, sum_log_x: float, sum_log_s: float,
@@ -171,29 +238,9 @@ def _row_blocks(values: np.ndarray, n: int):
         yield values[start : start + rows, None]
 
 
-def _profile_grid(data: Dataset, grid: np.ndarray) -> list[float]:
-    """:func:`profile_log_likelihood` at every scale of ``grid``, to the bit,
-    from one broadcast pass per row block."""
-    x = data.values
-    n = data.n
-    sum_log_x = float(np.sum(np.log(x)))
-    values = []
-    for col in _row_blocks(grid, n):
-        sums_log_s = np.sum(np.log(np.hypot(col, x)), axis=1).tolist()
-        sums_log_u = np.sum(_log_kernel(x, col), axis=1).tolist()
-        for lam, sum_log_s, sum_log_u in zip(col[:, 0], sums_log_s, sums_log_u):
-            if sum_log_u >= 0.0:
-                raise ValueError(f"scale {lam!r} is too small relative to the data")
-            values.append(_profile_from_sums(n, lam, sum_log_x, sum_log_s, sum_log_u))
-    return values
-
-
 def profile_score(data: Dataset, lam: float) -> float:
     """d/dlam of the profile log-likelihood."""
-    n = data.n
-    _, sum_log_u, sum_inv_s, lam_sum_inv_s2 = _sums(data.values, lam)
-    ratio = n / sum_log_u
-    return n / lam + (1.0 + ratio) * sum_inv_s - (2.0 - ratio) * lam_sum_inv_s2
+    return _Kernel(data.values).score(lam)
 
 
 # ---------------------------------------------------------------------------
@@ -221,45 +268,62 @@ def _golden_max(f, lo: float, hi: float, rel_tol: float, max_iter: int):
     return x, it, (a, b)
 
 
+def _brent_root(f, lo: float, hi: float) -> tuple[float, int, bool]:
+    """Root of ``f`` on the sign bracket [lo, hi] by Brent's method.
+
+    Stops once the bracket is within _STEP_TOL of the root, relatively:
+    the absolute tolerance is scaled to the bracket so the result is
+    scale-equivariant. Returns (root, function calls, converged).
+    """
+    root, info = brentq(f, lo, hi, xtol=_STEP_TOL * lo, rtol=_STEP_TOL, maxiter=_MAX_ITER,
+                        full_output=True, disp=False)
+    return root, info.function_calls, info.converged
+
+
 def fit_ml(data: Dataset, init: Params | None = None) -> FitResult:
     """Maximum likelihood via the profile in the scale parameter.
 
     A 41-point geometric grid (factor 4 around ``init.lam`` or the
     median / sqrt(3)) brackets the profile maximum, golden section
-    narrows it, and bisection on the profile score polishes the root.
-    The grid is evaluated in one broadcast pass per row block, with the
-    same values :func:`profile_log_likelihood` gives point by point.
-    ``iterations`` counts grid points, golden-section evaluations,
-    bracket probes and bisection steps. Standard errors are the square
-    roots of the diagonal of the inverse expected information divided
-    by n.
+    narrows it, and Brent's method on the profile score polishes the
+    root. All passes share one per-sample kernel; the grid is evaluated
+    in one broadcast pass per row block, with the same values
+    :func:`profile_log_likelihood` gives point by point. Data whose range
+    puts the grid or a profile value outside the floating-point range
+    raise :class:`FitError`. ``iterations`` counts grid points,
+    golden-section evaluations, bracket probes and the root finder's
+    score evaluations. Standard errors are the square roots of the
+    diagonal of the inverse expected information divided by n.
     """
     x = data.values
     n = data.n
     if n < 2 or float(np.min(x)) == float(np.max(x)):
         raise FitError("need at least two distinct observations to fit")
 
+    kernel = _Kernel(x)
     center = init.lam if init is not None else float(np.median(x)) / math.sqrt(3.0)
-    grid = center * 4.0 ** np.arange(-20.0, 21.0)
-    values = _profile_grid(data, grid)
+    with np.errstate(over="ignore", under="ignore"):
+        grid = center * 4.0 ** np.arange(-20.0, 21.0)
+    if not (np.all(np.isfinite(grid)) and grid[0] > 0.0):
+        raise FitError("the scale grid leaves the floating-point range: the data span too many "
+                       "orders of magnitude")
+    values = kernel.profile_grid(grid)
+    if not all(map(math.isfinite, values)):
+        raise FitError("the profile log-likelihood is not finite on the scale grid")
     k = int(np.argmax(values))
     iterations = grid.size
     if k == 0 or k == grid.size - 1:
         side = "(shape -> inf, scale -> 0)" if k == 0 else "(scale -> inf)"
         raise FitError(
             f"no interior likelihood maximum: the profile increases toward the {side} boundary",
-            best=_ml_result(data, float(grid[k]), iterations, False),
+            best=_best_ml(kernel, float(grid[k]), iterations),
         )
 
     # Golden section only seeds the score bracket; near the optimum the
     # profile is flat at double precision while the score still carries
     # full resolution through its root.
     lam0, golden_iters, _ = _golden_max(
-        lambda lam: profile_log_likelihood(data, lam),
-        float(grid[k - 1]),
-        float(grid[k + 1]),
-        1e-6,
-        _MAX_ITER,
+        kernel.profile, float(grid[k - 1]), float(grid[k + 1]), 1e-6, _MAX_ITER
     )
     iterations += golden_iters
 
@@ -271,68 +335,73 @@ def fit_ml(data: Dataset, init: Params | None = None) -> FitResult:
     offsets = [1e-3 * 0.25**k for k in range(20)]
     for offset in offsets:
         iterations += 1
-        if profile_score(data, lam0 * (1.0 - offset)) > 0.0:
+        if kernel.score(lam0 * (1.0 - offset)) > 0.0:
             lo = lam0 * (1.0 - offset)
             break
     for offset in offsets:
         iterations += 1
-        if profile_score(data, lam0 * (1.0 + offset)) < 0.0:
+        if kernel.score(lam0 * (1.0 + offset)) < 0.0:
             hi = lam0 * (1.0 + offset)
             break
     if not (lo < lam0 < hi):
         raise FitError(
             "profile score has no bracketed root near the profile maximum",
-            best=_ml_result(data, lam0, iterations, False),
+            best=_best_ml(kernel, lam0, iterations),
         )
-    for _ in range(_MAX_ITER):
-        iterations += 1
-        mid = 0.5 * (lo + hi)
-        if profile_score(data, mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if (hi - lo) <= _STEP_TOL * mid:
-            break
-    lam = 0.5 * (lo + hi)
+    lam, calls, converged = _brent_root(kernel.score, lo, hi)
+    iterations += calls
 
     # Stationary but not the global optimum: the likelihood can still be
     # higher at the scale -> 0 boundary (the family degenerates to an
     # inverse-exponential limit there, where no interior MLE exists).
-    if values[0] > profile_log_likelihood(data, lam):
+    if values[0] > kernel.profile(lam):
         raise FitError(
             "no interior likelihood maximum: the (shape -> inf, scale -> 0) "
             "boundary dominates the stationary point",
-            best=_ml_result(data, lam, iterations, False),
+            best=_best_ml(kernel, lam, iterations),
         )
 
-    converged = bool(
-        abs(profile_score(data, lam)) < _SCORE_TOL * n or (hi - lo) <= _STEP_TOL * lam
-    )
-    result = _ml_result(data, lam, iterations, converged)
+    result = _ml_result(kernel, lam, iterations, converged)
     if not converged:
         raise FitError("profile search did not converge", best=result)
     return result
 
 
-def _ml_result(data: Dataset, lam: float, iterations: int, converged: bool) -> FitResult:
-    params = Params(profile_beta(data, lam), lam)
+def _ml_result(kernel: _Kernel, lam: float, iterations: int, converged: bool) -> FitResult:
+    """The ML fit at scale ``lam``: profile shape and log-likelihood from
+    one kernel pass, bit-equal to :func:`profile_beta` and
+    :func:`log_likelihood`."""
+    sum_log_s, sum_log_u = kernel.log_sums(lam)
+    params = Params(-kernel.n / sum_log_u, lam)
     return FitResult(
         params=params,
-        std_errors=asymptotic_std_errors(params, data.n),
-        loglik=log_likelihood(data, params),
+        std_errors=asymptotic_std_errors(params, kernel.n),
+        loglik=_log_likelihood_from_sums(kernel, params, sum_log_s, sum_log_u),
         method="ml",
         iterations=iterations,
         converged=converged,
-        n=data.n,
+        n=kernel.n,
     )
+
+
+def _best_ml(kernel: _Kernel, lam: float, iterations: int) -> FitResult | None:
+    """The unconverged fit at ``lam`` a :class:`FitError` carries, or None
+    where that scale admits no valid parameters or their standard errors
+    overflow."""
+    try:
+        return _ml_result(kernel, lam, iterations, False)
+    except (ValueError, OverflowError):
+        return None
 
 
 def fit_cr(data: Dataset) -> FitResult:
     """ML fit of the CR submodel (shape pinned at 1).
 
     The scale score n/lam - 3 lam sum 1/s^2 is monotone, so the root is
-    bracketed and bisected directly. The shape entry of ``std_errors``
-    is 0 because beta is not estimated.
+    bracketed on [1e-6 min x, 1e3 max x] and found by Brent's method;
+    ``iterations`` counts its score evaluations and ``converged`` is its
+    verdict. The shape entry of ``std_errors`` is 0 because beta is not
+    estimated.
     """
     x = data.values
     n = data.n
@@ -345,17 +414,7 @@ def fit_cr(data: Dataset) -> FitResult:
     hi = float(np.max(x)) * 1e3
     if not (g(lo) > 0.0 > g(hi)):
         raise FitError("CR scale score has no bracketed root")
-    iterations = 0
-    for _ in range(_MAX_ITER):
-        iterations += 1
-        mid = 0.5 * (lo + hi)
-        if g(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if (hi - lo) <= _STEP_TOL * mid:
-            break
-    lam = 0.5 * (lo + hi)
+    lam, iterations, converged = _brent_root(g, lo, hi)
     params = Params(1.0, lam)
     # Expected information for the single scale parameter: 4n/(5 lam^2).
     se = lam / math.sqrt(0.8 * n)
@@ -365,7 +424,7 @@ def fit_cr(data: Dataset) -> FitResult:
         loglik=log_likelihood(data, params),
         method="ml",
         iterations=iterations,
-        converged=True,
+        converged=converged,
         n=n,
     )
 
@@ -635,23 +694,40 @@ def fit_cs_ml(data: Dataset, ml: FitResult | None = None) -> FitResult:
 # Percentile-based estimation
 
 
-def _pb_pieces(beta, xs: np.ndarray, ps: np.ndarray):
+class _Positions(NamedTuple):
+    """Plotting positions p_i with log p_i and x_(i) log p_i for a sorted
+    sample, which :func:`fit_pb` computes once per fit."""
+
+    p: np.ndarray
+    log_p: np.ndarray
+    xs_log_p: np.ndarray
+
+
+def _positions(xs: np.ndarray, ps: np.ndarray) -> _Positions:
+    log_p = np.log(ps)
+    return _Positions(ps, log_p, xs * log_p)
+
+
+def _pb_pieces(beta, xs: np.ndarray, ps):
     """Sorted-sample sums behind the percentile objective derivatives.
 
     ``beta`` is a float or a (k, 1) column of shapes; the sums run along
-    the last axis, giving one value per shape.
+    the last axis, giving one value per shape. ``ps`` is the positions
+    array or its :class:`_Positions`.
     """
-    w = ps ** (1.0 / beta)
+    p, log_p, xs_log_p = ps if isinstance(ps, _Positions) else _positions(xs, ps)
+    w = p ** (1.0 / beta)
     one_minus = 1.0 - w
-    log_p = np.log(ps)
-    d_shape_quad = np.sum(w * log_p / one_minus**3, axis=-1)
-    d_shape_cross = np.sum(xs * log_p / one_minus**2 * np.sqrt(w / (2.0 - w)), axis=-1)
-    cross = -np.sum(xs * np.sqrt((2.0 - w) * w) / one_minus, axis=-1)
-    quad = xs.size - np.sum(1.0 / one_minus**2, axis=-1)
+    one_minus_sq = one_minus**2
+    two_minus = 2.0 - w
+    d_shape_quad = (w * log_p / one_minus**3).sum(axis=-1)
+    d_shape_cross = (xs_log_p / one_minus_sq * np.sqrt(w / two_minus)).sum(axis=-1)
+    cross = -(xs * np.sqrt(two_minus * w) / one_minus).sum(axis=-1)
+    quad = xs.size - (1.0 / one_minus_sq).sum(axis=-1)
     return d_shape_quad, d_shape_cross, cross, quad
 
 
-def _pb_grid(betas: np.ndarray, xs: np.ndarray, ps: np.ndarray):
+def _pb_grid(betas: np.ndarray, xs: np.ndarray, ps):
     """Root values t6 t8 - t7 t9 and scales lam2 = t8/t9 at every shape of
     ``betas``, from one broadcast pass per row block; lam2 is inf or NaN
     where t9 vanishes."""
@@ -659,6 +735,16 @@ def _pb_grid(betas: np.ndarray, xs: np.ndarray, ps: np.ndarray):
     t6, t7, t8, t9 = (np.concatenate(parts) for parts in zip(*blocks))
     with np.errstate(divide="ignore", invalid="ignore"):
         return t6 * t8 - t7 * t9, t8 / t9
+
+
+def _pb_roots(betas: np.ndarray, xs: np.ndarray, ps) -> np.ndarray:
+    """The root values of :func:`_pb_grid` alone, as the bisection needs,
+    without joining blocks when there is only one."""
+    roots = []
+    for col in _row_blocks(betas, xs.size):
+        t6, t7, t8, t9 = _pb_pieces(col, xs, ps)
+        roots.append(t6 * t8 - t7 * t9)
+    return roots[0] if len(roots) == 1 else np.concatenate(roots)
 
 
 def _bisect_brackets(root_values, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray):
@@ -732,7 +818,7 @@ def fit_pb(data: Dataset) -> FitResult:
     n = data.n
     if n < 2 or xs[0] == xs[-1]:
         raise FitError("need at least two distinct observations to fit")
-    ps = np.arange(1, n + 1) / (n + 1.0)
+    positions = _positions(xs, np.arange(1, n + 1) / (n + 1.0))
 
     def objective(beta: float, lam: float) -> float:
         if not (math.isfinite(lam) and lam > 0.0):
@@ -740,20 +826,23 @@ def fit_pb(data: Dataset) -> FitResult:
         return pb_objective(data, Params(beta, lam))
 
     def lam2(beta: float) -> float:
-        return float(_pb_grid(np.array([beta]), xs, ps)[1][0])
+        return float(_pb_grid(np.array([beta]), xs, positions)[1][0])
 
     grid = np.logspace(-3.0, 3.0, 241)
-    vals, grid_lams = _pb_grid(grid, xs, ps)
+    vals, grid_lams = _pb_grid(grid, xs, positions)
     iterations = grid.size
 
     sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     if sign_change.size:
+        # Bisection rather than Brent's method: at small n the brackets
+        # share one batched pass per step, and Brent's iterates move fits
+        # in the noisy beta < 1e-2 region far from where bisection lands.
         roots, steps = _bisect_brackets(
-            lambda betas: _pb_grid(betas, xs, ps)[0],
+            lambda betas: _pb_roots(betas, xs, positions),
             grid[sign_change], grid[sign_change + 1], vals[sign_change],
         )
         iterations += steps
-        root_lams = _pb_grid(roots, xs, ps)[1]
+        root_lams = _pb_grid(roots, xs, positions)[1]
         candidates = [
             (objective(beta, lam), beta, lam)
             for beta, lam in zip(roots.tolist(), root_lams.tolist())

@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -114,6 +115,13 @@ class TestFit:
         assert code == 2
         assert "ecr" in err
 
+    def test_extreme_range_is_a_numerical_failure(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("1e-300\n1e300\n"))
+        code, out, err = run_cli(capsys, "fit", "-")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_unknown_model_rejected_by_parser(self, capsys):
         code, _, _ = run_cli(capsys, "fit", EMBEDDED_NAME, "--model", "cauchy")
         assert code == 2
@@ -184,6 +192,13 @@ class TestGofAndTtt:
         ws = [r["wstar"] for r in reports]
         assert ws == sorted(ws)
         assert reports[0]["aic"] == pytest.approx(764.612, abs=0.02)
+
+    def test_gof_single_observation_is_an_input_error(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("4.2\n"))
+        code, out, err = run_cli(capsys, "gof", "-")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
 
     def test_ttt_csv(self, capsys):
         code, out, _ = run_cli(capsys, "ttt", EMBEDDED_NAME)

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from ecrlab.data import Dataset
+from ecrlab.data import Dataset, InputError
 from ecrlab.ecr import Params, cdf, quantile, sample
 from ecrlab.gof import (
     MODEL_ORDER,
@@ -197,6 +197,11 @@ class TestComparisonModels:
         assert report.n == heart_data.n
         assert 0.0 <= report.ks <= 1.0
         assert report.caic >= report.aic
+
+    @pytest.mark.parametrize("values", [[4.2], [3.0, 3.0, 3.0]])
+    def test_fewer_than_two_distinct_values_rejected(self, values):
+        with pytest.raises(InputError):
+            fit_comparison_models(Dataset(np.array(values)))
 
     def test_gof_report_uses_supplied_parameters(self, heart_data):
         entry = MODELS["cr"]

@@ -7,7 +7,7 @@ import pytest
 
 from ecrlab import inference
 from ecrlab.data import Dataset
-from ecrlab.ecr import Params, quantile, sample
+from ecrlab.ecr import Params, _log_kernel, quantile, sample
 from ecrlab.inference import (
     FitError,
     asymptotic_std_errors,
@@ -31,6 +31,7 @@ from ecrlab.inference import (
     pb_objective,
     profile_beta,
     profile_log_likelihood,
+    profile_score,
     score,
     third_cumulants,
 )
@@ -168,6 +169,81 @@ class TestFitMl:
     def test_degenerate_data(self):
         with pytest.raises(FitError):
             fit_ml(Dataset(np.full(10, 3.0)))
+
+    def test_extreme_range_raises_fit_error(self):
+        # the factor-4 scale grid around median/sqrt(3) overflows to inf
+        with pytest.raises(FitError) as info:
+            fit_ml(Dataset(np.array([1e-300, 1e300])))
+        assert info.value.best is None
+
+    @pytest.mark.parametrize("lam", [1e-300, 1e-250])
+    def test_boundary_without_valid_best(self, lam):
+        # at the grid's tiny-scale end the profile shape is inf or its
+        # standard errors overflow, so the error carries no best fit
+        with pytest.raises(FitError, match="no interior") as info:
+            fit_ml(Dataset(np.array([1.0, 2.0, 3.0, 5.0])), init=Params(1.0, lam))
+        assert info.value.best is None
+
+    def test_unconverged_root_search_raises_with_best(self, heart_data, monkeypatch):
+        real_brentq = inference.brentq
+
+        def one_step(f, a, b, **kwargs):
+            return real_brentq(f, a, b, **{**kwargs, "maxiter": 1})
+
+        monkeypatch.setattr(inference, "brentq", one_step)
+        with pytest.raises(FitError, match="did not converge") as info:
+            fit_ml(heart_data)
+        best = info.value.best
+        assert best is not None and not best.converged
+        assert best.params.beta == pytest.approx(0.38669, rel=1e-3)
+
+
+# Outcomes recorded with the bisection-based fit_ml/fit_cr that preceded
+# Brent's method: (n, (beta, lam), seed) -> (beta, lam) or the FitError
+# message. The root finder changed, so agreement is to 1e-9 relative.
+BISECTION_ML = {
+    (20, (0.5, 1.0), 2): (0.867081692743634, 0.45687590799975886),
+    (20, (2.0, 1.0), 11): (5.9385758613972115, 0.3351197547928832),
+    (100, (0.8, 2.0), 4): "no interior likelihood maximum",
+    (1000, (2.0, 1.0), 9): (2.485030492692656, 0.8411640884771561),
+    (500, (0.5, 1.0), 1): (0.5345498688090009, 0.8863315573388795),
+}
+BISECTION_CR = {
+    (20, (0.5, 1.0), 2): 0.391093935112174,
+    (20, (2.0, 1.0), 11): 1.795936396594868,
+    (100, (0.8, 2.0), 4): 1.8646345716329327,
+    (1000, (2.0, 1.0), 9): 2.0128355551047137,
+}
+
+
+class TestFitMlCharacterization:
+    @pytest.mark.parametrize("case", list(BISECTION_ML))
+    def test_ml_matches_recorded_outcome(self, case):
+        n, law, seed = case
+        data = Dataset(sample(n, Params(*law), seed=seed))
+        expected = BISECTION_ML[case]
+        if isinstance(expected, str):
+            with pytest.raises(FitError, match=expected):
+                fit_ml(data)
+            return
+        fit = fit_ml(data)
+        assert fit.converged
+        assert fit.params.beta == pytest.approx(expected[0], rel=1e-9, abs=0)
+        assert fit.params.lam == pytest.approx(expected[1], rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("case", list(BISECTION_CR))
+    def test_cr_matches_recorded_outcome(self, case):
+        n, law, seed = case
+        fit = fit_cr(Dataset(sample(n, Params(*law), seed=seed)))
+        assert fit.converged
+        assert fit.params.lam == pytest.approx(BISECTION_CR[case], rel=1e-9, abs=0)
+
+    def test_application_data(self, heart_data):
+        ml, cr = fit_ml(heart_data), fit_cr(heart_data)
+        assert ml.params.beta == pytest.approx(0.38669170169965134, rel=1e-9, abs=0)
+        assert ml.params.lam == pytest.approx(80.68304611695282, rel=1e-9, abs=0)
+        assert cr.params.lam == pytest.approx(24.491166108234648, rel=1e-9, abs=0)
+        assert cr.converged
 
 
 class TestFisherInformation:
@@ -428,6 +504,21 @@ class TestFitPb:
         with pytest.raises(FitError):
             fit_pb(Dataset(sample(20, Params(1.0, 1.0), seed=1)))
 
+    # (beta, lam, iterations) recorded before the pass changes, which must
+    # leave every fit_pb output unchanged to the bit
+    @pytest.mark.parametrize("case, expected", [
+        ((15, (1.0, 1.0), 3), (0.6400029462219073, 0.6242787582604961, 529)),
+        ((15, (0.5, 2.0), 7), (0.44184513082825905, 1.730832993423182, 529)),
+        ((20, (0.5, 1.0), 2), (0.01831727613002654, 39.20852428687666, 493)),
+        ((20, (2.0, 1.0), 11), (5.749836137879133, 0.341955020245959, 457)),
+        ((500, (0.8, 2.0), 5), (0.00243393111248415, 1765.8336226956797, 313)),
+        ((500, (0.5, 1.0), 1), (0.012771331462895906, 56.52418079738421, 277)),
+    ])
+    def test_matches_recorded_outputs_exactly(self, case, expected):
+        n, law, seed = case
+        fit = fit_pb(Dataset(sample(n, Params(*law), seed=seed)))
+        assert (fit.params.beta, fit.params.lam, fit.iterations) == expected
+
     def test_peak_allocation_bounded_at_large_n(self):
         data = Dataset(sample(5000, Params(0.8, 2.0), seed=5))
         fit_pb(data)
@@ -438,6 +529,71 @@ class TestFitPb:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
+
+
+def reference_sums(x, lam):
+    """The two-hypot pass the kernel object replaces:
+    (sum log s, sum log u, sum 1/s, lam sum 1/s^2)."""
+    s = np.hypot(lam, x)
+    return (
+        float(np.sum(np.log(s))),
+        float(np.sum(_log_kernel(x, lam))),
+        float(np.sum(1.0 / s)),
+        float(lam * np.sum(1.0 / (s * s))),
+    )
+
+
+def reference_profile(x, lam):
+    n = x.size
+    sum_log_s, sum_log_u, _, _ = reference_sums(x, lam)
+    return n * (math.log(-n * lam / sum_log_u) - 1.0) + float(np.sum(np.log(x))) - 3.0 * sum_log_s - sum_log_u
+
+
+def reference_score(x, lam):
+    n = x.size
+    _, sum_log_u, sum_inv_s, lam_sum_inv_s2 = reference_sums(x, lam)
+    ratio = n / sum_log_u
+    return n / lam + (1.0 + ratio) * sum_inv_s - (2.0 - ratio) * lam_sum_inv_s2
+
+
+def reference_pb_pieces(beta, xs, ps):
+    """The percentile sums with nothing hoisted out of the pass."""
+    w = ps ** (1.0 / beta)
+    one_minus = 1.0 - w
+    log_p = np.log(ps)
+    return (
+        np.sum(w * log_p / one_minus**3, axis=-1),
+        np.sum(xs * log_p / one_minus**2 * np.sqrt(w / (2.0 - w)), axis=-1),
+        -np.sum(xs * np.sqrt((2.0 - w) * w) / one_minus, axis=-1),
+        xs.size - np.sum(1.0 / one_minus**2, axis=-1),
+    )
+
+
+class TestKernel:
+    """The per-sample kernel object against the passes it replaces, to the
+    bit, with the scale below, inside and above the data."""
+
+    @pytest.mark.parametrize("n", [20, 5000])
+    def test_matches_reference_passes(self, n):
+        data = Dataset(sample(n, Params(0.8, 2.0), seed=n))
+        x = data.values
+        kernel = inference._Kernel(x)
+        for lam in (0.1 * float(np.min(x)), float(np.median(x)), 10.0 * float(np.max(x))):
+            s = np.hypot(lam, x)
+            assert np.array_equal(kernel.log_u(lam, s, np.log(s)), _log_kernel(x, lam))
+            _, sum_log_u, sum_inv_s, lam_sum_inv_s2 = reference_sums(x, lam)
+            u_lam = data.n / lam + (1.0 - 0.7) * sum_inv_s - (0.7 + 2.0) * lam_sum_inv_s2
+            assert score(data, Params(0.7, lam)) == (data.n / 0.7 + sum_log_u, u_lam)
+            assert kernel.profile(lam) == reference_profile(x, lam)
+            assert profile_log_likelihood(data, lam) == reference_profile(x, lam)
+            assert kernel.score(lam) == reference_score(x, lam)
+            assert profile_score(data, lam) == reference_score(x, lam)
+
+    def test_ml_result_matches_public_functions(self, heart_data):
+        lam = 80.0
+        fit = inference._ml_result(inference._Kernel(heart_data.values), lam, 0, True)
+        assert fit.params.beta == profile_beta(heart_data, lam)
+        assert fit.loglik == log_likelihood(heart_data, fit.params)
 
 
 def scalar_bisect(root_fn, lo, hi, f_lo):
@@ -472,8 +628,8 @@ class TestBlockedPasses:
         data = Dataset(sample(n, Params(0.8, 2.0), seed=n))
         center = float(np.median(data.values)) / math.sqrt(3.0)
         grid = center * 4.0 ** np.arange(-20.0, 21.0)
-        expected = [profile_log_likelihood(data, lam) for lam in grid]
-        assert inference._profile_grid(data, grid) == expected
+        expected = [reference_profile(data.values, lam) for lam in grid]
+        assert inference._Kernel(data.values).profile_grid(grid) == expected
 
     @pytest.mark.parametrize("n", [20, 5000])
     def test_pb_grid_matches_scalar(self, n):
@@ -481,9 +637,12 @@ class TestBlockedPasses:
         xs = data.sorted_values
         ps = np.arange(1, n + 1) / (n + 1.0)
         grid = np.logspace(-3.0, 3.0, 241)
-        roots, lams = inference._pb_grid(grid, xs, ps)
+        positions = inference._positions(xs, ps)
+        roots, lams = inference._pb_grid(grid, xs, positions)
+        assert np.array_equal(inference._pb_roots(grid, xs, positions), roots)
         for beta, root, lam in zip(grid.tolist(), roots.tolist(), lams.tolist()):
             t6, t7, t8, t9 = inference._pb_pieces(beta, xs, ps)
+            assert (t6, t7, t8, t9) == reference_pb_pieces(beta, xs, ps)
             assert root == t6 * t8 - t7 * t9
             if t9 != 0.0:
                 assert lam == t8 / t9
