@@ -333,19 +333,13 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError,) as exc:
-        if isinstance(exc, MomentExistenceError):
-            print(f"error: {exc}", file=sys.stderr)
-            return 3
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (FitError, ArithmeticError) as exc:
+    except (FitError, ArithmeticError, MomentExistenceError) as exc:
         # ConvergenceError and LossOfPrecisionError are ArithmeticErrors
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except ValueError as exc:  # InputError included
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

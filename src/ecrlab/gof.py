@@ -18,10 +18,9 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.optimize import brentq, minimize_scalar
-from scipy.special import gammainc, gammaln, ndtr, ndtri
-from scipy.special import digamma as _digamma
+from scipy.special import gammainc, ndtr, ndtri
 
-from . import inference
+from . import inference, specfun
 from .data import Dataset, InputError
 from .ecr import Params, cdf as ecr_cdf
 
@@ -198,7 +197,7 @@ def _fit_gamma(data: Dataset) -> tuple[float, float]:
     gap = math.log(float(np.mean(x))) - float(np.mean(np.log(x)))
 
     def shape_eq(p: float) -> float:
-        return math.log(p) - float(_digamma(p)) - gap
+        return math.log(p) - specfun.digamma(p) - gap
 
     shape = brentq(shape_eq, 1e-6, 1e6, xtol=1e-13, rtol=1e-15)
     return shape, float(np.mean(x)) / shape
@@ -265,7 +264,9 @@ def _gamma_cdf(x, theta):
 def _gamma_loglik(data: Dataset, theta) -> float:
     p, b = theta
     x = data.values
-    return float(np.sum((p - 1.0) * np.log(x) - x / b) - data.n * (gammaln(p) + p * math.log(b)))
+    return float(
+        np.sum((p - 1.0) * np.log(x) - x / b) - data.n * (specfun.log_gamma(p) + p * math.log(b))
+    )
 
 
 def _lognormal_cdf(x, theta):
@@ -315,7 +316,7 @@ MODELS: dict[str, ModelEntry] = {
     "ee": ModelEntry("ee", 2, ("shape", "rate"), _fit_ee, _ee_cdf, _ee_loglik),
 }
 
-MODEL_ORDER = ("ecr", "cr", "weibull", "gamma", "lognormal", "ee")
+MODEL_ORDER = tuple(MODELS)
 
 
 def gof_report(data: Dataset, entry: ModelEntry, theta: tuple[float, ...]) -> GofReport:
@@ -348,8 +349,7 @@ def fit_comparison_models(data: Dataset) -> list[ComparisonFit]:
     if xs[0] == xs[-1]:
         raise InputError("goodness of fit needs at least two distinct observations")
     fits: list[ComparisonFit] = []
-    for name in MODEL_ORDER:
-        entry = MODELS[name]
+    for entry in MODELS.values():
         try:
             theta = entry.fit(data)
             fits.append(ComparisonFit(entry, theta, gof_report(data, entry, theta)))

@@ -265,7 +265,7 @@ def _golden_max(f, lo: float, hi: float, rel_tol: float, max_iter: int):
             fd = f(d)
         it += 1
     x = c if fc > fd else d
-    return x, it, (a, b)
+    return x, it
 
 
 def _brent_root(f, lo: float, hi: float) -> tuple[float, int, bool]:
@@ -322,7 +322,7 @@ def fit_ml(data: Dataset, init: Params | None = None) -> FitResult:
     # Golden section only seeds the score bracket; near the optimum the
     # profile is flat at double precision while the score still carries
     # full resolution through its root.
-    lam0, golden_iters, _ = _golden_max(
+    lam0, golden_iters = _golden_max(
         kernel.profile, float(grid[k - 1]), float(grid[k + 1]), 1e-6, _MAX_ITER
     )
     iterations += golden_iters
@@ -852,7 +852,7 @@ def fit_pb(data: Dataset) -> FitResult:
         iterations += grid.size
         if k == 0 or k == grid.size - 1:
             raise FitError("percentile objective has no interior minimum")
-        beta, golden_iters, _ = _golden_max(
+        beta, golden_iters = _golden_max(
             lambda b: -objective(b, lam2(b)), float(grid[k - 1]), float(grid[k + 1]),
             _STEP_TOL, _MAX_ITER,
         )

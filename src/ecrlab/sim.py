@@ -95,10 +95,10 @@ class _Cell:
 
 def _replicate(args) -> list[tuple[str, float, float] | tuple[str, None, None]]:
     """Run one replication; returns (estimator, beta, lam) per estimator,
-    with (estimator, None, None) marking a failed fit and a NaN pair
-    marking an uncorrectable Cox-Snell outcome. FitError and ValueError
-    are the recognized per-replication numerical failure modes; anything
-    else is a bug and propagates.
+    in ``estimators`` order, with (estimator, None, None) marking a
+    failed fit and a NaN pair marking an uncorrectable Cox-Snell outcome.
+    FitError and ValueError are the recognized per-replication numerical
+    failure modes; anything else is a bug and propagates.
 
     ML is fitted at most once: csml corrects that same fit through
     ``fit_cs_ml(data, ml=...)``, and when the ML fit failed csml records
@@ -133,11 +133,11 @@ def _replicate(args) -> list[tuple[str, float, float] | tuple[str, None, None]]:
     return out
 
 
-def _summarize(cell: _Cell, estimator: str, draws: list[tuple[float, float] | None],
-               replications: int) -> list[CellSummary]:
-    failures = sum(1 for d in draws if d is None)
-    uncorrectable = sum(1 for d in draws if d is not None and math.isnan(d[0]))
-    good = np.array([d for d in draws if d is not None and not math.isnan(d[0])])
+def _summarize(cell: _Cell, estimator: str,
+               outcomes: tuple[tuple[str, float | None, float | None], ...]) -> list[CellSummary]:
+    failures = sum(1 for _, b, _ in outcomes if b is None)
+    uncorrectable = sum(1 for _, b, _ in outcomes if b is not None and math.isnan(b))
+    good = np.array([(b, lam) for _, b, lam in outcomes if b is not None and not math.isnan(b)])
     rows = []
     truth_values = (cell.truth.beta, cell.truth.lam)
     for j, name in enumerate(("beta", "lambda")):
@@ -186,12 +186,9 @@ def _run_cells(cells: list[_Cell], cfg: StudyConfig, workers: int) -> list[CellS
     summaries: list[CellSummary] = []
     for ci, cell in enumerate(cells):
         block = results[ci * cfg.replications : (ci + 1) * cfg.replications]
-        for est in cfg.estimators:
-            draws: list[tuple[float, float] | None] = []
-            for rep_out in block:
-                rec = next(r for r in rep_out if r[0] == est)
-                draws.append(None if rec[1] is None else (rec[1], rec[2]))
-            summaries.extend(_summarize(cell, est, draws, cfg.replications))
+        # _replicate returns its outcomes in cfg.estimators order
+        for est, outcomes in zip(cfg.estimators, zip(*block)):
+            summaries.extend(_summarize(cell, est, outcomes))
     return summaries
 
 

@@ -1,6 +1,9 @@
 """Special-function kernel backing the closed-form moment expressions.
 
-Everything here is real-valued, pure and deterministic. All series share
+Everything here is real-valued, pure and deterministic. The gamma family
+is backed by the standard library and scipy: ``log_gamma`` by
+``math.lgamma`` and ``digamma`` by ``scipy.special.digamma``, with
+``gamma_fn`` and ``beta_fn`` built on ``log_gamma``. All series share
 one truncation policy: summation stops once the running term is below
 ``SeriesControl.rel_tol`` relative to the partial sum for three
 consecutive terms, which keeps alternating series from stopping on an
@@ -14,6 +17,7 @@ import math
 from dataclasses import dataclass
 
 from scipy.integrate import quad
+from scipy.special import digamma as _scipy_digamma
 
 __all__ = [
     "EULER_GAMMA",
@@ -30,36 +34,6 @@ __all__ = [
 ]
 
 EULER_GAMMA = 0.5772156649015328606065120900824024
-
-_HALF_LOG_TWO_PI = 0.9189385332046727417803297364056176
-
-# Lanczos approximation, g = 7, 9 coefficients; ~1e-13 relative accuracy
-# on the positive real axis, which is the whole supported domain.
-_LANCZOS_G = 7.0
-_LANCZOS_COEFFS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-# B_{2k}/(2k) coefficients of the digamma asymptotic series, k = 1..8.
-_DIGAMMA_TAIL_COEFFS = (
-    1.0 / 12.0,
-    -1.0 / 120.0,
-    1.0 / 252.0,
-    -1.0 / 240.0,
-    1.0 / 132.0,
-    -691.0 / 32760.0,
-    1.0 / 12.0,
-    -3617.0 / 8160.0,
-)
-_DIGAMMA_SWITCH = 6.0
 
 # Above this x the Appell double series degrades and the integral
 # representation is integrated numerically instead.
@@ -107,14 +81,8 @@ def _require_positive(name: str, x: float) -> float:
 
 
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0, via the Lanczos approximation (g=7, 9 terms)."""
-    x = _require_positive("x", x)
-    xm1 = x - 1.0
-    acc = _LANCZOS_COEFFS[0]
-    for i in range(1, len(_LANCZOS_COEFFS)):
-        acc += _LANCZOS_COEFFS[i] / (xm1 + i)
-    t = xm1 + _LANCZOS_G + 0.5
-    return _HALF_LOG_TWO_PI + (xm1 + 0.5) * math.log(t) - t + math.log(acc)
+    """ln Gamma(x) for x > 0, by ``math.lgamma``."""
+    return math.lgamma(_require_positive("x", x))
 
 
 def gamma_fn(x: float) -> float:
@@ -130,23 +98,8 @@ def beta_fn(a: float, b: float) -> float:
 
 
 def digamma(x: float) -> float:
-    """psi(x) = d/dx ln Gamma(x) for x > 0.
-
-    Upward recurrence pushes the argument to at least 6, where the
-    Bernoulli asymptotic series is accurate to ~1e-14.
-    """
-    x = _require_positive("x", x)
-    value = 0.0
-    while x < _DIGAMMA_SWITCH:
-        value -= 1.0 / x
-        x += 1.0
-    inv_sq = 1.0 / (x * x)
-    tail = 0.0
-    power = inv_sq
-    for coeff in _DIGAMMA_TAIL_COEFFS:
-        tail += coeff * power
-        power *= inv_sq
-    return value + math.log(x) - 0.5 / x - tail
+    """psi(x) = d/dx ln Gamma(x) for x > 0, by ``scipy.special.digamma``."""
+    return float(_scipy_digamma(_require_positive("x", x)))
 
 
 def gauss_2f1(
@@ -256,12 +209,14 @@ def _appell_f1_quad(a: float, b1: float, b2: float, c: float, x: float, y: float
             * (1.0 - y * t) ** (-b2)
         )
 
-    # full_output=1 also silences the subdivision warning; the endpoint
-    # behavior is integrable for every in-scope parameter combination.
+    # full_output=1 hands back quad's warning instead of emitting it: a
+    # fourth element, the message, is present exactly when ier > 0.
     out = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-11, limit=500, full_output=1)
-    integral = out[0]
-    log_norm = log_gamma(c) - log_gamma(a) - log_gamma(c - a)
-    return integral * math.exp(log_norm)
+    value = out[0] * math.exp(log_gamma(c) - log_gamma(a) - log_gamma(c - a))
+    if len(out) > 3:
+        reason = " ".join(out[3].split())
+        raise ConvergenceError(f"appell_f1 quadrature did not converge: {reason}", value, 0)
+    return value
 
 
 def lerch_phi_half(

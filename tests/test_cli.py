@@ -4,6 +4,7 @@ import json
 import numpy as np
 import pytest
 
+from ecrlab import specfun
 from ecrlab.cli import main
 from ecrlab.data import EMBEDDED_NAME
 from ecrlab.ecr import Params, sample
@@ -169,6 +170,27 @@ class TestMoments:
         payload = json.loads(out)
         assert payload["results"]["raw"]["value"] == pytest.approx(1.0, rel=1e-10)
         assert payload["results"]["log"]["value"] == pytest.approx(np.log(2.0), rel=1e-10)
+
+    def test_loss_of_precision_exits_three(self, capsys):
+        code, _, err = run_cli(
+            capsys, "moments", "--beta", "1", "--lambda", "1", "--r", "0.5",
+            "--order-stat", "1", "60",
+        )
+        assert code == 3
+        assert err.startswith("error: order statistic moment")
+        assert err.count("\n") == 1
+
+    def test_quadrature_warning_exits_three(self, capsys, monkeypatch):
+        def warned(*args, **kwargs):
+            return 1.0, 1e-3, {"last": 500}, "The maximum number of subdivisions has been achieved."
+
+        monkeypatch.setattr(specfun, "quad", warned)
+        code, _, err = run_cli(
+            capsys, "moments", "--beta", "0.8", "--lambda", "1.0", "--r", "0.5", "--x0", "20",
+        )
+        assert code == 3
+        assert err.startswith("error: appell_f1 quadrature did not converge")
+        assert err.count("\n") == 1
 
     def test_optional_quantities(self, capsys):
         code, out, _ = run_cli(

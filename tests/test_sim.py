@@ -1,4 +1,5 @@
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -135,6 +136,24 @@ class TestGridStudy:
             (b, l) for b in (0.5, 1.0) for l in (1.0, 2.0, 3.0)
         }
         assert sorted({r.cell for r in rows}) == list(range(6))
+
+
+class TestEstimatorOrder:
+    def test_summaries_independent_of_estimator_order(self):
+        # beta = 0.5 at n = 8 has ML failures, beta = 6 uncorrectable csml
+        # outcomes, so both counts go through the regrouping
+        cfg = StudyConfig(Params(1.0, 1.0), (8,), 25, ("ml", "csml", "pb"), master_seed=11,
+                          grid=((0.5, 6.0), (1.0,)))
+        key = lambda r: (r.cell, r.estimator, r.parameter)
+        default = sorted(run_grid_study(cfg), key=key)
+        reordered = sorted(run_grid_study(replace(cfg, estimators=("pb", "csml", "ml"))), key=key)
+        assert any(r.failures > 0 for r in default)
+        assert any(r.uncorrectable > 0 for r in default)
+        assert len(reordered) == len(default)
+        for a, b in zip(default, reordered):
+            # NaN fields make the records unequal to themselves; compare their CSV rows
+            assert summaries_to_csv([a]) == summaries_to_csv([b])
+            assert (a.failures, a.uncorrectable, a.successes) == (b.failures, b.uncorrectable, b.successes)
 
 
 class TestCsv:

@@ -3,8 +3,11 @@ import math
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from ecrlab import specfun
 from ecrlab.specfun import (
     DEFAULT_CONTROL,
     EULER_GAMMA,
@@ -98,6 +101,49 @@ class TestDigamma:
             digamma(0.0)
 
 
+# Deterministic and bounded, so the suite stays reproducible and fast.
+PROPERTY = settings(derandomize=True, max_examples=200, deadline=None)
+POSITIVE = st.floats(min_value=1e-3, max_value=1e3)
+OUTSIDE = st.floats(max_value=0.0) | st.sampled_from([math.inf, math.nan])
+EPS = np.finfo(float).eps
+
+
+class TestGammaFamilyProperties:
+    @PROPERTY
+    @given(POSITIVE)
+    @example(1.0 + 1e-9)
+    @example(2.0 - 1e-9)
+    def test_log_gamma_against_mpmath(self, x):
+        # absolute floor: log Gamma vanishes at 1 and 2
+        assert log_gamma(x) == pytest.approx(float(mpmath.loggamma(x)), rel=1e-12, abs=1e-14)
+
+    @PROPERTY
+    @given(POSITIVE)
+    @example(1.4616321449683622)
+    def test_digamma_against_mpmath(self, x):
+        # absolute floor: psi vanishes near 1.4616
+        assert digamma(x) == pytest.approx(float(mpmath.digamma(x)), rel=1e-12, abs=1e-15)
+
+    @PROPERTY
+    @given(POSITIVE, POSITIVE)
+    def test_beta_fn_against_mpmath(self, a, b):
+        expected = mpmath.beta(a, b)
+        if expected < 1e-300:  # underflows in double precision
+            return
+        # exp of a sum of three log-gammas: the rounding of that sum, up to
+        # a few ulps of its largest term, becomes relative error in B
+        spread = abs(math.lgamma(a)) + abs(math.lgamma(b)) + abs(math.lgamma(a + b))
+        assert beta_fn(a, b) == pytest.approx(float(expected), rel=1e-12 + 2 * EPS * spread)
+
+    @PROPERTY
+    @given(OUTSIDE, POSITIVE)
+    def test_domain(self, bad, good):
+        for call in (lambda: log_gamma(bad), lambda: gamma_fn(bad), lambda: digamma(bad),
+                     lambda: beta_fn(bad, good), lambda: beta_fn(good, bad)):
+            with pytest.raises(ValueError):
+                call()
+
+
 class TestGauss2F1:
     def test_binomial_reduction(self):
         # 2F1(a, b; b; z) = (1-z)^(-a)
@@ -185,6 +231,15 @@ class TestAppellF1:
             value, rows = appell_f1(*args, x, x / 2.0, full_output=True)
             assert value == pytest.approx(_f1_quadrature_oracle(*args, x, x / 2.0), rel=1e-9)
         assert appell_f1(*args, 0.96, 0.48, full_output=True)[1] == 0  # quadrature path
+
+    def test_quadrature_warning_raises(self, monkeypatch):
+        def warned(*args, **kwargs):
+            return 0.5, 1e-3, {"last": 500}, "The maximum number of\n  subdivisions (500) has been achieved."
+
+        monkeypatch.setattr(specfun, "quad", warned)
+        with pytest.raises(ConvergenceError, match="maximum number of subdivisions") as info:
+            appell_f1(1.7, 0.4, -0.2, 2.7, 0.96, 0.48)
+        assert info.value.terms == 0
 
     def test_domain(self):
         with pytest.raises(ValueError):
