@@ -10,9 +10,10 @@ s_i = sqrt(lam^2 + x_i^2):
 
 For fixed lam the shape score vanishes at beta(lam) = -n / sum log u_i,
 so fitting reduces to a one-dimensional search over the scale: a grid
-and a golden section pass on the profile log-likelihood, then Brent's
-method (scipy's brentq) on the profile score. Every pass of one fit
-goes through a per-sample kernel object that holds log x and its sum.
+pass on the profile log-likelihood, whose argmax and two profile-score
+probes give a sign bracket, then Brent's method (scipy's brentq) on the
+profile score inside it. Every pass of one fit goes through a per-sample
+kernel object that holds log x and its sum.
 """
 
 from __future__ import annotations
@@ -92,9 +93,9 @@ class FitResult:
     is False only when a requested Cox-Snell correction would have left
     the parameter space, in which case the plain ML fit is carried.
     ``iterations`` counts objective and score evaluations over all
-    phases: for ML the grid points, golden-section evaluations, bracket
-    probes and Brent's score evaluations (csml carries its ML fit's
-    count); for the CR submodel Brent's evaluations; for "pb" the
+    phases: for ML the grid points, the two half-cell score probes, the
+    finer grid's points and probes when it is used, and Brent's score
+    evaluations (csml carries its ML fit's count); for the CR submodel Brent's evaluations; for "pb" the
     phases :func:`fit_pb` lists.
     """
 
@@ -280,20 +281,45 @@ def _brent_root(f, lo: float, hi: float) -> tuple[float, int, bool]:
     return root, info.function_calls, info.converged
 
 
+def _score_half_cell(kernel: _Kernel, grid: np.ndarray, k: int) -> tuple[float, float] | None:
+    """The half-cell next to the interior grid argmax ``k`` where the
+    profile score falls from + to -: [grid[k], grid[k+1]] when the score
+    at grid[k] is positive, else [grid[k-1], grid[k]]; None when the
+    score does not change sign across it."""
+    lam = float(grid[k])
+    if kernel.score(lam) > 0.0:
+        hi = float(grid[k + 1])
+        return (lam, hi) if kernel.score(hi) < 0.0 else None
+    lo = float(grid[k - 1])
+    return (lo, lam) if kernel.score(lo) > 0.0 else None
+
+
 def fit_ml(data: Dataset, init: Params | None = None) -> FitResult:
     """Maximum likelihood via the profile in the scale parameter.
 
     A 41-point geometric grid (factor 4 around ``init.lam`` or the
-    median / sqrt(3)) brackets the profile maximum, golden section
-    narrows it, and Brent's method on the profile score polishes the
-    root. All passes share one per-sample kernel; the grid is evaluated
-    in one broadcast pass per row block, with the same values
-    :func:`profile_log_likelihood` gives point by point. Data whose range
-    puts the grid or a profile value outside the floating-point range
-    raise :class:`FitError`. ``iterations`` counts grid points,
-    golden-section evaluations, bracket probes and the root finder's
-    score evaluations. Standard errors are the square roots of the
-    diagonal of the inverse expected information divided by n.
+    median / sqrt(3)) brackets the profile maximum; the profile score at
+    the grid's argmax and at one neighbour picks the half-cell where the
+    score falls from + to -, and Brent's method finds the root there.
+    When two stationary points share the argmax's cell and neither
+    half-cell changes sign, a second 41-point grid over that cell picks
+    the half-cell instead; if it fails too the fit raises
+    :class:`FitError`. All passes share one per-sample kernel; each grid
+    is evaluated in one broadcast pass per row block, with the same
+    values :func:`profile_log_likelihood` gives point by point. Data
+    whose range puts the grid or a profile value outside the
+    floating-point range raise :class:`FitError`. ``iterations`` counts
+    the grid points, the two half-cell score probes, the finer grid's
+    points and probes when it is used, and Brent's score evaluations.
+    Standard errors are the square roots of the diagonal of the inverse
+    expected information divided by n.
+
+    Where the profile is flat to double precision (a shape estimate near
+    1e4 or more, as the scale approaches the scale -> 0 boundary), the
+    score is rounding noise across a band of relative width about 1e-6,
+    so which point of that band is returned depends on the root finder.
+    The boundary check against the grid's tiny-scale end is strict, with
+    no tolerance, so such a stationary point still counts as interior.
     """
     x = data.values
     n = data.n
@@ -319,35 +345,26 @@ def fit_ml(data: Dataset, init: Params | None = None) -> FitResult:
             best=_best_ml(kernel, float(grid[k]), iterations),
         )
 
-    # Golden section only seeds the score bracket; near the optimum the
-    # profile is flat at double precision while the score still carries
-    # full resolution through its root.
-    lam0, golden_iters = _golden_max(
-        kernel.profile, float(grid[k - 1]), float(grid[k + 1]), 1e-6, _MAX_ITER
-    )
-    iterations += golden_iters
-
-    # The profile score runs -/+/- in lam, the maximum being the second
-    # root. Golden section puts lam0 within ~1e-6 of it, so shrinking
-    # offsets toward lam0 finds a sign bracket without stepping into the
-    # dip left of the maximum.
-    lo = hi = lam0
-    offsets = [1e-3 * 0.25**k for k in range(20)]
-    for offset in offsets:
-        iterations += 1
-        if kernel.score(lam0 * (1.0 - offset)) > 0.0:
-            lo = lam0 * (1.0 - offset)
-            break
-    for offset in offsets:
-        iterations += 1
-        if kernel.score(lam0 * (1.0 + offset)) < 0.0:
-            hi = lam0 * (1.0 + offset)
-            break
-    if not (lo < lam0 < hi):
-        raise FitError(
-            "profile score has no bracketed root near the profile maximum",
-            best=_best_ml(kernel, lam0, iterations),
-        )
+    # The profile score runs -/+/- in lam, the maximum being its second
+    # root, so the score at grid[k] picks the half-cell on the maximum's
+    # side. Two stationary points can share one factor-4 cell (the score
+    # runs +/-/+ inside it); a finer grid over the cell then separates them.
+    bracket = _score_half_cell(kernel, grid, k)
+    iterations += 2
+    if bracket is None:
+        fine = np.geomspace(grid[k - 1], grid[k + 1], grid.size)
+        fine_values = kernel.profile_grid(fine)
+        k = int(np.argmax(fine_values))
+        iterations += fine.size
+        if 0 < k < fine.size - 1:
+            bracket = _score_half_cell(kernel, fine, k)
+            iterations += 2
+        if bracket is None:
+            raise FitError(
+                "profile score has no bracketed root near the profile maximum",
+                best=_best_ml(kernel, float(fine[k]), iterations),
+            )
+    lo, hi = bracket
     lam, calls, converged = _brent_root(kernel.score, lo, hi)
     iterations += calls
 
@@ -747,31 +764,89 @@ def _pb_roots(betas: np.ndarray, xs: np.ndarray, ps) -> np.ndarray:
     return roots[0] if len(roots) == 1 else np.concatenate(roots)
 
 
-def _bisect_brackets(root_values, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray):
+def _pb_objectives(betas: np.ndarray, lams: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
+    """:func:`pb_objective` at every (beta, lam) pair, to the bit, from one
+    broadcast pass per row block; inf where lam is not positive and
+    finite, as :func:`fit_pb` scores such a pair."""
+    out = np.full(betas.size, math.inf)
+    admissible = np.isfinite(lams) & (lams > 0.0)
+    sums = []
+    for beta_col, lam_col in zip(_row_blocks(betas[admissible], xs.size),
+                                 _row_blocks(lams[admissible], xs.size)):
+        w = ps ** (1.0 / beta_col)
+        model = lam_col * np.sqrt((2.0 - w) * w) / (1.0 - w)
+        sums.append(((model - xs) ** 2).sum(axis=-1))
+    if sums:
+        out[admissible] = np.concatenate(sums)
+    return out
+
+
+# Points one bisection pass may evaluate: 2^d - 1 tree points per active
+# bracket at depth d, each a row of the sample's size. Small enough that
+# a pass stays one row block and cheap next to numpy's per-call overhead.
+_BISECT_ELEMENTS = _BLOCK_ELEMENTS // 8
+_BISECT_MAX_DEPTH = 6
+
+
+def _bisect_brackets(root_values, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
+                     row_size: int = 1):
     """Geometric bisection of the sign-change brackets [lo_j, hi_j] together.
 
-    ``root_values`` maps an array of points to root-function values.
-    Each bracket stops on its own: at an exact zero, once its width is at
-    most _STEP_TOL * hi, or after _MAX_ITER steps. Returns the bracket
-    midpoints sqrt(lo hi) and the steps taken by all brackets.
+    ``root_values`` maps an array of points to root-function values, at
+    a cost of ``row_size`` elements per point. Each bracket stops on its
+    own: at an exact zero, once its width is at most _STEP_TOL * hi, or
+    after _MAX_ITER steps. One pass evaluates the next d levels of every
+    active bracket's bisection tree: its 2^d - 1 midpoints, each the
+    sqrt(lo hi) of the sub-bracket bisection would hold there. Each
+    bracket then walks down its tree with the sign test against its
+    starting f_lo, so the points visited, and the result, are those of
+    one-level-per-pass bisection. d is the largest depth up to
+    _BISECT_MAX_DEPTH whose points fit in _BISECT_ELEMENTS. Returns the
+    bracket midpoints sqrt(lo hi) and the levels walked by all brackets.
     """
-    lo, hi, f_lo = lo.copy(), hi.copy(), f_lo.copy()
-    active = np.arange(lo.size)
-    steps = 0
-    for _ in range(_MAX_ITER):
-        if not active.size:
-            break
-        steps += active.size
-        mid = np.sqrt(lo[active] * hi[active])
-        f_mid = root_values(mid)
-        zero = f_mid == 0.0
-        up = ~zero & ((f_mid > 0) == (f_lo[active] > 0))
-        lo[active[zero | up]] = mid[zero | up]
-        f_lo[active[up]] = f_mid[up]
-        hi[active[~up]] = mid[~up]
-        done = zero | (hi[active] - lo[active] <= _STEP_TOL * hi[active])
-        active = active[~done]
-    return np.sqrt(lo * hi), steps
+    lo, hi = lo.tolist(), hi.tolist()
+    # lo moves only on a step whose value tests like f_lo, so f_lo > 0
+    # never changes and the sign test needs only its starting value.
+    positive = (f_lo > 0).tolist()
+    active = list(range(len(lo)))
+    level = steps = 0
+    while active and level < _MAX_ITER:
+        budget = _BISECT_ELEMENTS // (len(active) * row_size)
+        depth = max(1, min(_BISECT_MAX_DEPTH, (budget + 1).bit_length() - 1, _MAX_ITER - level))
+        points = []
+        for j in active:
+            # Level by level, the sub-brackets are the consecutive pairs of
+            # the sorted edges, so points come out breadth-first: the
+            # children of tree point i are points 2i+1 and 2i+2.
+            edges = [lo[j], hi[j]]
+            for _ in range(depth):
+                mids = [math.sqrt(a * b) for a, b in zip(edges, edges[1:])]
+                points += mids
+                edges[1:] = [e for pair in zip(mids, edges[1:]) for e in pair]
+        values = root_values(np.array(points)).tolist()
+        still = []
+        for offset, j in zip(range(0, len(points), 2**depth - 1), active):
+            a, b, up_sign, node = lo[j], hi[j], positive[j], offset
+            for walked in range(1, depth + 1):
+                mid, f_mid = points[node], values[node]
+                if f_mid == 0.0:
+                    a = b = mid
+                    break
+                if (f_mid > 0) == up_sign:
+                    a = mid
+                    node += node - offset + 2
+                else:
+                    b = mid
+                    node += node - offset + 1
+                if b - a <= _STEP_TOL * b:
+                    break
+            else:
+                still.append(j)
+            lo[j], hi[j] = a, b
+            steps += walked
+        active = still
+        level += depth
+    return np.sqrt(np.array(lo) * np.array(hi)), steps
 
 
 def pb_objective(data: Dataset, p: Params) -> float:
@@ -809,8 +884,10 @@ def fit_pb(data: Dataset) -> FitResult:
     raises :class:`FitError`.
 
     The 241-point grid is evaluated in one broadcast pass per row block,
-    the no-sign-change fallback reuses its lam2 values, and all sign-change
-    brackets are bisected together, each with its own stopping rule.
+    and so are the objectives of the root candidates and of the
+    no-sign-change fallback, which reuses the grid's lam2 values. All
+    sign-change brackets are bisected together, several levels per pass
+    (see :func:`_bisect_brackets`), each with its own stopping rule.
     ``iterations`` counts grid points, bisection steps, fallback grid
     points and golden-section evaluations.
     """
@@ -834,21 +911,20 @@ def fit_pb(data: Dataset) -> FitResult:
 
     sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
     if sign_change.size:
-        # Bisection rather than Brent's method: at small n the brackets
-        # share one batched pass per step, and Brent's iterates move fits
-        # in the noisy beta < 1e-2 region far from where bisection lands.
+        # Bisection rather than Brent's method: its points are known levels
+        # ahead, so the brackets share one batched pass per few steps, and
+        # Brent's iterates move fits in the noisy beta < 1e-2 region far
+        # from where bisection lands.
         roots, steps = _bisect_brackets(
             lambda betas: _pb_roots(betas, xs, positions),
-            grid[sign_change], grid[sign_change + 1], vals[sign_change],
+            grid[sign_change], grid[sign_change + 1], vals[sign_change], n,
         )
         iterations += steps
         root_lams = _pb_grid(roots, xs, positions)[1]
-        candidates = [
-            (objective(beta, lam), beta, lam)
-            for beta, lam in zip(roots.tolist(), root_lams.tolist())
-        ]
+        scores = _pb_objectives(roots, root_lams, xs, positions.p)
+        candidates = list(zip(scores.tolist(), roots.tolist(), root_lams.tolist()))
     else:
-        k = int(np.argmin([objective(b, lam) for b, lam in zip(grid, grid_lams.tolist())]))
+        k = int(np.argmin(_pb_objectives(grid, grid_lams, xs, positions.p)))
         iterations += grid.size
         if k == 0 or k == grid.size - 1:
             raise FitError("percentile objective has no interior minimum")

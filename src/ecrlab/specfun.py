@@ -81,8 +81,13 @@ def _require_positive(name: str, x: float) -> float:
 
 
 def log_gamma(x: float) -> float:
-    """ln Gamma(x) for x > 0, by ``math.lgamma``."""
-    return math.lgamma(_require_positive("x", x))
+    """ln Gamma(x) for x > 0, by ``math.lgamma``. Above about 2.5e305 the
+    value leaves the floating-point range and an OverflowError names x."""
+    x = _require_positive("x", x)
+    try:
+        return math.lgamma(x)
+    except OverflowError:
+        raise OverflowError(f"log_gamma({x!r}) overflows the floating-point range") from None
 
 
 def gamma_fn(x: float) -> float:

@@ -192,6 +192,11 @@ class TestMoments:
         assert err.startswith("error: appell_f1 quadrature did not converge")
         assert err.count("\n") == 1
 
+    def test_log_gamma_overflow_names_the_argument(self, capsys):
+        code, _, err = run_cli(capsys, "moments", "--beta", "1e306", "--lambda", "1", "--r", "-0.5")
+        assert code == 3
+        assert err == "error: log_gamma(1e+306) overflows the floating-point range\n"
+
     def test_optional_quantities(self, capsys):
         code, out, _ = run_cli(
             capsys, "moments", "--beta", "0.8", "--lambda", "1.0", "--r", "0.5",

@@ -38,6 +38,10 @@ class TestLogGamma:
     def test_gamma_fn(self):
         assert gamma_fn(5.0) == pytest.approx(24.0, rel=1e-13)
 
+    def test_overflow_names_the_argument(self):
+        with pytest.raises(OverflowError, match=r"^log_gamma\(1e\+306\) overflows the floating-point range$"):
+            log_gamma(1e306)
+
     @pytest.mark.parametrize("x", [0.0, -1.0, math.nan, math.inf])
     def test_domain(self, x):
         with pytest.raises(ValueError):
