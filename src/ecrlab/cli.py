@@ -243,7 +243,8 @@ def cmd_ttt(args) -> int:
 
 def cmd_simulate(args) -> int:
     try:
-        raw = json.loads(open(args.config).read())
+        with open(args.config) as f:
+            raw = json.load(f)
     except OSError as exc:
         raise InputError(f"cannot read {args.config}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
@@ -265,7 +266,11 @@ def cmd_simulate(args) -> int:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"invalid config: {exc}") from None
-    workers = max(1, int(os.environ.get("ECR_LAB_THREADS", "1")))
+    threads = os.environ.get("ECR_LAB_THREADS", "1")
+    try:
+        workers = max(1, int(threads))
+    except ValueError:
+        raise InputError(f"ECR_LAB_THREADS must be an integer, got {threads!r}") from None
     runner = run_grid_study if cfg.grid is not None else run_convergence_study
     print(summaries_to_csv(runner(cfg, workers=workers)), end="")
     return 0

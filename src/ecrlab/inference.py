@@ -63,7 +63,6 @@ __all__ = [
 
 _MAX_ITER = 200
 _STEP_TOL = 1e-12  # relative bracket width below which iteration stops
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 # Grid passes broadcast a column of parameter values against the sample
 # in row blocks of about this many elements. At small n one block holds
 # the whole grid, so numpy's per-call overhead (the whole cost there) is
@@ -95,8 +94,10 @@ class FitResult:
     ``iterations`` counts objective and score evaluations over all
     phases: for ML the grid points, the two half-cell score probes, the
     finer grid's points and probes when it is used, and Brent's score
-    evaluations (csml carries its ML fit's count); for the CR submodel Brent's evaluations; for "pb" the
-    phases :func:`fit_pb` lists.
+    evaluations (csml carries its ML fit's count); for the CR submodel
+    Brent's evaluations; for "pb" the shape grid's points, the objective
+    and finer-grid points when that grid has no sign change, and the
+    bisection steps.
     """
 
     params: Params
@@ -178,8 +179,11 @@ class _Kernel:
 
 
 def _inverse_sums(lam: float, s: np.ndarray) -> tuple[float, float]:
-    """(sum 1/s, lam * sum 1/s^2)."""
-    return float((1.0 / s).sum()), float(lam * (1.0 / (s * s)).sum())
+    """(sum 1/s, lam * sum 1/s^2), the latter as sum (lam/s)(1/s) so that
+    s^2 is never formed: it would overflow for data near 1e160 and
+    underflow to zero near 1e-200."""
+    inv_s = 1.0 / s
+    return float(inv_s.sum()), float((lam * inv_s * inv_s).sum())
 
 
 def _checked_sum_log_u(lam: float, sum_log_u: float) -> float:
@@ -246,27 +250,6 @@ def profile_score(data: Dataset, lam: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Maximum likelihood
-
-
-def _golden_max(f, lo: float, hi: float, rel_tol: float, max_iter: int):
-    """Golden-section maximization on [lo, hi]; returns (x, iterations)."""
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = f(c), f(d)
-    it = 2
-    while it < max_iter and (b - a) > rel_tol * abs(a + b) * 0.5:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        it += 1
-    x = c if fc > fd else d
-    return x, it
 
 
 def _brent_root(f, lo: float, hi: float) -> tuple[float, int, bool]:
@@ -424,8 +407,7 @@ def fit_cr(data: Dataset) -> FitResult:
     n = data.n
 
     def g(lam: float) -> float:
-        s2 = lam * lam + x * x
-        return n / lam - 3.0 * lam * float(np.sum(1.0 / s2))
+        return n / lam - 3.0 * _inverse_sums(lam, np.hypot(lam, x))[1]
 
     lo = float(np.min(x)) * 1e-6
     hi = float(np.max(x)) * 1e3
@@ -507,9 +489,13 @@ def fisher_info_inverse(p: Params, n: int) -> InfoMatrix:
 
 
 def asymptotic_std_errors(p: Params, n: int) -> tuple[float, float]:
-    """sqrt(diag(K^-1)/n): large-sample standard errors at ``p``."""
-    inv = fisher_info_inverse(p, n).entries
-    return (math.sqrt(inv[0, 0] / n), math.sqrt(inv[1, 1] / n))
+    """sqrt(diag(K^-1)/n): large-sample standard errors at ``p``.
+
+    (K^-1)_ll is lam^2 times its value at lam = 1, so the scale error is
+    lam sqrt((K^-1)_ll(lam = 1) / n) and lam^2 is never formed.
+    """
+    inv = fisher_info_inverse(Params(p.beta, 1.0), n).entries
+    return (math.sqrt(inv[0, 0] / n), p.lam * math.sqrt(inv[1, 1] / n))
 
 
 class FisherDerivatives(NamedTuple):
@@ -788,6 +774,11 @@ _BISECT_ELEMENTS = _BLOCK_ELEMENTS // 8
 _BISECT_MAX_DEPTH = 6
 
 
+def _sign_changes(values: np.ndarray) -> np.ndarray:
+    """Indices j where values j and j+1 have strictly opposite signs."""
+    return np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]
+
+
 def _bisect_brackets(root_values, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
                      row_size: int = 1):
     """Geometric bisection of the sign-change brackets [lo_j, hi_j] together.
@@ -877,19 +868,24 @@ def fit_pb(data: Dataset) -> FitResult:
     in the shape: lam1 = t7/t6 and lam2 = t8/t9. The shape solves
     t6 t8 = t7 t9, located by sign change on a logarithmic grid over
     [1e-3, 1e3] and bisection; with several candidate roots the one with
-    the smallest objective wins. If no sign change exists, the profile
-    objective (with lam2 substituted) is minimized by golden section.
-    A shape whose lam2 is not positive and finite scores an infinite
-    objective; if the chosen shape has no admissible scale the fit
-    raises :class:`FitError`.
+    the smallest objective wins. A shape whose lam2 is not positive and
+    finite scores an infinite objective; if the chosen shape has no
+    admissible scale the fit raises :class:`FitError`.
 
-    The 241-point grid is evaluated in one broadcast pass per row block,
-    and so are the objectives of the root candidates and of the
-    no-sign-change fallback, which reuses the grid's lam2 values. All
-    sign-change brackets are bisected together, several levels per pass
-    (see :func:`_bisect_brackets`), each with its own stopping rule.
-    ``iterations`` counts grid points, bisection steps, fallback grid
-    points and golden-section evaluations.
+    If the grid shows no sign change, the profile objective (with lam2
+    substituted) is scored on it. A minimum at a grid end raises
+    :class:`FitError`; an interior one at grid[k] points to two roots in
+    one grid cell, so a 41-point grid over [grid[k-1], grid[k+1]]
+    supplies the sign-change brackets instead, and the fit raises
+    :class:`FitError` if it shows none either.
+
+    Each grid, and the objectives of the root candidates, is evaluated in
+    one broadcast pass per row block. All sign-change brackets are
+    bisected together, several levels per pass (see
+    :func:`_bisect_brackets`), each with its own stopping rule.
+    ``iterations`` counts the 241 grid points, the 241 objective points
+    and 41 finer-grid points when the grid has no sign change, and the
+    bisection steps.
     """
     xs = data.sorted_values
     n = data.n
@@ -897,46 +893,35 @@ def fit_pb(data: Dataset) -> FitResult:
         raise FitError("need at least two distinct observations to fit")
     positions = _positions(xs, np.arange(1, n + 1) / (n + 1.0))
 
-    def objective(beta: float, lam: float) -> float:
-        if not (math.isfinite(lam) and lam > 0.0):
-            return math.inf
-        return pb_objective(data, Params(beta, lam))
-
-    def lam2(beta: float) -> float:
-        return float(_pb_grid(np.array([beta]), xs, positions)[1][0])
-
     grid = np.logspace(-3.0, 3.0, 241)
     vals, grid_lams = _pb_grid(grid, xs, positions)
     iterations = grid.size
 
-    sign_change = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-    if sign_change.size:
-        # Bisection rather than Brent's method: its points are known levels
-        # ahead, so the brackets share one batched pass per few steps, and
-        # Brent's iterates move fits in the noisy beta < 1e-2 region far
-        # from where bisection lands.
-        roots, steps = _bisect_brackets(
-            lambda betas: _pb_roots(betas, xs, positions),
-            grid[sign_change], grid[sign_change + 1], vals[sign_change], n,
-        )
-        iterations += steps
-        root_lams = _pb_grid(roots, xs, positions)[1]
-        scores = _pb_objectives(roots, root_lams, xs, positions.p)
-        candidates = list(zip(scores.tolist(), roots.tolist(), root_lams.tolist()))
-    else:
+    sign_change = _sign_changes(vals)
+    if not sign_change.size:
+        # An interior objective minimum without a sign change points to two
+        # roots in one grid cell; a finer grid over the cell separates them.
         k = int(np.argmin(_pb_objectives(grid, grid_lams, xs, positions.p)))
         iterations += grid.size
-        if k == 0 or k == grid.size - 1:
+        if 0 < k < grid.size - 1:
+            grid = np.geomspace(grid[k - 1], grid[k + 1], 41)
+            vals = _pb_roots(grid, xs, positions)
+            iterations += grid.size
+            sign_change = _sign_changes(vals)
+        if not sign_change.size:
             raise FitError("percentile objective has no interior minimum")
-        beta, golden_iters = _golden_max(
-            lambda b: -objective(b, lam2(b)), float(grid[k - 1]), float(grid[k + 1]),
-            _STEP_TOL, _MAX_ITER,
-        )
-        iterations += golden_iters
-        lam = lam2(beta)
-        candidates = [(objective(beta, lam), beta, lam)]
-
-    _, beta, lam = min(candidates)
+    # Bisection rather than Brent's method: its points are known levels
+    # ahead, so the brackets share one batched pass per few steps, and
+    # Brent's iterates move fits in the noisy beta < 1e-2 region far from
+    # where bisection lands.
+    roots, steps = _bisect_brackets(
+        lambda betas: _pb_roots(betas, xs, positions),
+        grid[sign_change], grid[sign_change + 1], vals[sign_change], n,
+    )
+    iterations += steps
+    root_lams = _pb_grid(roots, xs, positions)[1]
+    scores = _pb_objectives(roots, root_lams, xs, positions.p)
+    _, beta, lam = min(zip(scores.tolist(), roots.tolist(), root_lams.tolist()))
     if lam <= 0.0 or not math.isfinite(lam):
         raise FitError("percentile scale estimate left the parameter space")
     params = Params(beta, lam)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
@@ -176,6 +177,9 @@ def _run_cells(cells: list[_Cell], cfg: StudyConfig, workers: int) -> list[CellS
         for cell in cells
         for rep in range(cfg.replications)
     ]
+    # the fork start method launches every worker at once, so never ask
+    # for more than there are tasks or cores
+    workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         chunk = max(1, len(tasks) // (8 * workers))
         with ProcessPoolExecutor(max_workers=workers) as pool:

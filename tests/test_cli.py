@@ -123,6 +123,19 @@ class TestFit:
         assert out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("values", ["1e160\n2e160\n3e160\n", "1e-200\n2e-200\n5e-200\n"])
+    @pytest.mark.parametrize("model", ["ecr", "cr"])
+    def test_extreme_scale_data_fit(self, capsys, monkeypatch, values, model):
+        # 1/s^2 and lam^2 overflow or underflow at these scales; the fit
+        # must not form them
+        monkeypatch.setattr("sys.stdin", io.StringIO(values))
+        code, out, err = run_cli(capsys, "fit", "-", "--model", model)
+        assert code == 0, err
+        payload = json.loads(out)
+        scale = float(values.split()[0])
+        assert 1e-3 < payload["params"]["lambda"] / scale < 1e3
+        assert 0.0 < payload["std_errors"]["lambda"] / scale < 1e3
+
     def test_unknown_model_rejected_by_parser(self, capsys):
         code, _, _ = run_cli(capsys, "fit", EMBEDDED_NAME, "--model", "cauchy")
         assert code == 2
@@ -278,6 +291,16 @@ class TestSimulate:
         path.write_text("{not json")
         code, _, err = run_cli(capsys, "simulate", "--config", str(path))
         assert code == 2
+
+    def test_non_integer_thread_count(self, capsys, tmp_path, monkeypatch):
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({"truth": {"beta": 0.5, "lambda": 0.6},
+                                    "sample_sizes": [20], "replications": 2}))
+        monkeypatch.setenv("ECR_LAB_THREADS", "many")
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert "ECR_LAB_THREADS" in err and "'many'" in err
 
     def test_missing_config(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--config", "/nope.json")

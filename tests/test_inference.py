@@ -4,7 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ecrlab import inference
@@ -287,15 +287,20 @@ class TestFitMlScoreBracket:
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(20, 200),
-           beta=st.floats(0.3, 3.0), log_c=st.floats(-3.0, 3.0))
+           beta=st.floats(0.3, 3.0), log_c=st.floats(-150.0, 150.0))
+    # at 1e150 squaring the scale or the data overflowed on this sample;
+    # 1e-150 is its mirror
+    @example(seed=3, n=200, beta=3.0, log_c=150.0)
+    @example(seed=3, n=200, beta=3.0, log_c=-150.0)
     def test_scale_equivariance_property(self, seed, n, beta, log_c):
         data = Dataset(sample(n, Params(beta, 1.0), seed=seed))
         c = 10.0**log_c
         try:
             base = fit_ml(data)
-            scaled = fit_ml(data.scaled(c))
         except FitError:
             return
+        # scaling must not turn a fit into a failure
+        scaled = fit_ml(data.scaled(c))
         assert scaled.params.beta == pytest.approx(base.params.beta, rel=1e-9, abs=0)
         assert scaled.params.lam == pytest.approx(c * base.params.lam, rel=1e-9, abs=0)
 
@@ -587,13 +592,14 @@ class TestFitPb:
 
 def reference_sums(x, lam):
     """The two-hypot pass the kernel object replaces:
-    (sum log s, sum log u, sum 1/s, lam sum 1/s^2)."""
+    (sum log s, sum log u, sum 1/s, lam sum 1/s^2), the last as
+    sum (lam/s)(1/s), which never forms s^2."""
     s = np.hypot(lam, x)
     return (
         float(np.sum(np.log(s))),
         float(np.sum(_log_kernel(x, lam))),
         float(np.sum(1.0 / s)),
-        float(lam * np.sum(1.0 / (s * s))),
+        float(np.sum(lam * (1.0 / s) * (1.0 / s))),
     )
 
 
@@ -642,6 +648,8 @@ class TestKernel:
             assert profile_log_likelihood(data, lam) == reference_profile(x, lam)
             assert kernel.score(lam) == reference_score(x, lam)
             assert profile_score(data, lam) == reference_score(x, lam)
+            squared = float(lam * np.sum(1.0 / (s * s)))
+            assert lam_sum_inv_s2 == pytest.approx(squared, rel=1e-14, abs=0)
 
     def test_ml_result_matches_public_functions(self, heart_data):
         lam = 80.0
@@ -828,6 +836,47 @@ class TestPbFallbackObjective:
         vals, lams = inference._pb_grid(grid, xs, ps)
         assert not np.any(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
         assert int(np.argmin(inference._pb_objectives(grid, lams, xs, ps))) == 240
+        with pytest.raises(FitError, match="percentile objective has no interior minimum"):
+            fit_pb(data)
+
+    @staticmethod
+    def remove_grid_sign_changes(monkeypatch):
+        """Make the first _pb_grid call, the 241-point shape grid, return
+        |t6 t8 - t7 t9|, so it shows no sign change; record the sizes of
+        the _pb_roots calls."""
+        pb_grid, pb_roots = inference._pb_grid, inference._pb_roots
+        grid_calls, root_sizes = [], []
+
+        def grid_without_sign_change(betas, xs, ps):
+            vals, lams = pb_grid(betas, xs, ps)
+            grid_calls.append(betas.size)
+            return (np.abs(vals), lams) if len(grid_calls) == 1 else (vals, lams)
+
+        def recorded_roots(betas, xs, ps):
+            root_sizes.append(betas.size)
+            return pb_roots(betas, xs, ps)
+
+        monkeypatch.setattr(inference, "_pb_grid", grid_without_sign_change)
+        monkeypatch.setattr(inference, "_pb_roots", recorded_roots)
+        return root_sizes
+
+    def test_finer_grid_recovers_the_root(self, monkeypatch):
+        # the objective's interior minimum sends fit_pb to a 41-point grid
+        # over its cell, whose bracket bisects to the unforced fit's root
+        data = Dataset(sample(40, Params(1.5, 2.0), seed=4))
+        expected = fit_pb(data)
+        root_sizes = self.remove_grid_sign_changes(monkeypatch)
+        forced = fit_pb(data)
+        assert root_sizes[0] == 41
+        assert forced.params.beta == pytest.approx(expected.params.beta, rel=1e-12, abs=0)
+        assert forced.params.lam == pytest.approx(expected.params.lam, rel=1e-12, abs=0)
+        assert forced.iterations > 241 + 241 + 41
+
+    def test_finer_grid_without_sign_change_raises(self, monkeypatch):
+        data = Dataset(sample(40, Params(1.5, 2.0), seed=4))
+        self.remove_grid_sign_changes(monkeypatch)
+        pb_roots = inference._pb_roots
+        monkeypatch.setattr(inference, "_pb_roots", lambda betas, xs, ps: np.abs(pb_roots(betas, xs, ps)))
         with pytest.raises(FitError, match="percentile objective has no interior minimum"):
             fit_pb(data)
 

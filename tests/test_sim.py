@@ -254,3 +254,39 @@ class TestOneMlFitPerReplication:
         assert len(calls) == 1
         assert out[:2] == [("ml", None, None), ("csml", None, None)]
         assert out[2][0] == "pb" and out[2][1] is not None
+
+
+class TestPoolSize:
+    """The fork start method launches every worker at once, so the pool
+    never outnumbers the tasks or the cores. A fake executor records the
+    pool size and maps serially; no real pool is started."""
+
+    CFG = StudyConfig(truth=Params(0.5, 0.6), sample_sizes=(20,), replications=3,
+                      estimators=("ml",), master_seed=5)
+
+    @pytest.fixture
+    def pool_sizes(self, monkeypatch):
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks, chunksize=1):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", SerialPool)
+        return sizes
+
+    @pytest.mark.parametrize("cores, sizes", [(8, [3]), (2, [2]), (1, []), (None, [])])
+    def test_clamped_to_tasks_and_cores(self, pool_sizes, monkeypatch, cores, sizes):
+        serial = summaries_to_csv(run_convergence_study(self.CFG))
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: cores)
+        assert summaries_to_csv(run_convergence_study(self.CFG, workers=1000)) == serial
+        assert pool_sizes == sizes
