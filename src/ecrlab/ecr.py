@@ -127,9 +127,14 @@ def _as_positive_array(name: str, x, allow_zero: bool = False):
 
 
 def _kernel(x, lam: float):
-    """Return (s, u) with s = sqrt(lam^2 + x^2) and u = 1 - lam/s."""
+    """Return (s, u) with s = sqrt(lam^2 + x^2) and u = 1 - lam/s.
+
+    u is formed as (x/s)(x/(s+lam)), the rationalized 1 - lam/s without
+    cancellation; neither x^2 nor s^2 is formed, so u stays accurate
+    where they would overflow or underflow.
+    """
     s = np.hypot(lam, x)
-    u = x * x / (s * (s + lam))
+    u = (x / s) * (x / (s + lam))
     return s, u
 
 

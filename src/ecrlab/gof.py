@@ -177,8 +177,10 @@ def _fit_weibull(data: Dataset) -> tuple[float, float]:
     # Profile likelihood: the shape solves
     # 1/a + mean(log x) - sum(x^a log x)/sum(x^a) = 0, then
     # scale = mean(x^a)^(1/a). The equation is scale invariant, so the
-    # data is normalized by its geometric mean to keep x^a in range.
-    x = data.values / math.exp(float(np.mean(np.log(data.values))))
+    # data is normalized by its geometric mean to keep x^a in range, and
+    # the scale is that mean times the normalized data's scale.
+    geo = math.exp(float(np.mean(np.log(data.values))))
+    x = data.values / geo
     log_x = np.log(x)
 
     def shape_eq(a: float) -> float:
@@ -186,8 +188,7 @@ def _fit_weibull(data: Dataset) -> tuple[float, float]:
         return 1.0 / a - float(np.sum(xa * log_x) / np.sum(xa))
 
     a = brentq(shape_eq, 1e-3, 100.0, xtol=1e-13, rtol=1e-15)
-    scale = float(np.mean(data.values**a)) ** (1.0 / a)
-    return a, scale
+    return a, geo * float(np.mean(x**a)) ** (1.0 / a)
 
 
 def _fit_gamma(data: Dataset) -> tuple[float, float]:

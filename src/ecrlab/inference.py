@@ -14,10 +14,16 @@ pass on the profile log-likelihood, whose argmax and two profile-score
 probes give a sign bracket, then Brent's method (scipy's brentq) on the
 profile score inside it. Every pass of one fit goes through a per-sample
 kernel object that holds log x and its sum.
+
+The percentile estimator scans a fixed 241-point shape grid whose
+data-free factors depend only on the sample size; they are memoized for
+up to four sizes of n <= 543 (about 4 MB each), so repeated fits at one
+size, as in a simulation cell, pay only for the two data sums.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -706,9 +712,50 @@ class _Positions(NamedTuple):
     xs_log_p: np.ndarray
 
 
+def _plotting_positions(n: int) -> np.ndarray:
+    """Mean-rank positions p_i = i/(n+1)."""
+    return np.arange(1, n + 1) / (n + 1.0)
+
+
 def _positions(xs: np.ndarray, ps: np.ndarray) -> _Positions:
     log_p = np.log(ps)
     return _Positions(ps, log_p, xs * log_p)
+
+
+class _PbWeights(NamedTuple):
+    """The data-free factors of the percentile sums at a shape or a (k, 1)
+    column of shapes, with w = p^(1/beta): t6 and t9 themselves and the
+    factors t7 and t8 multiply the sample by."""
+
+    d_shape_quad: np.ndarray  # t6
+    quad: np.ndarray  # t9
+    one_minus_sq: np.ndarray  # (1 - w)^2
+    sqrt_ratio: np.ndarray  # sqrt(w / (2 - w))
+    sqrt_prod: np.ndarray  # sqrt((2 - w) w)
+    one_minus: np.ndarray  # 1 - w
+
+
+def _pb_weights(beta, p: np.ndarray, log_p: np.ndarray) -> _PbWeights:
+    w = p ** (1.0 / beta)
+    one_minus = 1.0 - w
+    one_minus_sq = one_minus**2
+    two_minus = 2.0 - w
+    return _PbWeights(
+        (w * log_p / one_minus**3).sum(axis=-1),
+        p.size - (1.0 / one_minus_sq).sum(axis=-1),
+        one_minus_sq,
+        np.sqrt(w / two_minus),
+        np.sqrt(two_minus * w),
+        one_minus,
+    )
+
+
+def _pb_sums(weights: _PbWeights, xs: np.ndarray, xs_log_p: np.ndarray):
+    """(t6, t7, t8, t9): the two data sums t7 and t8 over the sorted sample,
+    with the data-free t6 and t9 passed through."""
+    d_shape_cross = (xs_log_p / weights.one_minus_sq * weights.sqrt_ratio).sum(axis=-1)
+    cross = -(xs * weights.sqrt_prod / weights.one_minus).sum(axis=-1)
+    return weights.d_shape_quad, d_shape_cross, cross, weights.quad
 
 
 def _pb_pieces(beta, xs: np.ndarray, ps):
@@ -719,23 +766,61 @@ def _pb_pieces(beta, xs: np.ndarray, ps):
     array or its :class:`_Positions`.
     """
     p, log_p, xs_log_p = ps if isinstance(ps, _Positions) else _positions(xs, ps)
-    w = p ** (1.0 / beta)
-    one_minus = 1.0 - w
-    one_minus_sq = one_minus**2
-    two_minus = 2.0 - w
-    d_shape_quad = (w * log_p / one_minus**3).sum(axis=-1)
-    d_shape_cross = (xs_log_p / one_minus_sq * np.sqrt(w / two_minus)).sum(axis=-1)
-    cross = -(xs * np.sqrt(two_minus * w) / one_minus).sum(axis=-1)
-    quad = xs.size - (1.0 / one_minus_sq).sum(axis=-1)
-    return d_shape_quad, d_shape_cross, cross, quad
+    return _pb_sums(_pb_weights(beta, p, log_p), xs, xs_log_p)
+
+
+# fit_pb's shape grid. Its data-free factors depend only on n and take
+# most of a fit's time at n in the hundreds, so they are memoized while
+# each of the four (241, n) factor arrays stays within _MEMO_ELEMENTS.
+_SHAPE_GRID = np.logspace(-3.0, 3.0, 241)
+_SHAPE_GRID.flags.writeable = False
+_MEMO_ELEMENTS = 2**17
+
+
+def _grid_weight_blocks(n: int):
+    """:func:`_pb_weights` of each row block of _SHAPE_GRID at the
+    positions of an n-point sample."""
+    p = _plotting_positions(n)
+    log_p = np.log(p)
+    for col in _row_blocks(_SHAPE_GRID, n):
+        yield _pb_weights(col, p, log_p)
+
+
+@functools.lru_cache(maxsize=4)
+def _memoized_grid_weights(n: int) -> tuple[_PbWeights, ...]:
+    blocks = tuple(_grid_weight_blocks(n))
+    for weights in blocks:
+        for array in weights:
+            array.flags.writeable = False
+    return blocks
+
+
+def _shape_grid_weights(n: int):
+    """The weights of _SHAPE_GRID per row block for an n-point sample:
+    memoized and read-only up to _MEMO_ELEMENTS per array, regenerated
+    block by block above that, so no call holds more than a block's
+    temporaries."""
+    if _SHAPE_GRID.size * n <= _MEMO_ELEMENTS:
+        return _memoized_grid_weights(n)
+    return _grid_weight_blocks(n)
+
+
+def _pb_blocks(betas: np.ndarray, xs: np.ndarray, ps):
+    """(t6, t7, t8, t9) per row block of ``betas``. _SHAPE_GRID itself,
+    which fit_pb passes with the positions of :func:`_plotting_positions`,
+    reads the weights of :func:`_shape_grid_weights`; any other array of
+    shapes computes fresh ones."""
+    positions = ps if isinstance(ps, _Positions) else _positions(xs, ps)
+    if betas is _SHAPE_GRID:
+        return (_pb_sums(weights, xs, positions.xs_log_p) for weights in _shape_grid_weights(xs.size))
+    return (_pb_pieces(col, xs, positions) for col in _row_blocks(betas, xs.size))
 
 
 def _pb_grid(betas: np.ndarray, xs: np.ndarray, ps):
     """Root values t6 t8 - t7 t9 and scales lam2 = t8/t9 at every shape of
     ``betas``, from one broadcast pass per row block; lam2 is inf or NaN
     where t9 vanishes."""
-    blocks = [_pb_pieces(col, xs, ps) for col in _row_blocks(betas, xs.size)]
-    t6, t7, t8, t9 = (np.concatenate(parts) for parts in zip(*blocks))
+    t6, t7, t8, t9 = (np.concatenate(parts) for parts in zip(*_pb_blocks(betas, xs, ps)))
     with np.errstate(divide="ignore", invalid="ignore"):
         return t6 * t8 - t7 * t9, t8 / t9
 
@@ -743,10 +828,7 @@ def _pb_grid(betas: np.ndarray, xs: np.ndarray, ps):
 def _pb_roots(betas: np.ndarray, xs: np.ndarray, ps) -> np.ndarray:
     """The root values of :func:`_pb_grid` alone, as the bisection needs,
     without joining blocks when there is only one."""
-    roots = []
-    for col in _row_blocks(betas, xs.size):
-        t6, t7, t8, t9 = _pb_pieces(col, xs, ps)
-        roots.append(t6 * t8 - t7 * t9)
+    roots = [t6 * t8 - t7 * t9 for t6, t7, t8, t9 in _pb_blocks(betas, xs, ps)]
     return roots[0] if len(roots) == 1 else np.concatenate(roots)
 
 
@@ -844,18 +926,14 @@ def pb_objective(data: Dataset, p: Params) -> float:
     """Sum of squared distances between sample and model percentiles,
     with mean-rank positions p_i = i/(n+1)."""
     xs = data.sorted_values
-    n = data.n
-    ps = np.arange(1, n + 1) / (n + 1.0)
-    w = ps ** (1.0 / p.beta)
+    w = _plotting_positions(data.n) ** (1.0 / p.beta)
     model = p.lam * np.sqrt((2.0 - w) * w) / (1.0 - w)
     return float(np.sum((model - xs) ** 2))
 
 
 def pb_gradient(data: Dataset, p: Params) -> tuple[float, float]:
     """Analytic gradient of :func:`pb_objective`."""
-    xs = data.sorted_values
-    ps = np.arange(1, data.n + 1) / (data.n + 1.0)
-    t6, t7, t8, t9 = _pb_pieces(p.beta, xs, ps)
+    t6, t7, t8, t9 = _pb_pieces(p.beta, data.sorted_values, _plotting_positions(data.n))
     d_beta = 2.0 * p.lam / p.beta**2 * (t7 - p.lam * t6)
     d_lam = 2.0 * (t8 - p.lam * t9)
     return float(d_beta), float(d_lam)
@@ -880,9 +958,15 @@ def fit_pb(data: Dataset) -> FitResult:
     :class:`FitError` if it shows none either.
 
     Each grid, and the objectives of the root candidates, is evaluated in
-    one broadcast pass per row block. All sign-change brackets are
-    bisected together, several levels per pass (see
-    :func:`_bisect_brackets`), each with its own stopping rule.
+    one broadcast pass per row block. The factors of the 241-point grid
+    that do not involve the data depend only on n, so they are memoized
+    for the four most recent sample sizes with 241 n <= 2^17 (n <= 543,
+    about 4 MB per size) and regenerated block by block above that;
+    every other shape gets fresh factors. The objectives are scored on
+    the sample divided by a power of two above its maximum, which changes
+    no comparison and keeps the squares in range at any data scale. All
+    sign-change brackets are bisected together, several levels per pass
+    (see :func:`_bisect_brackets`), each with its own stopping rule.
     ``iterations`` counts the 241 grid points, the 241 objective points
     and 41 finer-grid points when the grid has no sign change, and the
     bisection steps.
@@ -891,9 +975,14 @@ def fit_pb(data: Dataset) -> FitResult:
     n = data.n
     if n < 2 or xs[0] == xs[-1]:
         raise FitError("need at least two distinct observations to fit")
-    positions = _positions(xs, np.arange(1, n + 1) / (n + 1.0))
+    positions = _positions(xs, _plotting_positions(n))
+    # The objectives are scored on the sample divided by a power of two
+    # above its maximum: exact, so every score scales by 1/unit^2 and the
+    # argmin is unchanged, while (model - x)^2 stays in range at any scale.
+    unit = math.ldexp(1.0, math.frexp(float(xs[-1]))[1])
+    xs_unit = xs / unit
 
-    grid = np.logspace(-3.0, 3.0, 241)
+    grid = _SHAPE_GRID
     vals, grid_lams = _pb_grid(grid, xs, positions)
     iterations = grid.size
 
@@ -901,7 +990,7 @@ def fit_pb(data: Dataset) -> FitResult:
     if not sign_change.size:
         # An interior objective minimum without a sign change points to two
         # roots in one grid cell; a finer grid over the cell separates them.
-        k = int(np.argmin(_pb_objectives(grid, grid_lams, xs, positions.p)))
+        k = int(np.argmin(_pb_objectives(grid, grid_lams / unit, xs_unit, positions.p)))
         iterations += grid.size
         if 0 < k < grid.size - 1:
             grid = np.geomspace(grid[k - 1], grid[k + 1], 41)
@@ -920,7 +1009,7 @@ def fit_pb(data: Dataset) -> FitResult:
     )
     iterations += steps
     root_lams = _pb_grid(roots, xs, positions)[1]
-    scores = _pb_objectives(roots, root_lams, xs, positions.p)
+    scores = _pb_objectives(roots, root_lams / unit, xs_unit, positions.p)
     _, beta, lam = min(zip(scores.tolist(), roots.tolist(), root_lams.tolist()))
     if lam <= 0.0 or not math.isfinite(lam):
         raise FitError("percentile scale estimate left the parameter space")

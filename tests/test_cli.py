@@ -1,5 +1,6 @@
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -135,6 +136,25 @@ class TestFit:
         scale = float(values.split()[0])
         assert 1e-3 < payload["params"]["lambda"] / scale < 1e3
         assert 0.0 < payload["std_errors"]["lambda"] / scale < 1e3
+
+    @pytest.mark.parametrize("values, unit", [("1e160\n2e160\n3e160\n", "1\n2\n3\n"),
+                                              ("1e-200\n2e-200\n5e-200\n", "1\n2\n5\n")])
+    @pytest.mark.parametrize("option", [("--method", "pb"), ("--model", "weibull")])
+    def test_extreme_scale_fit_matches_unit_scale(self, capsys, monkeypatch, values, unit, option):
+        # percentile squares and Weibull's x^a leave the floating-point
+        # range at these scales; the fits must give the unit-scale
+        # sample's shape and its scale times the data's scale
+        fits = []
+        for text in (values, unit):
+            monkeypatch.setattr("sys.stdin", io.StringIO(text))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run_cli(capsys, "fit", "-", *option)
+            assert code == 0, err
+            fits.append(list(json.loads(out)["params"].values()))
+        (shape, scale), (unit_shape, unit_scale) = fits
+        assert shape == pytest.approx(unit_shape, rel=1e-12)
+        assert scale == pytest.approx(unit_scale * float(values.split()[0]), rel=1e-12)
 
     def test_unknown_model_rejected_by_parser(self, capsys):
         code, _, _ = run_cli(capsys, "fit", EMBEDDED_NAME, "--model", "cauchy")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ecrlab.ecr import (
@@ -88,6 +90,18 @@ class TestCdfQuantile:
     def test_round_trip_example_pair(self):
         p = Params(0.4, 80.0)
         assert cdf(quantile(0.73, p), p) == pytest.approx(0.73, rel=1e-9)
+
+    # The corner example has x = quantile(q) near 1.4e-180, whose square
+    # underflows, so cdf must not form x^2.
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(q=st.floats(1e-12, 1.0 - 1e-12), beta=st.floats(0.1, 30.0),
+           log_lam=st.floats(-150.0, 150.0))
+    @example(q=1e-6, beta=0.1, log_lam=-150.0)
+    def test_round_trip_and_complement_property(self, q, beta, log_lam):
+        p = Params(beta, 10.0**log_lam)
+        x = quantile(q, p)
+        assert cdf(x, p) == pytest.approx(q, rel=1e-12, abs=0)
+        assert sf(x, p) + cdf(x, p) == pytest.approx(1.0, rel=0, abs=1e-13)
 
     def test_quantile_strictly_increasing(self):
         p = Params(2.0, 5.0)

@@ -203,6 +203,15 @@ class TestComparisonModels:
         with pytest.raises(InputError):
             fit_comparison_models(Dataset(np.array(values)))
 
+    def test_weibull_scale_matches_raw_data_formula(self, heart_data):
+        # the scale comes from the geometric-mean-normalized data; on data
+        # of ordinary scale it must agree with mean(x^a)^(1/a) on the raw x
+        for data in (Dataset(np.array([1.0, 2.0, 5.0])), heart_data,
+                     Dataset(7.0 * np.random.default_rng(3).weibull(1.3, 200))):
+            shape, scale = MODELS["weibull"].fit(data)
+            expected = float(np.mean(data.values**shape)) ** (1.0 / shape)
+            assert scale == pytest.approx(expected, rel=1e-12, abs=0)
+
     def test_gof_report_uses_supplied_parameters(self, heart_data):
         entry = MODELS["cr"]
         report = gof_report(heart_data, entry, (24.491,))

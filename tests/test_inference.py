@@ -881,6 +881,69 @@ class TestPbFallbackObjective:
             fit_pb(data)
 
 
+class TestShapeGridMemo:
+    """fit_pb's 241-point grid reads data-free weights memoized per sample
+    size up to _MEMO_ELEMENTS per array; they must give the fresh pass's
+    values to the bit, and the memo must stay bounded."""
+
+    def test_threshold_lies_between_543_and_544(self):
+        size = inference._SHAPE_GRID.size
+        assert size * 543 <= inference._MEMO_ELEMENTS < size * 544
+
+    @pytest.mark.parametrize("n", [2, 15, 543, 544, 5000])
+    def test_memoized_grid_matches_fresh_grid(self, n):
+        xs = Dataset(sample(n, Params(0.8, 2.0), seed=n)).sorted_values
+        positions = inference._positions(xs, np.arange(1, n + 1) / (n + 1.0))
+        memo = inference._pb_grid(inference._SHAPE_GRID, xs, positions)
+        fresh = inference._pb_grid(inference._SHAPE_GRID.copy(), xs, positions)
+        for memo_part, fresh_part in zip(memo, fresh):
+            assert memo_part.tobytes() == fresh_part.tobytes()
+
+    def test_memo_holds_at_most_four_small_sizes(self):
+        memo = inference._memoized_grid_weights
+        memo.cache_clear()
+        for n in (544, 5000):
+            fit_pb(Dataset(sample(n, Params(0.8, 2.0), seed=1)))
+        assert memo.cache_info().currsize == 0
+        for n in (15, 20, 100, 500, 543):
+            fit_pb(Dataset(sample(n, Params(0.8, 2.0), seed=1)))
+        info = memo.cache_info()
+        assert (info.currsize, info.maxsize) == (4, 4)
+        assert info.misses == 5
+
+    def test_memoized_arrays_reject_writes(self):
+        blocks = inference._shape_grid_weights(100)
+        assert len(blocks) > 1
+        for weights in blocks:
+            for array in weights:
+                with pytest.raises(ValueError):
+                    array[...] = 0.0
+        with pytest.raises(ValueError):
+            inference._SHAPE_GRID[0] = 1.0
+
+    @pytest.mark.parametrize("k", [-680, -500, -37, 37, 500, 530])
+    def test_power_of_two_scaling_is_exact(self, k):
+        # dividing by a power of two is exact, so the scaled sample gives
+        # the same shape and iterations and exactly the scaled lam; at
+        # 2^530 (about 3e159) and 2^-680 (about 1e-205) the objective's
+        # squares leave the floating-point range unless they are scored on
+        # the sample in units of its maximum
+        for n, beta, seed in [(15, 1.0, 3), (20, 0.5, 2), (20, 2.0, 11), (100, 0.5, 21),
+                              (100, 2.0, 4), (500, 0.8, 5)]:
+            data = Dataset(sample(n, Params(beta, 1.0), seed=seed))
+            scaled = Dataset(np.ldexp(data.values, k))
+            try:
+                fit = fit_pb(data)
+            except FitError as error:
+                with pytest.raises(FitError, match=str(error)):
+                    fit_pb(scaled)
+                continue
+            scaled_fit = fit_pb(scaled)
+            assert scaled_fit.params.beta == fit.params.beta
+            assert scaled_fit.params.lam == math.ldexp(fit.params.lam, k)
+            assert scaled_fit.iterations == fit.iterations
+
+
 class TestIntervalsAndTests:
     def test_wald_interval_arithmetic(self, heart_data):
         fit = fit_ml(heart_data)
