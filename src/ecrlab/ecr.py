@@ -11,9 +11,10 @@ moment routine enforces its finite-existence window and raises
 :class:`MomentExistenceError` outside it.
 
 Numerical notes: the cdf kernel u(x) = 1 - lam/sqrt(lam^2+x^2) is
-evaluated through the cancellation-free identity u = x^2 / (s (s + lam))
+evaluated through the cancellation-free identity u = (x/s) (x/(s + lam))
 with s = hypot(lam, x), and the survival function through expm1/log1p,
-so both tails retain full double precision.
+so both tails retain full double precision. No power of x or s is
+formed, so extreme data scales stay in the floating-point range.
 """
 
 from __future__ import annotations
@@ -139,15 +140,22 @@ def _kernel(x, lam: float):
 
 
 def _log_kernel(x, lam: float):
-    """log u, accurate for x << lam and x >> lam alike.
+    """log u, accurate for x << lam and x >> lam alike; see :func:`_log_u`."""
+    s = np.hypot(lam, x)
+    with np.errstate(divide="ignore"):
+        two_log_x = 2.0 * np.log(x)
+    return _log_u(x, two_log_x, lam, s, np.log(s))
+
+
+def _log_u(x, two_log_x, lam, s, log_s):
+    """log u from 2 log x, s = hypot(lam, x) and log s.
 
     Below the scale the rationalized form log(x^2) - log(s) - log(s+lam)
     avoids the 1 - lam/s cancellation; above it log1p(-lam/s) keeps
     resolution all the way down to lam/s ~ 1e-300.
     """
-    s = np.hypot(lam, x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        rational = 2.0 * np.log(x) - np.log(s) - np.log(s + lam)
+        rational = two_log_x - log_s - np.log(s + lam)
         direct = np.log1p(-lam / s)
     return np.where(x < lam, rational, direct)
 
@@ -176,7 +184,7 @@ def pdf(x, p: Params):
     """
     arr = _as_positive_array("x", x)
     s, u = _kernel(arr, p.lam)
-    out = p.beta * p.lam * arr / s**3 * u ** (p.beta - 1.0)
+    out = p.beta * (p.lam / s) * (arr / s) / s * u ** (p.beta - 1.0)
     return out if out.ndim else float(out)
 
 
@@ -197,14 +205,24 @@ def hrf(x, p: Params):
 
 
 def quantile(q, p: Params):
-    """Q(q) = lam sqrt(2 w - w^2) / (1 - w) with w = q^(1/beta), 0 < q < 1."""
+    """Q(q) = lam sqrt(2 w - w^2) / (1 - w) with w = q^(1/beta), 0 < q < 1.
+
+    Raises OverflowError where the quantile lies beyond the floating-point
+    range.
+    """
     arr = np.asarray(q, dtype=float)
     if np.any((arr <= 0.0) | (arr >= 1.0) | ~np.isfinite(arr)):
         raise ValueError("quantile level must lie strictly inside (0, 1)")
     log_w = np.log(arr) / p.beta
     w = np.exp(log_w)
     one_minus_w = -np.expm1(log_w)
-    out = p.lam * np.sqrt(w * (2.0 - w)) / one_minus_w
+    with np.errstate(over="ignore"):
+        out = p.lam * np.sqrt(w * (2.0 - w)) / one_minus_w
+    overflow = np.isinf(out)
+    if np.any(overflow):
+        level = float(arr[overflow][0])
+        raise OverflowError(f"the ECR(beta={p.beta!r}, lambda={p.lam!r}) quantile at level {level!r} "
+                            "exceeds the floating-point range")
     return out if out.ndim else float(out)
 
 
@@ -366,7 +384,7 @@ def incomplete_moment(r: float, x0: float, p: Params, control: SeriesControl | N
     if r <= lower:
         raise _window_error("incomplete moment", r, lower, math.inf)
     s0 = math.hypot(p.lam, x0)
-    u0 = x0 * x0 / (s0 * (s0 + p.lam))
+    u0 = (x0 / s0) * (x0 / (s0 + p.lam))  # as in _kernel, on Python floats
     value = appell_f1(r / 2.0 + p.beta, r, -r / 2.0, r / 2.0 + p.beta + 1.0, u0, u0 / 2.0, control)
     return p.beta * 2.0 ** (r / 2.0 + 1.0) * p.lam**r * u0 ** (p.beta + r / 2.0) / (2.0 * p.beta + r) * value
 
@@ -377,6 +395,7 @@ def order_stat_moment(i: int, n: int, r: float, p: Params, control: SeriesContro
     The closed form is a binomial sum over j = 0..n-i with alternating
     signs; wide ranges (n - i beyond roughly 25) cancel catastrophically
     and raise :class:`LossOfPrecisionError` instead of returning noise.
+    Its normalizer 1/B(i, n-i+1) is the exact integer i C(n, i).
     """
     if not (isinstance(i, (int, np.integer)) and isinstance(n, (int, np.integer)) and 1 <= i <= n):
         raise ValueError(f"rank out of range: need 1 <= i <= n, got i={i!r}, n={n!r}")
@@ -385,5 +404,5 @@ def order_stat_moment(i: int, n: int, r: float, p: Params, control: SeriesContro
         raise _window_error("order statistic moment", r, lower, 1.0)
     weights = [(-1.0) ** j * math.comb(n - i, j) for j in range(n - i + 1)]
     shapes = [(i + j) * p.beta for j in range(n - i + 1)]
-    prefactor = p.beta * (p.lam * math.sqrt(2.0)) ** r / beta_fn(float(i), float(n - i + 1))
-    return prefactor * _moment_sum(r, weights, shapes, control, "order statistic moment")
+    total = _moment_sum(r, weights, shapes, control, "order statistic moment")
+    return p.beta * (p.lam * math.sqrt(2.0)) ** r * (int(i) * math.comb(n, i)) * total

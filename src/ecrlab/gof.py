@@ -177,14 +177,17 @@ def _fit_weibull(data: Dataset) -> tuple[float, float]:
     # Profile likelihood: the shape solves
     # 1/a + mean(log x) - sum(x^a log x)/sum(x^a) = 0, then
     # scale = mean(x^a)^(1/a). The equation is scale invariant, so the
-    # data is normalized by its geometric mean to keep x^a in range, and
-    # the scale is that mean times the normalized data's scale.
+    # data is normalized by its geometric mean, and the scale is that mean
+    # times the normalized data's scale. Its ratio is also unchanged when
+    # every x^a is divided by max(x)^a, which keeps the weights in range
+    # at any shape of the bracket.
     geo = math.exp(float(np.mean(np.log(data.values))))
     x = data.values / geo
     log_x = np.log(x)
+    shifted = log_x - log_x.max()
 
     def shape_eq(a: float) -> float:
-        xa = x**a
+        xa = np.exp(a * shifted)
         return 1.0 / a - float(np.sum(xa * log_x) / np.sum(xa))
 
     a = brentq(shape_eq, 1e-3, 100.0, xtol=1e-13, rtol=1e-15)

@@ -15,10 +15,11 @@ probes give a sign bracket, then Brent's method (scipy's brentq) on the
 profile score inside it. Every pass of one fit goes through a per-sample
 kernel object that holds log x and its sum.
 
-The percentile estimator scans a fixed 241-point shape grid whose
-data-free factors depend only on the sample size; they are memoized for
-up to four sizes of n <= 543 (about 4 MB each), so repeated fits at one
-size, as in a simulation cell, pay only for the two data sums.
+The percentile estimator evaluates through a per-sample object too. It
+scans a fixed 241-point shape grid whose data-free factors depend only
+on the sample size; they are memoized for up to four sizes of n <= 543
+(about 4 MB each), so repeated fits at one size, as in a simulation
+cell, pay only for the two data sums.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from scipy.optimize import brentq
 from scipy.special import erfc, ndtri
 
 from .data import Dataset
-from .ecr import Params
+from .ecr import Params, _log_u
 
 __all__ = [
     "FitResult",
@@ -126,10 +127,10 @@ class _Kernel:
 
     log x, 2 log x and sum log x are computed here once; each method then
     makes one pass over the sample at scale ``lam`` (hypot once, with log
-    u derived from the same s and log s) and returns only the sums its
-    caller needs. Values equal :func:`ecrlab.ecr._log_kernel` and the
-    point-by-point public functions to the bit: the same numpy operations
-    run in the same order.
+    u derived from the same s and log s by :func:`ecrlab.ecr._log_u`, as
+    in :func:`ecrlab.ecr._log_kernel`) and returns only the sums its
+    caller needs. Values equal the point-by-point public functions to the
+    bit: the same numpy operations run in the same order.
     """
 
     def __init__(self, x: np.ndarray):
@@ -139,18 +140,12 @@ class _Kernel:
         self.two_log_x = 2.0 * log_x
         self.sum_log_x = float(log_x.sum())
 
-    def log_u(self, lam, s, log_s):
-        """log u_i from s_i = hypot(lam, x_i) and log s_i; see _log_kernel."""
-        with np.errstate(divide="ignore", invalid="ignore"):
-            rational = self.two_log_x - log_s - np.log(s + lam)
-            direct = np.log1p(-lam / s)
-        return np.where(self.x < lam, rational, direct)
-
     def scan(self, lam: float):
         """s, log s and the checked sum log u at ``lam``."""
         s = np.hypot(lam, self.x)
         log_s = np.log(s)
-        return s, log_s, _checked_sum_log_u(lam, float(self.log_u(lam, s, log_s).sum()))
+        log_u = _log_u(self.x, self.two_log_x, lam, s, log_s)
+        return s, log_s, _checked_sum_log_u(lam, float(log_u.sum()))
 
     def log_sums(self, lam: float) -> tuple[float, float]:
         """(sum log s, sum log u) at ``lam``."""
@@ -169,7 +164,7 @@ class _Kernel:
             s = np.hypot(col, self.x)
             log_s = np.log(s)
             sums_log_s = log_s.sum(axis=1).tolist()
-            sums_log_u = self.log_u(col, s, log_s).sum(axis=1).tolist()
+            sums_log_u = _log_u(self.x, self.two_log_x, col, s, log_s).sum(axis=1).tolist()
             for lam, sum_log_s, sum_log_u in zip(col[:, 0], sums_log_s, sums_log_u):
                 sum_log_u = _checked_sum_log_u(lam, sum_log_u)
                 values.append(_profile_from_sums(self.n, lam, self.sum_log_x, sum_log_s, sum_log_u))
@@ -703,29 +698,15 @@ def fit_cs_ml(data: Dataset, ml: FitResult | None = None) -> FitResult:
 # Percentile-based estimation
 
 
-class _Positions(NamedTuple):
-    """Plotting positions p_i with log p_i and x_(i) log p_i for a sorted
-    sample, which :func:`fit_pb` computes once per fit."""
-
-    p: np.ndarray
-    log_p: np.ndarray
-    xs_log_p: np.ndarray
-
-
 def _plotting_positions(n: int) -> np.ndarray:
     """Mean-rank positions p_i = i/(n+1)."""
     return np.arange(1, n + 1) / (n + 1.0)
 
 
-def _positions(xs: np.ndarray, ps: np.ndarray) -> _Positions:
-    log_p = np.log(ps)
-    return _Positions(ps, log_p, xs * log_p)
-
-
 class _PbWeights(NamedTuple):
     """The data-free factors of the percentile sums at a shape or a (k, 1)
     column of shapes, with w = p^(1/beta): t6 and t9 themselves and the
-    factors t7 and t8 multiply the sample by."""
+    factors t7, t8 and the model percentiles multiply the sample by."""
 
     d_shape_quad: np.ndarray  # t6
     quad: np.ndarray  # t9
@@ -750,25 +731,6 @@ def _pb_weights(beta, p: np.ndarray, log_p: np.ndarray) -> _PbWeights:
     )
 
 
-def _pb_sums(weights: _PbWeights, xs: np.ndarray, xs_log_p: np.ndarray):
-    """(t6, t7, t8, t9): the two data sums t7 and t8 over the sorted sample,
-    with the data-free t6 and t9 passed through."""
-    d_shape_cross = (xs_log_p / weights.one_minus_sq * weights.sqrt_ratio).sum(axis=-1)
-    cross = -(xs * weights.sqrt_prod / weights.one_minus).sum(axis=-1)
-    return weights.d_shape_quad, d_shape_cross, cross, weights.quad
-
-
-def _pb_pieces(beta, xs: np.ndarray, ps):
-    """Sorted-sample sums behind the percentile objective derivatives.
-
-    ``beta`` is a float or a (k, 1) column of shapes; the sums run along
-    the last axis, giving one value per shape. ``ps`` is the positions
-    array or its :class:`_Positions`.
-    """
-    p, log_p, xs_log_p = ps if isinstance(ps, _Positions) else _positions(xs, ps)
-    return _pb_sums(_pb_weights(beta, p, log_p), xs, xs_log_p)
-
-
 # fit_pb's shape grid. Its data-free factors depend only on n and take
 # most of a fit's time at n in the hundreds, so they are memoized while
 # each of the four (241, n) factor arrays stays within _MEMO_ELEMENTS.
@@ -777,76 +739,76 @@ _SHAPE_GRID.flags.writeable = False
 _MEMO_ELEMENTS = 2**17
 
 
-def _grid_weight_blocks(n: int):
-    """:func:`_pb_weights` of each row block of _SHAPE_GRID at the
-    positions of an n-point sample."""
-    p = _plotting_positions(n)
-    log_p = np.log(p)
-    for col in _row_blocks(_SHAPE_GRID, n):
-        yield _pb_weights(col, p, log_p)
-
-
 @functools.lru_cache(maxsize=4)
 def _memoized_grid_weights(n: int) -> tuple[_PbWeights, ...]:
-    blocks = tuple(_grid_weight_blocks(n))
+    """:func:`_pb_weights` of each row block of _SHAPE_GRID at the
+    positions of an n-point sample, read-only."""
+    p = _plotting_positions(n)
+    log_p = np.log(p)
+    blocks = tuple(_pb_weights(col, p, log_p) for col in _row_blocks(_SHAPE_GRID, n))
     for weights in blocks:
         for array in weights:
             array.flags.writeable = False
     return blocks
 
 
-def _shape_grid_weights(n: int):
-    """The weights of _SHAPE_GRID per row block for an n-point sample:
-    memoized and read-only up to _MEMO_ELEMENTS per array, regenerated
-    block by block above that, so no call holds more than a block's
-    temporaries."""
-    if _SHAPE_GRID.size * n <= _MEMO_ELEMENTS:
-        return _memoized_grid_weights(n)
-    return _grid_weight_blocks(n)
+class _Percentiles:
+    """Per-sample pieces of the percentile objective, built once per fit:
+    the sorted sample, p_i, log p_i and x_(i) log p_i. Each method takes
+    a 1-D array of shapes, one broadcast pass per row block, and gives
+    per shape the point-by-point formulas' values to the bit."""
 
+    def __init__(self, xs: np.ndarray):
+        self.xs = xs
+        self.p = _plotting_positions(xs.size)
+        self.log_p = np.log(self.p)
+        self.xs_log_p = xs * self.log_p
+        # Dividing by a power of two is exact, so every objective scales by
+        # 1/unit^2 and no comparison moves, while (model - x)^2 stays in
+        # range at any data scale.
+        self.unit = math.ldexp(1.0, math.frexp(float(xs[-1]))[1])
+        self.xs_unit = xs / self.unit
 
-def _pb_blocks(betas: np.ndarray, xs: np.ndarray, ps):
-    """(t6, t7, t8, t9) per row block of ``betas``. _SHAPE_GRID itself,
-    which fit_pb passes with the positions of :func:`_plotting_positions`,
-    reads the weights of :func:`_shape_grid_weights`; any other array of
-    shapes computes fresh ones."""
-    positions = ps if isinstance(ps, _Positions) else _positions(xs, ps)
-    if betas is _SHAPE_GRID:
-        return (_pb_sums(weights, xs, positions.xs_log_p) for weights in _shape_grid_weights(xs.size))
-    return (_pb_pieces(col, xs, positions) for col in _row_blocks(betas, xs.size))
+    def _weights(self, betas: np.ndarray):
+        """The weights of ``betas`` per row block: memoized for _SHAPE_GRID
+        itself up to _MEMO_ELEMENTS per array, else fresh block by block,
+        so no call holds more than a block's temporaries."""
+        n = self.xs.size
+        if betas is _SHAPE_GRID and _SHAPE_GRID.size * n <= _MEMO_ELEMENTS:
+            return _memoized_grid_weights(n)
+        return (_pb_weights(col, self.p, self.log_p) for col in _row_blocks(betas, n))
 
+    def sums(self, weights: _PbWeights):
+        """(t6, t7, t8, t9): the two data sums t7 and t8 over the sorted
+        sample, with the data-free t6 and t9 passed through."""
+        d_shape_cross = (self.xs_log_p / weights.one_minus_sq * weights.sqrt_ratio).sum(axis=-1)
+        cross = -(self.xs * weights.sqrt_prod / weights.one_minus).sum(axis=-1)
+        return weights.d_shape_quad, d_shape_cross, cross, weights.quad
 
-def _pb_grid(betas: np.ndarray, xs: np.ndarray, ps):
-    """Root values t6 t8 - t7 t9 and scales lam2 = t8/t9 at every shape of
-    ``betas``, from one broadcast pass per row block; lam2 is inf or NaN
-    where t9 vanishes."""
-    t6, t7, t8, t9 = (np.concatenate(parts) for parts in zip(*_pb_blocks(betas, xs, ps)))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return t6 * t8 - t7 * t9, t8 / t9
+    def roots(self, betas: np.ndarray) -> np.ndarray:
+        """The root function t6 t8 - t7 t9 at every shape of ``betas``."""
+        roots = []
+        for weights in self._weights(betas):
+            t6, t7, t8, t9 = self.sums(weights)
+            roots.append(t6 * t8 - t7 * t9)
+        return roots[0] if len(roots) == 1 else np.concatenate(roots)
 
-
-def _pb_roots(betas: np.ndarray, xs: np.ndarray, ps) -> np.ndarray:
-    """The root values of :func:`_pb_grid` alone, as the bisection needs,
-    without joining blocks when there is only one."""
-    roots = [t6 * t8 - t7 * t9 for t6, t7, t8, t9 in _pb_blocks(betas, xs, ps)]
-    return roots[0] if len(roots) == 1 else np.concatenate(roots)
-
-
-def _pb_objectives(betas: np.ndarray, lams: np.ndarray, xs: np.ndarray, ps: np.ndarray) -> np.ndarray:
-    """:func:`pb_objective` at every (beta, lam) pair, to the bit, from one
-    broadcast pass per row block; inf where lam is not positive and
-    finite, as :func:`fit_pb` scores such a pair."""
-    out = np.full(betas.size, math.inf)
-    admissible = np.isfinite(lams) & (lams > 0.0)
-    sums = []
-    for beta_col, lam_col in zip(_row_blocks(betas[admissible], xs.size),
-                                 _row_blocks(lams[admissible], xs.size)):
-        w = ps ** (1.0 / beta_col)
-        model = lam_col * np.sqrt((2.0 - w) * w) / (1.0 - w)
-        sums.append(((model - xs) ** 2).sum(axis=-1))
-    if sums:
-        out[admissible] = np.concatenate(sums)
-    return out
+    def scores(self, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The scales lam2 = t8/t9 at every shape of ``betas`` and the
+        objective there, :func:`pb_objective` on the sample in units of
+        ``unit``; inf where lam2 is not positive and finite."""
+        lams, scores = [], []
+        for weights in self._weights(betas):
+            _, _, t8, t9 = self.sums(weights)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                lam = t8 / t9
+            ok = np.isfinite(lam) & (lam > 0.0)
+            model = (lam[ok, None] / self.unit) * weights.sqrt_prod[ok] / weights.one_minus[ok]
+            score = np.full(lam.size, math.inf)
+            score[ok] = ((model - self.xs_unit) ** 2).sum(axis=-1)
+            lams.append(lam)
+            scores.append(score)
+        return np.concatenate(lams), np.concatenate(scores)
 
 
 # Points one bisection pass may evaluate: 2^d - 1 tree points per active
@@ -933,7 +895,8 @@ def pb_objective(data: Dataset, p: Params) -> float:
 
 def pb_gradient(data: Dataset, p: Params) -> tuple[float, float]:
     """Analytic gradient of :func:`pb_objective`."""
-    t6, t7, t8, t9 = _pb_pieces(p.beta, data.sorted_values, _plotting_positions(data.n))
+    percentiles = _Percentiles(data.sorted_values)
+    t6, t7, t8, t9 = percentiles.sums(_pb_weights(p.beta, percentiles.p, percentiles.log_p))
     d_beta = 2.0 * p.lam / p.beta**2 * (t7 - p.lam * t6)
     d_lam = 2.0 * (t8 - p.lam * t9)
     return float(d_beta), float(d_lam)
@@ -957,16 +920,17 @@ def fit_pb(data: Dataset) -> FitResult:
     supplies the sign-change brackets instead, and the fit raises
     :class:`FitError` if it shows none either.
 
-    Each grid, and the objectives of the root candidates, is evaluated in
-    one broadcast pass per row block. The factors of the 241-point grid
-    that do not involve the data depend only on n, so they are memoized
-    for the four most recent sample sizes with 241 n <= 2^17 (n <= 543,
-    about 4 MB per size) and regenerated block by block above that;
-    every other shape gets fresh factors. The objectives are scored on
-    the sample divided by a power of two above its maximum, which changes
-    no comparison and keeps the squares in range at any data scale. All
-    sign-change brackets are bisected together, several levels per pass
-    (see :func:`_bisect_brackets`), each with its own stopping rule.
+    Every evaluation goes through one :class:`_Percentiles`, one
+    broadcast pass per row block for each grid, bisection pass and set of
+    candidates. The factors of the 241-point grid that do not involve the
+    data depend only on n, so they are memoized for the four most recent
+    sample sizes with 241 n <= 2^17 (n <= 543, about 4 MB per size) and
+    regenerated block by block above that; every other shape gets fresh
+    factors. The objectives are scored on the sample divided by a power of
+    two above its maximum, which changes no comparison and keeps the
+    squares in range at any data scale. All sign-change brackets are
+    bisected together, several levels per pass (see
+    :func:`_bisect_brackets`), each with its own stopping rule.
     ``iterations`` counts the 241 grid points, the 241 objective points
     and 41 finer-grid points when the grid has no sign change, and the
     bisection steps.
@@ -975,26 +939,21 @@ def fit_pb(data: Dataset) -> FitResult:
     n = data.n
     if n < 2 or xs[0] == xs[-1]:
         raise FitError("need at least two distinct observations to fit")
-    positions = _positions(xs, _plotting_positions(n))
-    # The objectives are scored on the sample divided by a power of two
-    # above its maximum: exact, so every score scales by 1/unit^2 and the
-    # argmin is unchanged, while (model - x)^2 stays in range at any scale.
-    unit = math.ldexp(1.0, math.frexp(float(xs[-1]))[1])
-    xs_unit = xs / unit
+    percentiles = _Percentiles(xs)
 
     grid = _SHAPE_GRID
-    vals, grid_lams = _pb_grid(grid, xs, positions)
+    vals = percentiles.roots(grid)
     iterations = grid.size
 
     sign_change = _sign_changes(vals)
     if not sign_change.size:
         # An interior objective minimum without a sign change points to two
         # roots in one grid cell; a finer grid over the cell separates them.
-        k = int(np.argmin(_pb_objectives(grid, grid_lams / unit, xs_unit, positions.p)))
+        k = int(np.argmin(percentiles.scores(grid)[1]))
         iterations += grid.size
         if 0 < k < grid.size - 1:
             grid = np.geomspace(grid[k - 1], grid[k + 1], 41)
-            vals = _pb_roots(grid, xs, positions)
+            vals = percentiles.roots(grid)
             iterations += grid.size
             sign_change = _sign_changes(vals)
         if not sign_change.size:
@@ -1004,12 +963,10 @@ def fit_pb(data: Dataset) -> FitResult:
     # Brent's iterates move fits in the noisy beta < 1e-2 region far from
     # where bisection lands.
     roots, steps = _bisect_brackets(
-        lambda betas: _pb_roots(betas, xs, positions),
-        grid[sign_change], grid[sign_change + 1], vals[sign_change], n,
+        percentiles.roots, grid[sign_change], grid[sign_change + 1], vals[sign_change], n
     )
     iterations += steps
-    root_lams = _pb_grid(roots, xs, positions)[1]
-    scores = _pb_objectives(roots, root_lams / unit, xs_unit, positions.p)
+    root_lams, scores = percentiles.scores(roots)
     _, beta, lam = min(zip(scores.tolist(), roots.tolist(), root_lams.tolist()))
     if lam <= 0.0 or not math.isfinite(lam):
         raise FitError("percentile scale estimate left the parameter space")

@@ -177,6 +177,14 @@ class TestSample:
         values = [float(v) for v in out.strip().split("\n")[1:]]
         assert values == pytest.approx(list(sample(5, Params(1.5, 2.0), 9)), rel=1e-15)
 
+    def test_draws_beyond_float_range_exit_three(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "--beta", "1e9", "--lambda", "1e300",
+                                 "--n", "3", "--seed", "1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: the ECR(beta=1000000000.0, lambda=1e+300) quantile at level ")
+        assert err.count("\n") == 1
+
     def test_round_trip_through_fit(self, capsys, tmp_path):
         _, out, _ = run_cli(capsys, "sample", "--beta", "0.5", "--lambda", "0.6",
                             "--n", "100000", "--seed", "123")
@@ -229,6 +237,14 @@ class TestMoments:
         code, _, err = run_cli(capsys, "moments", "--beta", "1e306", "--lambda", "1", "--r", "-0.5")
         assert code == 3
         assert err == "error: log_gamma(1e+306) overflows the floating-point range\n"
+
+    @pytest.mark.parametrize("scale", ["1e-170", "1e160"])
+    def test_incomplete_moment_at_extreme_scales(self, capsys, scale):
+        code, out, _ = run_cli(capsys, "moments", "--beta", "1.5", "--lambda", scale,
+                               "--r", "0.5", "--x0", scale)
+        assert code == 0
+        value = json.loads(out)["results"]["incomplete"]["value"]
+        assert value == pytest.approx(float(scale) ** 0.5 * 0.12889581438406248, rel=1e-14)
 
     def test_optional_quantities(self, capsys):
         code, out, _ = run_cli(

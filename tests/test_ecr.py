@@ -108,6 +108,14 @@ class TestCdfQuantile:
         qs = np.linspace(0.001, 0.999, 500)
         assert np.all(np.diff(quantile(qs, p)) > 0)
 
+    def test_quantile_beyond_float_range_raises(self):
+        # RuntimeWarnings are errors under this suite's settings, so an
+        # overflow warning on the way would fail the test too
+        with pytest.raises(OverflowError, match=r"ECR\(beta=2.0, lambda=1e\+300\) quantile at level 0.999999999999"):
+            quantile(1.0 - 1e-12, Params(2.0, 1e300))
+        with pytest.raises(OverflowError, match="level 0.9 "):
+            quantile(np.array([0.5, 0.9, 0.99]), Params(2.0, 1e307))
+
     def test_domain_errors(self):
         p = Params(1.0, 1.0)
         with pytest.raises(ValueError):
@@ -138,6 +146,21 @@ class TestPdf:
             h = 1e-6 * x
             numeric = (cdf(x + h, p) - cdf(x - h, p)) / (2.0 * h)
             assert pdf(x, p) == pytest.approx(numeric, rel=1e-5)
+
+    # pdf formed s^3, which overflowed for s above about 5e102 and
+    # underflowed below about 1e-103; the examples are those two corners
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(q=st.floats(1e-6, 1.0 - 1e-6), beta=st.floats(0.1, 30.0),
+           log_lam=st.floats(-3.0, 3.0), log_c=st.floats(-150.0, 150.0))
+    @example(q=0.5, beta=1.5, log_lam=0.0, log_c=110.0)
+    @example(q=0.5, beta=1.5, log_lam=0.0, log_c=-150.0)
+    def test_scale_equivariance_and_log_pdf_property(self, q, beta, log_lam, log_c):
+        p = Params(beta, 10.0**log_lam)
+        c = 10.0**log_c
+        x = quantile(q, p)
+        scaled = Params(beta, c * p.lam)
+        assert c * pdf(c * x, scaled) == pytest.approx(pdf(x, p), rel=1e-13, abs=0)
+        assert pdf(c * x, scaled) == pytest.approx(math.exp(log_pdf(c * x, scaled)), rel=1e-12, abs=0)
 
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
@@ -384,6 +407,13 @@ class TestIncompleteMoments:
         value = incomplete_moment(0.5, x0, p)
         assert value == pytest.approx(weighted_moment_oracle(0.5, 0, 0, p, upper=u0), rel=1e-9)
 
+    @pytest.mark.parametrize("c", [1e-170, 1e160])
+    def test_scale_equivariance_at_extreme_scales(self, c):
+        # x0^2 underflowed to 0 at 1e-170 and overflowed at 1e160
+        p = Params(1.5, 1.0)
+        expected = c**0.5 * incomplete_moment(0.5, 1.0, p)
+        assert incomplete_moment(0.5, c, Params(1.5, c)) == pytest.approx(expected, rel=1e-14, abs=0)
+
     def test_high_order_allowed(self):
         # truncated moments are finite for any order above the lower window
         assert incomplete_moment(2.5, 4.0, Params(0.7, 1.0)) > 0.0
@@ -423,6 +453,15 @@ class TestOrderStatMoments:
 
         oracle, _ = quad(integrand, 0.0, 1.0, epsabs=1e-13, epsrel=1e-12, limit=400)
         assert order_stat_moment(i, n, r, p) == pytest.approx(oracle, rel=1e-9)
+
+    @pytest.mark.parametrize("n", [50, 300, 1000])
+    def test_sample_maximum_is_ecr_with_n_times_the_shape(self, n):
+        # F^n is the ECR(n beta) cdf, so the largest of n draws is
+        # ECR(n beta, lam); its normalizer 1/B(n, 1) = n must be exact
+        p = Params(0.7, 2.0)
+        for r in (-0.5, 0.5):
+            expected = raw_moment(r, Params(n * p.beta, p.lam))
+            assert order_stat_moment(n, n, r, p) == pytest.approx(expected, rel=1e-14, abs=0)
 
     def test_windows_and_ranks(self):
         p = Params(0.7, 1.0)

@@ -212,6 +212,20 @@ class TestComparisonModels:
             expected = float(np.mean(data.values**shape)) ** (1.0 / shape)
             assert scale == pytest.approx(expected, rel=1e-12, abs=0)
 
+    def test_weibull_heavy_tail_keeps_weights_in_range(self):
+        # max/geo is far above 1.2e3 here, so x^a on the geometric-mean
+        # normalized data overflowed at the bracket end a = 100; the shape
+        # must still solve the likelihood equation (RuntimeWarnings are
+        # errors under this suite's settings)
+        data = Dataset(sample(200, Params(1.5, 5.0), seed=3))
+        log_x = np.log(data.values)
+        assert math.exp(log_x.max() - log_x.mean()) > 1.2e3
+        shape, scale = MODELS["weibull"].fit(data)
+        weights = np.exp(shape * (log_x - log_x.max()))
+        residual = 1.0 / shape + log_x.mean() - float(np.sum(weights * log_x) / np.sum(weights))
+        assert abs(residual * shape) <= 1e-9
+        assert scale == pytest.approx(float(np.mean(data.values**shape)) ** (1.0 / shape), rel=1e-12)
+
     def test_gof_report_uses_supplied_parameters(self, heart_data):
         entry = MODELS["cr"]
         report = gof_report(heart_data, entry, (24.491,))

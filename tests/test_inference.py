@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from ecrlab import inference
 from ecrlab.data import Dataset
-from ecrlab.ecr import Params, _log_kernel, quantile, sample, sample_from
+from ecrlab.ecr import Params, _log_kernel, _log_u, quantile, sample, sample_from
 from ecrlab.inference import (
     FitError,
     asymptotic_std_errors,
@@ -544,8 +544,8 @@ class TestFitPb:
         # at n = 15, w = p^(1/beta) underflows against 1 at beta = 1e-3, so
         # t9 = n - sum 1/(1-w)^2 is exactly 0 there and lam2 is undefined
         data = Dataset(sample(15, Params(1.0, 1.0), seed=3))
-        ps = np.arange(1, 16) / 16.0
-        assert inference._pb_pieces(1e-3, data.sorted_values, ps)[3] == 0.0
+        percentiles = inference._Percentiles(data.sorted_values)
+        assert percentiles.sums(scalar_weights(percentiles, 1e-3))[3] == 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             fit = fit_pb(data)
@@ -553,14 +553,16 @@ class TestFitPb:
         assert math.isfinite(fit.loglik)
 
     def test_no_admissible_scale_raises_fit_error(self, monkeypatch):
-        pieces = inference._pb_pieces
+        # negating the data sums t7 and t8 negates the root function, so
+        # the brackets and roots stay, and makes every lam2 = t8/t9 negative
+        sums = inference._Percentiles.sums
 
-        def without_scale(beta, xs, ps):
-            t6, t7, t8, t9 = pieces(beta, xs, ps)
-            return t6, t7, t8, 0.0 * t9
+        def without_scale(self, weights):
+            t6, t7, t8, t9 = sums(self, weights)
+            return t6, -t7, -t8, t9
 
-        monkeypatch.setattr(inference, "_pb_pieces", without_scale)
-        with pytest.raises(FitError):
+        monkeypatch.setattr(inference._Percentiles, "sums", without_scale)
+        with pytest.raises(FitError, match="left the parameter space"):
             fit_pb(Dataset(sample(20, Params(1.0, 1.0), seed=1)))
 
     # (beta, lam, iterations) recorded before the pass changes, which must
@@ -588,6 +590,16 @@ class TestFitPb:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
+
+
+def reference_log_u(x, lam):
+    """log u with every piece formed in place: the rationalized form below
+    the scale, log1p(-lam/s) above it."""
+    s = np.hypot(lam, x)
+    with np.errstate(divide="ignore"):
+        rational = 2.0 * np.log(x) - np.log(s) - np.log(s + lam)
+        direct = np.log1p(-lam / s)
+    return np.where(x < lam, rational, direct)
 
 
 def reference_sums(x, lam):
@@ -629,6 +641,17 @@ def reference_pb_pieces(beta, xs, ps):
     )
 
 
+def scalar_weights(percentiles, beta):
+    """The percentile weights at one shape."""
+    return inference._pb_weights(beta, percentiles.p, percentiles.log_p)
+
+
+def scalar_root(percentiles, beta):
+    """t6 t8 - t7 t9 at one shape."""
+    t6, t7, t8, t9 = percentiles.sums(scalar_weights(percentiles, beta))
+    return t6 * t8 - t7 * t9
+
+
 class TestKernel:
     """The per-sample kernel object against the passes it replaces, to the
     bit, with the scale below, inside and above the data."""
@@ -640,7 +663,9 @@ class TestKernel:
         kernel = inference._Kernel(x)
         for lam in (0.1 * float(np.min(x)), float(np.median(x)), 10.0 * float(np.max(x))):
             s = np.hypot(lam, x)
-            assert np.array_equal(kernel.log_u(lam, s, np.log(s)), _log_kernel(x, lam))
+            log_u = _log_u(x, kernel.two_log_x, lam, s, np.log(s))
+            assert np.array_equal(log_u, reference_log_u(x, lam))
+            assert np.array_equal(_log_kernel(x, lam), reference_log_u(x, lam))
             _, sum_log_u, sum_inv_s, lam_sum_inv_s2 = reference_sums(x, lam)
             u_lam = data.n / lam + (1.0 - 0.7) * sum_inv_s - (0.7 + 2.0) * lam_sum_inv_s2
             assert score(data, Params(0.7, lam)) == (data.n / 0.7 + sum_log_u, u_lam)
@@ -699,33 +724,28 @@ class TestBlockedPasses:
         xs = data.sorted_values
         ps = np.arange(1, n + 1) / (n + 1.0)
         grid = np.logspace(-3.0, 3.0, 241)
-        positions = inference._positions(xs, ps)
-        roots, lams = inference._pb_grid(grid, xs, positions)
-        assert np.array_equal(inference._pb_roots(grid, xs, positions), roots)
-        for beta, root, lam in zip(grid.tolist(), roots.tolist(), lams.tolist()):
-            t6, t7, t8, t9 = inference._pb_pieces(beta, xs, ps)
+        percentiles = inference._Percentiles(xs)
+        blocks = [percentiles.sums(weights) for weights in percentiles._weights(grid)]
+        pieces = [np.concatenate(t).tolist() for t in zip(*blocks)]
+        roots = percentiles.roots(grid).tolist()
+        lams = percentiles.scores(grid)[0].tolist()
+        for beta, t6, t7, t8, t9, root, lam in zip(grid.tolist(), *pieces, roots, lams):
             assert (t6, t7, t8, t9) == reference_pb_pieces(beta, xs, ps)
+            assert percentiles.sums(scalar_weights(percentiles, beta)) == (t6, t7, t8, t9)
             assert root == t6 * t8 - t7 * t9
             if t9 != 0.0:
                 assert lam == t8 / t9
 
     def test_joint_bisection_matches_one_at_a_time(self):
         data = Dataset(sample(20, Params(0.5, 1.0), seed=2))
-        xs = data.sorted_values
-        ps = np.arange(1, 21) / 21.0
+        percentiles = inference._Percentiles(data.sorted_values)
         grid = np.logspace(-3.0, 3.0, 241)
-        vals, _ = inference._pb_grid(grid, xs, ps)
+        vals = percentiles.roots(grid)
         k = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
         assert k.size >= 2
-        roots, steps = inference._bisect_brackets(
-            lambda b: inference._pb_grid(b, xs, ps)[0], grid[k], grid[k + 1], vals[k]
-        )
-
-        def root_fn(beta):
-            t6, t7, t8, t9 = inference._pb_pieces(beta, xs, ps)
-            return t6 * t8 - t7 * t9
-
-        expected = [scalar_bisect(root_fn, grid[j], grid[j + 1], vals[j]) for j in k]
+        roots, steps = inference._bisect_brackets(percentiles.roots, grid[k], grid[k + 1], vals[k])
+        expected = [scalar_bisect(lambda b: scalar_root(percentiles, b), grid[j], grid[j + 1], vals[j])
+                    for j in k]
         assert roots.tolist() == [r for r, _ in expected]
         assert steps == sum(s for _, s in expected)
 
@@ -754,21 +774,14 @@ class TestLevelBatchedBisection:
     @pytest.mark.parametrize("n", [15, 20, 100, 500, 5000])
     def test_matches_one_at_a_time_on_samples(self, n):
         data = Dataset(sample(n, Params(0.5, 1.0), seed=1))
-        xs = data.sorted_values
-        positions = inference._positions(xs, np.arange(1, n + 1) / (n + 1.0))
+        percentiles = inference._Percentiles(data.sorted_values)
         grid = np.logspace(-3.0, 3.0, 241)
-        vals, _ = inference._pb_grid(grid, xs, positions)
+        vals = percentiles.roots(grid)
         k = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
         assert k.size
-        roots, steps = inference._bisect_brackets(
-            lambda b: inference._pb_roots(b, xs, positions), grid[k], grid[k + 1], vals[k], n
-        )
-
-        def root_fn(beta):
-            t6, t7, t8, t9 = inference._pb_pieces(beta, xs, positions)
-            return t6 * t8 - t7 * t9
-
-        expected = [scalar_bisect(root_fn, grid[j], grid[j + 1], vals[j]) for j in k]
+        roots, steps = inference._bisect_brackets(percentiles.roots, grid[k], grid[k + 1], vals[k], n)
+        expected = [scalar_bisect(lambda b: scalar_root(percentiles, b), grid[j], grid[j + 1], vals[j])
+                    for j in k]
         assert roots.tolist() == [r for r, _ in expected]
         assert steps == sum(s for _, s in expected)
 
@@ -812,52 +825,64 @@ class TestLevelBatchedBisection:
 
 class TestPbFallbackObjective:
     @pytest.mark.parametrize("n", [20, 5000])
-    def test_blocked_objectives_match_scalar(self, n):
+    def test_blocked_objectives_match_scalar(self, n, monkeypatch):
         data = Dataset(sample(n, Params(0.8, 2.0), seed=n))
-        xs = data.sorted_values
-        ps = np.arange(1, n + 1) / (n + 1.0)
+        percentiles = inference._Percentiles(data.sorted_values)
+        unit = percentiles.unit
         grid = np.logspace(-3.0, 3.0, 241)
-        lams = inference._pb_grid(grid, xs, ps)[1]
-        lams[::17], lams[5], lams[9] = -1.0, np.nan, np.inf  # inadmissible scales score inf
+        # inadmissible scales score inf: lam2 = t8/t9 is made 1/-1 at every
+        # 17th shape, NaN/1 at shape 5 and inf/1 at shape 9
+        sums, seen = inference._Percentiles.sums, []
+
+        def inadmissible(self, weights):
+            t6, t7, t8, t9 = sums(self, weights)
+            rows = np.arange(len(seen), len(seen) + t8.size)
+            seen.extend(rows)
+            every_17th = rows % 17 == 0
+            t8 = np.where(every_17th, 1.0, np.where(rows == 5, np.nan, np.where(rows == 9, np.inf, t8)))
+            t9 = np.where(every_17th, -1.0, np.where((rows == 5) | (rows == 9), 1.0, t9))
+            return t6, t7, t8, t9
+
+        monkeypatch.setattr(inference._Percentiles, "sums", inadmissible)
+        lams, scores = percentiles.scores(grid)
+        assert lams[::17].tolist() == [-1.0] * 15
+        assert math.isnan(lams[5]) and lams[9] == math.inf
+        scaled = Dataset(data.values / unit)
         expected = [
-            pb_objective(data, Params(beta, lam)) if math.isfinite(lam) and lam > 0.0 else math.inf
+            pb_objective(scaled, Params(beta, lam / unit)) if math.isfinite(lam) and lam > 0.0 else math.inf
             for beta, lam in zip(grid.tolist(), lams.tolist())
         ]
-        assert inference._pb_objectives(grid, lams, xs, ps).tolist() == expected
+        assert scores.tolist() == expected
 
     def test_fallback_sample_matches_recorded_outcome(self):
         # no sign change on the shape grid, so the fallback scores every
         # shape; recorded with the scalar objective: the minimum is at the
         # grid's last shape (index 240), which fit_pb rejects
         data = Dataset(sample(100, Params(0.5, 1.0), seed=21))
-        xs = data.sorted_values
-        ps = np.arange(1, 101) / 101.0
+        percentiles = inference._Percentiles(data.sorted_values)
         grid = np.logspace(-3.0, 3.0, 241)
-        vals, lams = inference._pb_grid(grid, xs, ps)
+        vals = percentiles.roots(grid)
         assert not np.any(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
-        assert int(np.argmin(inference._pb_objectives(grid, lams, xs, ps))) == 240
+        assert int(np.argmin(percentiles.scores(grid)[1])) == 240
         with pytest.raises(FitError, match="percentile objective has no interior minimum"):
             fit_pb(data)
 
     @staticmethod
     def remove_grid_sign_changes(monkeypatch):
-        """Make the first _pb_grid call, the 241-point shape grid, return
+        """Make the first root pass, the 241-point shape grid, return
         |t6 t8 - t7 t9|, so it shows no sign change; record the sizes of
-        the _pb_roots calls."""
-        pb_grid, pb_roots = inference._pb_grid, inference._pb_roots
-        grid_calls, root_sizes = [], []
+        the later root passes."""
+        roots = inference._Percentiles.roots
+        root_sizes = []
 
-        def grid_without_sign_change(betas, xs, ps):
-            vals, lams = pb_grid(betas, xs, ps)
-            grid_calls.append(betas.size)
-            return (np.abs(vals), lams) if len(grid_calls) == 1 else (vals, lams)
-
-        def recorded_roots(betas, xs, ps):
+        def grid_without_sign_change(self, betas):
+            vals = roots(self, betas)
+            if betas is inference._SHAPE_GRID:
+                return np.abs(vals)
             root_sizes.append(betas.size)
-            return pb_roots(betas, xs, ps)
+            return vals
 
-        monkeypatch.setattr(inference, "_pb_grid", grid_without_sign_change)
-        monkeypatch.setattr(inference, "_pb_roots", recorded_roots)
+        monkeypatch.setattr(inference._Percentiles, "roots", grid_without_sign_change)
         return root_sizes
 
     def test_finer_grid_recovers_the_root(self, monkeypatch):
@@ -874,9 +899,8 @@ class TestPbFallbackObjective:
 
     def test_finer_grid_without_sign_change_raises(self, monkeypatch):
         data = Dataset(sample(40, Params(1.5, 2.0), seed=4))
-        self.remove_grid_sign_changes(monkeypatch)
-        pb_roots = inference._pb_roots
-        monkeypatch.setattr(inference, "_pb_roots", lambda betas, xs, ps: np.abs(pb_roots(betas, xs, ps)))
+        roots = inference._Percentiles.roots
+        monkeypatch.setattr(inference._Percentiles, "roots", lambda self, betas: np.abs(roots(self, betas)))
         with pytest.raises(FitError, match="percentile objective has no interior minimum"):
             fit_pb(data)
 
@@ -893,9 +917,10 @@ class TestShapeGridMemo:
     @pytest.mark.parametrize("n", [2, 15, 543, 544, 5000])
     def test_memoized_grid_matches_fresh_grid(self, n):
         xs = Dataset(sample(n, Params(0.8, 2.0), seed=n)).sorted_values
-        positions = inference._positions(xs, np.arange(1, n + 1) / (n + 1.0))
-        memo = inference._pb_grid(inference._SHAPE_GRID, xs, positions)
-        fresh = inference._pb_grid(inference._SHAPE_GRID.copy(), xs, positions)
+        percentiles = inference._Percentiles(xs)
+        fresh_grid = inference._SHAPE_GRID.copy()
+        memo = (percentiles.roots(inference._SHAPE_GRID), *percentiles.scores(inference._SHAPE_GRID))
+        fresh = (percentiles.roots(fresh_grid), *percentiles.scores(fresh_grid))
         for memo_part, fresh_part in zip(memo, fresh):
             assert memo_part.tobytes() == fresh_part.tobytes()
 
@@ -912,7 +937,7 @@ class TestShapeGridMemo:
         assert info.misses == 5
 
     def test_memoized_arrays_reject_writes(self):
-        blocks = inference._shape_grid_weights(100)
+        blocks = inference._memoized_grid_weights(100)
         assert len(blocks) > 1
         for weights in blocks:
             for array in weights:
