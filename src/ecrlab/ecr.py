@@ -27,7 +27,6 @@ import numpy as np
 
 from .specfun import (
     EULER_GAMMA,
-    SeriesControl,
     appell_f1,
     beta_fn,
     digamma,
@@ -40,6 +39,7 @@ __all__ = [
     "Params",
     "MomentExistenceError",
     "LossOfPrecisionError",
+    "QuantileUnderflowError",
     "ZeroLimitKind",
     "PdfZeroLimit",
     "cdf",
@@ -103,6 +103,10 @@ class LossOfPrecisionError(ArithmeticError):
     result by enough orders of magnitude that double precision cannot
     back the digits, and the evaluation refuses rather than returning
     noise."""
+
+
+class QuantileUnderflowError(ArithmeticError):
+    """The quantile is positive but below the smallest positive float."""
 
 
 def _window_error(kind: str, r: float, lower: float, upper: float) -> MomentExistenceError:
@@ -207,8 +211,11 @@ def hrf(x, p: Params):
 def quantile(q, p: Params):
     """Q(q) = lam sqrt(2 w - w^2) / (1 - w) with w = q^(1/beta), 0 < q < 1.
 
-    Raises OverflowError where the quantile lies beyond the floating-point
-    range.
+    Where w underflows to 0, Q = lam sqrt(2 w) to double precision and is
+    formed in log space, exp((log w + log 2)/2 + log lam). Raises
+    OverflowError where the quantile lies beyond the floating-point range
+    and QuantileUnderflowError where it lies below the smallest positive
+    float.
     """
     arr = np.asarray(q, dtype=float)
     if np.any((arr <= 0.0) | (arr >= 1.0) | ~np.isfinite(arr)):
@@ -218,11 +225,16 @@ def quantile(q, p: Params):
     one_minus_w = -np.expm1(log_w)
     with np.errstate(over="ignore"):
         out = p.lam * np.sqrt(w * (2.0 - w)) / one_minus_w
-    overflow = np.isinf(out)
-    if np.any(overflow):
-        level = float(arr[overflow][0])
-        raise OverflowError(f"the ECR(beta={p.beta!r}, lambda={p.lam!r}) quantile at level {level!r} "
-                            "exceeds the floating-point range")
+    tiny = w == 0.0
+    if np.any(tiny):
+        # log w < -745 there, so the exponent below cannot overflow
+        log_out = np.where(tiny, 0.5 * (log_w + math.log(2.0)) + math.log(p.lam), 0.0)
+        out = np.where(tiny, np.exp(log_out), out)
+    for bad, error, where in ((np.isinf(out), OverflowError, "exceeds the floating-point range"),
+                              (out == 0.0, QuantileUnderflowError, "lies below the smallest positive float")):
+        if np.any(bad):
+            level = float(arr[bad][0])
+            raise error(f"the ECR(beta={p.beta!r}, lambda={p.lam!r}) quantile at level {level!r} {where}")
     return out if out.ndim else float(out)
 
 
@@ -294,7 +306,7 @@ def tail_ratio(c: float, x: float, p: Params) -> float:
 _CANCELLATION_TOL = 1e-6  # estimated relative error before refusing
 
 
-def _moment_sum(r: float, weights, shapes, control: SeriesControl | None, label: str) -> float:
+def _moment_sum(r: float, weights, shapes, label: str) -> float:
     """sum_k w_k B(1-r, r/2 + g_k) 2F1(-r/2, r/2+g_k; 1-r/2+g_k; 1/2).
 
     Tracks the gross term magnitude so alternating-sign cancellation is
@@ -302,9 +314,7 @@ def _moment_sum(r: float, weights, shapes, control: SeriesControl | None, label:
     total = 0.0
     gross = 0.0
     for w, g in zip(weights, shapes):
-        term = w * beta_fn(1.0 - r, r / 2.0 + g) * gauss_2f1(
-            -r / 2.0, r / 2.0 + g, 1.0 - r / 2.0 + g, 0.5, control
-        )
+        term = w * beta_fn(1.0 - r, r / 2.0 + g) * gauss_2f1(-r / 2.0, r / 2.0 + g, 1.0 - r / 2.0 + g, 0.5)
         total += term
         gross += abs(term)
     if gross * np.finfo(float).eps > _CANCELLATION_TOL * abs(total):
@@ -315,7 +325,7 @@ def _moment_sum(r: float, weights, shapes, control: SeriesControl | None, label:
     return total
 
 
-def pwm(s: int, r: float, t: int, p: Params, control: SeriesControl | None = None) -> float:
+def pwm(s: int, r: float, t: int, p: Params) -> float:
     """Probability weighted moment E[X^r F(X)^s (1 - F(X))^t].
 
     Finite for -2(s+1) beta < r < 1; the indexes s and t must be
@@ -331,11 +341,11 @@ def pwm(s: int, r: float, t: int, p: Params, control: SeriesControl | None = Non
         raise _window_error("probability weighted moment", r, lower, 1.0)
     weights = [(-1.0) ** i * math.comb(t, i) for i in range(t + 1)]
     shapes = [(s + i + 1.0) * p.beta for i in range(t + 1)]
-    total = _moment_sum(r, weights, shapes, control, "probability weighted moment")
+    total = _moment_sum(r, weights, shapes, "probability weighted moment")
     return p.beta * (p.lam * math.sqrt(2.0)) ** r * total
 
 
-def raw_moment(r: float, p: Params, control: SeriesControl | None = None) -> float:
+def raw_moment(r: float, p: Params) -> float:
     """E(X^r) for -2 beta < r < 1.
 
     Closed form beta (lam sqrt(2))^r B(1-r, r/2+beta)
@@ -345,7 +355,7 @@ def raw_moment(r: float, p: Params, control: SeriesControl | None = None) -> flo
     lower = -2.0 * p.beta
     if not lower < r < 1.0:
         raise _window_error("raw moment", r, lower, 1.0)
-    return p.beta * (p.lam * math.sqrt(2.0)) ** r * _moment_sum(r, [1.0], [p.beta], control, "raw moment")
+    return p.beta * (p.lam * math.sqrt(2.0)) ** r * _moment_sum(r, [1.0], [p.beta], "raw moment")
 
 
 def cr_moment(r: float, lam: float) -> float:
@@ -359,18 +369,18 @@ def cr_moment(r: float, lam: float) -> float:
     )
 
 
-def log_moment(p: Params, control: SeriesControl | None = None) -> float:
+def log_moment(p: Params) -> float:
     """E(log X) = log lam + Phi(1/2; 1, beta)/2 + psi(1+beta) + gamma - 1/beta."""
     return (
         math.log(p.lam)
-        + 0.5 * lerch_phi_half(1.0, p.beta, control)
+        + 0.5 * lerch_phi_half(1.0, p.beta)
         + digamma(1.0 + p.beta)
         + EULER_GAMMA
         - 1.0 / p.beta
     )
 
 
-def incomplete_moment(r: float, x0: float, p: Params, control: SeriesControl | None = None) -> float:
+def incomplete_moment(r: float, x0: float, p: Params) -> float:
     """Lower incomplete moment int_0^x0 x^r f(x) dx for r > -2 beta.
 
     Closed form [beta 2^(r/2+1) lam^r u0^(beta+r/2) / (2 beta + r)]
@@ -385,11 +395,11 @@ def incomplete_moment(r: float, x0: float, p: Params, control: SeriesControl | N
         raise _window_error("incomplete moment", r, lower, math.inf)
     s0 = math.hypot(p.lam, x0)
     u0 = (x0 / s0) * (x0 / (s0 + p.lam))  # as in _kernel, on Python floats
-    value = appell_f1(r / 2.0 + p.beta, r, -r / 2.0, r / 2.0 + p.beta + 1.0, u0, u0 / 2.0, control)
+    value = appell_f1(r / 2.0 + p.beta, r, -r / 2.0, r / 2.0 + p.beta + 1.0, u0, u0 / 2.0)
     return p.beta * 2.0 ** (r / 2.0 + 1.0) * p.lam**r * u0 ** (p.beta + r / 2.0) / (2.0 * p.beta + r) * value
 
 
-def order_stat_moment(i: int, n: int, r: float, p: Params, control: SeriesControl | None = None) -> float:
+def order_stat_moment(i: int, n: int, r: float, p: Params) -> float:
     """E(X_{i:n}^r) for the i-th order statistic of an n-sample, -2 i beta < r < 1.
 
     The closed form is a binomial sum over j = 0..n-i with alternating
@@ -404,5 +414,5 @@ def order_stat_moment(i: int, n: int, r: float, p: Params, control: SeriesContro
         raise _window_error("order statistic moment", r, lower, 1.0)
     weights = [(-1.0) ** j * math.comb(n - i, j) for j in range(n - i + 1)]
     shapes = [(i + j) * p.beta for j in range(n - i + 1)]
-    total = _moment_sum(r, weights, shapes, control, "order statistic moment")
+    total = _moment_sum(r, weights, shapes, "order statistic moment")
     return p.beta * (p.lam * math.sqrt(2.0)) ** r * (int(i) * math.comb(n, i)) * total

@@ -345,9 +345,12 @@ def gof_report(data: Dataset, entry: ModelEntry, theta: tuple[float, ...]) -> Go
 def fit_comparison_models(data: Dataset) -> list[ComparisonFit]:
     """Fit all registered models and report them sorted by W*.
 
-    A model that fails to fit is kept in the output with its error
-    message and sorts last. Data with fewer than two distinct
-    observations raise :class:`InputError` before any model is fitted.
+    A model whose fit fails with a fit error (``RuntimeError``, which
+    covers :class:`inference.FitError` and scipy's non-convergence,
+    ``ValueError`` or ``ArithmeticError``) is kept in the output with its
+    error message and sorts last; any other exception is a defect and
+    propagates. Data with fewer than two distinct observations raise
+    :class:`InputError` before any model is fitted.
     """
     xs = data.sorted_values
     if xs[0] == xs[-1]:
@@ -357,6 +360,6 @@ def fit_comparison_models(data: Dataset) -> list[ComparisonFit]:
         try:
             theta = entry.fit(data)
             fits.append(ComparisonFit(entry, theta, gof_report(data, entry, theta)))
-        except Exception as exc:  # per-model failure is recorded, not fatal
+        except (RuntimeError, ValueError, ArithmeticError) as exc:
             fits.append(ComparisonFit(entry, (), None, error=str(exc)))
     return sorted(fits, key=lambda f: math.inf if f.report is None else f.report.wstar)

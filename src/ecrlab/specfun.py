@@ -4,25 +4,26 @@ Everything here is real-valued, pure and deterministic. The gamma family
 is backed by the standard library and scipy: ``log_gamma`` by
 ``math.lgamma`` and ``digamma`` by ``scipy.special.digamma``, with
 ``gamma_fn`` and ``beta_fn`` built on ``log_gamma``. All series share
-one truncation policy: summation stops once the running term is below
-``SeriesControl.rel_tol`` relative to the partial sum for three
-consecutive terms, which keeps alternating series from stopping on an
-accidentally tiny term. Series evaluators can report how many terms they
-consumed via ``full_output=True``.
+one truncation policy, two module constants: summation stops once the
+running term is below ``_REL_TOL`` (1e-14) relative to the partial sum
+for three consecutive terms, which keeps alternating series from
+stopping on an accidentally tiny term, and a series that has not
+settled within ``_MAX_TERMS`` (10,000) terms raises
+:class:`ConvergenceError`. The one exception is ``appell_f1``'s inner
+row in n, which stops at its first term below tolerance; its outer sum
+over rows keeps the three-term rule. Series evaluators can report how
+many terms they consumed via ``full_output=True``.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from scipy.integrate import quad
 from scipy.special import digamma as _scipy_digamma
 
 __all__ = [
     "EULER_GAMMA",
-    "SeriesControl",
-    "DEFAULT_CONTROL",
     "ConvergenceError",
     "log_gamma",
     "gamma_fn",
@@ -41,6 +42,10 @@ _F1_QUAD_SWITCH = 0.95
 
 _TINY = 1e-300
 
+# The series truncation policy (see the module docstring).
+_REL_TOL = 1e-14
+_MAX_TERMS = 10_000
+
 
 class ConvergenceError(ArithmeticError):
     """A series failed to settle within its term budget."""
@@ -49,28 +54,6 @@ class ConvergenceError(ArithmeticError):
         super().__init__(f"{message} (partial sum {partial!r} after {terms} terms)")
         self.partial = partial
         self.terms = terms
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Truncation policy for series summation.
-
-    ``rel_tol`` is the relative term tolerance and must lie in
-    (0, 1e-6); ``max_terms`` caps the number of summed terms and must be
-    at least 100.
-    """
-
-    rel_tol: float = 1e-14
-    max_terms: int = 10_000
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.rel_tol < 1e-6:
-            raise ValueError(f"rel_tol must be in (0, 1e-6), got {self.rel_tol!r}")
-        if self.max_terms < 100:
-            raise ValueError(f"max_terms must be >= 100, got {self.max_terms!r}")
-
-
-DEFAULT_CONTROL = SeriesControl()
 
 
 def _require_positive(name: str, x: float) -> float:
@@ -107,21 +90,13 @@ def digamma(x: float) -> float:
     return float(_scipy_digamma(_require_positive("x", x)))
 
 
-def gauss_2f1(
-    a: float,
-    b: float,
-    c: float,
-    z: float,
-    control: SeriesControl | None = None,
-    full_output: bool = False,
-):
+def gauss_2f1(a: float, b: float, c: float, z: float, *, full_output: bool = False):
     """Gauss hypergeometric 2F1(a, b; c; z) for z in [0, 1).
 
     Sums sum_{n>=0} (a)_n (b)_n / (c)_n * z^n / n! with terms built by
     recurrence. Only the real series domain needed by the moment
     formulas is supported; there is no analytic continuation.
     """
-    ctl = control if control is not None else DEFAULT_CONTROL
     if c <= 0.0 and c == math.floor(c):
         raise ValueError(f"c must not be a non-positive integer, got {c!r}")
     if not 0.0 <= z < 1.0:
@@ -129,28 +104,20 @@ def gauss_2f1(
     total = 1.0
     term = 1.0
     settled = 0
-    for n in range(1, ctl.max_terms + 1):
+    for n in range(1, _MAX_TERMS + 1):
         term *= (a + n - 1.0) * (b + n - 1.0) / ((c + n - 1.0) * n) * z
         total += term
-        if abs(term) <= ctl.rel_tol * abs(total):
+        if abs(term) <= _REL_TOL * abs(total):
             settled += 1
             if settled >= 3:
                 return (total, n) if full_output else total
         else:
             settled = 0
-    raise ConvergenceError("gauss_2f1 series did not converge", total, ctl.max_terms)
+    raise ConvergenceError("gauss_2f1 series did not converge", total, _MAX_TERMS)
 
 
-def appell_f1(
-    a: float,
-    b1: float,
-    b2: float,
-    c: float,
-    x: float,
-    y: float,
-    control: SeriesControl | None = None,
-    full_output: bool = False,
-):
+def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float, *,
+              full_output: bool = False):
     """Appell F1(a; b1, b2; c; x, y) for |x| < 1, |y| < 1 with a > 0, c > a.
 
     The double series sum_{m,n} (a)_{m+n} (b1)_m (b2)_n /
@@ -165,7 +132,6 @@ def appell_f1(
     returns ``(value, rows)`` where ``rows`` is the number of summed
     series rows (0 on the quadrature path).
     """
-    ctl = control if control is not None else DEFAULT_CONTROL
     a = float(a)
     if a <= 0.0:
         raise ValueError(f"a must be positive, got {a!r}")
@@ -180,14 +146,14 @@ def appell_f1(
     total = 0.0
     row_lead = 1.0  # (a)_m (b1)_m / ((c)_m m!) x^m at n = 0
     settled = 0
-    for m in range(ctl.max_terms):
+    for m in range(_MAX_TERMS):
         term = row_lead
         row_sum = term
         inner_ok = False
-        for n in range(1, ctl.max_terms + 1):
+        for n in range(1, _MAX_TERMS + 1):
             term *= (a + m + n - 1.0) * (b2 + n - 1.0) / ((c + m + n - 1.0) * n) * y
             row_sum += term
-            if abs(term) <= ctl.rel_tol * (abs(row_sum) + _TINY):
+            if abs(term) <= _REL_TOL * (abs(row_sum) + _TINY):
                 inner_ok = True
                 break
         if not inner_ok:
@@ -195,14 +161,14 @@ def appell_f1(
                 "appell_f1 inner series did not converge", total + row_sum, m
             )
         total += row_sum
-        if abs(row_sum) <= ctl.rel_tol * (abs(total) + _TINY):
+        if abs(row_sum) <= _REL_TOL * (abs(total) + _TINY):
             settled += 1
             if settled >= 3:
                 return (total, m + 1) if full_output else total
         else:
             settled = 0
         row_lead *= (a + m) * (b1 + m) / ((c + m) * (m + 1.0)) * x
-    raise ConvergenceError("appell_f1 series did not converge", total, ctl.max_terms)
+    raise ConvergenceError("appell_f1 series did not converge", total, _MAX_TERMS)
 
 
 def _appell_f1_quad(a: float, b1: float, b2: float, c: float, x: float, y: float) -> float:
@@ -224,30 +190,24 @@ def _appell_f1_quad(a: float, b1: float, b2: float, c: float, x: float, y: float
     return value
 
 
-def lerch_phi_half(
-    s: float,
-    a: float,
-    control: SeriesControl | None = None,
-    full_output: bool = False,
-):
+def lerch_phi_half(s: float, a: float, *, full_output: bool = False):
     """Lerch transcendent Phi(1/2; s, a) = sum_{n>=0} 2^{-n} / (n+a)^s, a > 0.
 
     Specialized to argument 1/2, the only case the log-moment needs;
     convergence is geometric.
     """
-    ctl = control if control is not None else DEFAULT_CONTROL
     a = _require_positive("a", a)
     total = 0.0
     power = 1.0
     settled = 0
-    for n in range(ctl.max_terms):
+    for n in range(_MAX_TERMS):
         term = power / (n + a) ** s
         total += term
         power *= 0.5
-        if abs(term) <= ctl.rel_tol * (abs(total) + _TINY):
+        if abs(term) <= _REL_TOL * (abs(total) + _TINY):
             settled += 1
             if settled >= 3:
                 return (total, n + 1) if full_output else total
         else:
             settled = 0
-    raise ConvergenceError("lerch_phi_half series did not converge", total, ctl.max_terms)
+    raise ConvergenceError("lerch_phi_half series did not converge", total, _MAX_TERMS)

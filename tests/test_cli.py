@@ -1,9 +1,14 @@
+import contextlib
 import io
 import json
+import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from ecrlab import specfun
 from ecrlab.cli import main
@@ -184,6 +189,41 @@ class TestSample:
         assert out == ""
         assert err.startswith("error: the ECR(beta=1000000000.0, lambda=1e+300) quantile at level ")
         assert err.count("\n") == 1
+
+    def test_underflowing_draws_stay_positive(self, capsys):
+        # q^(1/beta) underflows for the third draw, which used to print 0
+        code, out, _ = run_cli(capsys, "sample", "--beta", "0.002", "--lambda", "1", "--n", "5", "--seed", "1")
+        assert code == 0
+        values = [float(v) for v in out.strip().split("\n")[1:]]
+        assert values == list(sample(5, Params(0.002, 1.0), 1))
+        assert min(values) > 0.0
+
+    def test_draws_below_float_range_exit_three(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "--beta", "0.001", "--lambda", "1", "--n", "5", "--seed", "1")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: the ECR(beta=0.001, lambda=1.0) quantile at level ")
+        assert err.endswith(" lies below the smallest positive float\n")
+
+    # Every printed draw is a valid observation, so reading a sample back
+    # can fail only numerically (exit 3), never as bad input (exit 2).
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(log_beta=st.floats(-3.5, 3.0), log_lam=st.floats(-150.0, 150.0), n=st.integers(1, 30),
+           seed=st.integers(0, 2**32 - 1), method=st.sampled_from(("ml", "csml", "pb")))
+    @example(log_beta=math.log10(0.002), log_lam=0.0, n=5, seed=1, method="ml")
+    def test_sample_read_back_by_fit_never_exits_two(self, log_beta, log_lam, n, seed, method):
+        out, err = io.StringIO(), io.StringIO()
+        argv = ["sample", "--beta", repr(10.0**log_beta), "--lambda", repr(10.0**log_lam),
+                "--n", str(n), "--seed", str(seed)]
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+        assert code in (0, 3)
+        if code == 3:
+            return
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            with mock.patch("sys.stdin", io.StringIO(out.getvalue())):
+                code = main(["fit", "-", "--method", method])
+        assert code in (0, 3), err.getvalue()
 
     def test_round_trip_through_fit(self, capsys, tmp_path):
         _, out, _ = run_cli(capsys, "sample", "--beta", "0.5", "--lambda", "0.6",

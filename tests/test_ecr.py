@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import mpmath
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -10,6 +11,7 @@ from ecrlab.ecr import (
     LossOfPrecisionError,
     MomentExistenceError,
     Params,
+    QuantileUnderflowError,
     ZeroLimitKind,
     cdf,
     cr_moment,
@@ -33,16 +35,19 @@ from ecrlab.ecr import (
 TABLE_FIT = Params(0.38669, 80.68399)
 
 
-def weighted_moment_oracle(r, s, t, p, upper=1.0):
+def weighted_moment_oracle(r, s, t, p, upper=1.0, epsabs=1e-13):
     """Adaptive quadrature of int x^r F^s (1-F)^t f dx after substituting
-    u = 1 - lam/sqrt(lam^2+x^2), which maps (0, inf) to (0, 1)."""
+    u = 1 - lam/sqrt(lam^2+x^2), which maps (0, inf) to (0, 1). Each half
+    of (0, upper) holds at most one endpoint singularity, which quad's
+    extrapolation handles to full precision; ``epsabs=0`` makes the
+    tolerance purely relative, for moments far from 1."""
 
     def integrand(u):
         x = p.lam * math.sqrt(u * (2.0 - u)) / (1.0 - u)
         return x**r * (u**p.beta) ** s * (1.0 - u**p.beta) ** t * p.beta * u ** (p.beta - 1.0)
 
-    value, _ = quad(integrand, 0.0, upper, epsabs=1e-13, epsrel=1e-12, limit=400)
-    return value
+    halves = ((0.0, upper / 2.0), (upper / 2.0, upper))
+    return sum(quad(integrand, a, b, epsabs=epsabs, epsrel=1e-12, limit=400)[0] for a, b in halves)
 
 
 class TestParams:
@@ -115,6 +120,39 @@ class TestCdfQuantile:
             quantile(1.0 - 1e-12, Params(2.0, 1e300))
         with pytest.raises(OverflowError, match="level 0.9 "):
             quantile(np.array([0.5, 0.9, 0.99]), Params(2.0, 1e307))
+
+    @pytest.mark.parametrize("q, beta, lam", [(1e-15, 0.04, 1.0), (1e-15, 0.025, 1.0), (0.3, 0.001, 1e150),
+                                              (1e-3, 0.006, 1e20)])
+    def test_underflowed_w_takes_the_log_form(self, q, beta, lam):
+        # w = q^(1/beta) underflows to 0, where the direct formula gave 0.0
+        assert math.exp(math.log(q) / beta) == 0.0
+        with mpmath.workdps(40):
+            w = mpmath.mpf(q) ** (1 / mpmath.mpf(beta))
+            exact = float(lam * mpmath.sqrt((2 - w) * w) / (1 - w))
+        assert quantile(q, Params(beta, lam)) == pytest.approx(exact, rel=1e-13, abs=0)
+
+    @settings(derandomize=True, max_examples=200, deadline=None)
+    @given(log_q=st.floats(-34.5, -1e-15), log_beta=st.floats(-3.0, 3.0), log_lam=st.floats(-150.0, 150.0))
+    def test_positive_w_keeps_the_direct_formula(self, log_q, log_beta, log_lam):
+        # draws, Monte Carlo streams and pins rest on these exact operations
+        qs = np.array([math.exp(log_q), 0.5, 1.0 - 1e-12])
+        p = Params(10.0**log_beta, 10.0**log_lam)
+        log_w = np.log(qs) / p.beta
+        w = np.exp(log_w)
+        direct = p.lam * np.sqrt(w * (2.0 - w)) / -np.expm1(log_w)
+        try:
+            values = quantile(qs, p)
+        except ArithmeticError:
+            assert not np.all(np.isfinite(direct) & (direct > 0.0))
+            return
+        assert values[w > 0.0].tobytes() == direct[w > 0.0].tobytes()
+        assert np.all(values > 0.0)
+
+    def test_quantile_below_float_range_raises(self):
+        with pytest.raises(QuantileUnderflowError, match=r"ECR\(beta=0.01, lambda=1.0\) quantile at level 1e-15 "):
+            quantile(1e-15, Params(0.01, 1.0))
+        with pytest.raises(ArithmeticError, match="level 0.001 lies below the smallest positive float"):
+            quantile(np.array([0.5, 0.001, 1e-15]), Params(0.002, 1.0))
 
     def test_domain_errors(self):
         p = Params(1.0, 1.0)
@@ -492,3 +530,51 @@ class TestOrderStatMoments:
     def test_wide_rank_range_refuses_cancellation(self):
         with pytest.raises(LossOfPrecisionError, match="cancels"):
             order_stat_moment(1, 80, 0.5, Params(1.0, 1.0))
+
+
+class TestMomentsAgainstQuadrature:
+    """The closed forms against adaptive quadrature of the density, on
+    random parameters with r in the middle 60 % of each existence window
+    (for the incomplete moment, whose window has no upper end, of
+    (-2 beta, 1)) and the incomplete moment on its series side."""
+
+    MOMENT = settings(derandomize=True, max_examples=80, deadline=None)
+    PARAMS = dict(log_beta=st.floats(-0.7, 1.0), log_lam=st.floats(-3.0, 3.0), f=st.floats(0.2, 0.8))
+
+    @staticmethod
+    def order(lower, f):
+        return lower + f * (1.0 - lower)
+
+    @MOMENT
+    @given(**PARAMS)
+    def test_raw_moment(self, log_beta, log_lam, f):
+        p = Params(10.0**log_beta, 10.0**log_lam)
+        r = self.order(-2.0 * p.beta, f)
+        assert raw_moment(r, p) == pytest.approx(weighted_moment_oracle(r, 0, 0, p, epsabs=0.0), rel=1e-8, abs=0)
+
+    @MOMENT
+    @given(**PARAMS, s=st.integers(0, 3), t=st.integers(0, 3))
+    def test_pwm(self, log_beta, log_lam, f, s, t):
+        p = Params(10.0**log_beta, 10.0**log_lam)
+        r = self.order(-2.0 * (s + 1.0) * p.beta, f)
+        assert pwm(s, r, t, p) == pytest.approx(weighted_moment_oracle(r, s, t, p, epsabs=0.0), rel=1e-8, abs=0)
+
+    @MOMENT
+    @given(**PARAMS, u0=st.floats(0.05, 0.94))
+    def test_incomplete_moment(self, log_beta, log_lam, f, u0):
+        p = Params(10.0**log_beta, 10.0**log_lam)
+        r = self.order(-2.0 * p.beta, f)
+        # u0 stays below 0.95, where appell_f1 sums its series
+        x0 = p.lam * math.sqrt(u0 * (2.0 - u0)) / (1.0 - u0)
+        oracle = weighted_moment_oracle(r, 0, 0, p, upper=1.0 - p.lam / math.hypot(p.lam, x0), epsabs=0.0)
+        assert incomplete_moment(r, x0, p) == pytest.approx(oracle, rel=1e-8, abs=0)
+
+    @MOMENT
+    @given(**PARAMS, n=st.integers(1, 5), rank=st.floats(0.0, 1.0))
+    def test_order_stat_moment(self, log_beta, log_lam, f, n, rank):
+        p = Params(10.0**log_beta, 10.0**log_lam)
+        i = 1 + min(n - 1, int(rank * n))
+        r = self.order(-2.0 * i * p.beta, f)
+        # density of X_(i:n) = i C(n, i) F^(i-1) (1 - F)^(n-i) f
+        oracle = i * math.comb(n, i) * weighted_moment_oracle(r, i - 1, n - i, p, epsabs=0.0)
+        assert order_stat_moment(i, n, r, p) == pytest.approx(oracle, rel=1e-8, abs=0)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from ecrlab.gof import (
     ks_statistic,
     ttt_transform,
 )
-from ecrlab.inference import fit_ml
+from ecrlab.inference import FitError, fit_ml
 
 # Reference application values this suite pins (heart-transplant data):
 # model -> (params, W*, A*, KS, AIC, CAIC, BIC, HQIC)
@@ -202,6 +203,28 @@ class TestComparisonModels:
     def test_fewer_than_two_distinct_values_rejected(self, values):
         with pytest.raises(InputError):
             fit_comparison_models(Dataset(np.array(values)))
+
+    @pytest.mark.parametrize("error", [FitError("no bracket"), RuntimeError("solver did not converge"),
+                                       ValueError("f(a) and f(b) must have different signs"),
+                                       OverflowError("math range error")])
+    def test_fit_error_is_recorded(self, heart_data, monkeypatch, error):
+        def failing(data):
+            raise error
+
+        monkeypatch.setitem(MODELS, "gamma", dataclasses.replace(MODELS["gamma"], fit=failing))
+        fits = fit_comparison_models(heart_data)
+        assert [f.model.name for f in fits][-1] == "gamma"
+        assert (fits[-1].report, fits[-1].error) == (None, str(error))
+        assert all(f.report is not None for f in fits[:-1])
+
+    def test_other_exceptions_propagate(self, heart_data, monkeypatch):
+        # anything but a fit error is a defect, not a model that failed to fit
+        def broken(data):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setitem(MODELS, "gamma", dataclasses.replace(MODELS["gamma"], fit=broken))
+        with pytest.raises(TypeError, match="unsupported operand"):
+            fit_comparison_models(heart_data)
 
     def test_weibull_scale_matches_raw_data_formula(self, heart_data):
         # the scale comes from the geometric-mean-normalized data; on data

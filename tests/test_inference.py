@@ -855,9 +855,9 @@ class TestPbFallbackObjective:
         assert scores.tolist() == expected
 
     def test_fallback_sample_matches_recorded_outcome(self):
-        # no sign change on the shape grid, so the fallback scores every
-        # shape; recorded with the scalar objective: the minimum is at the
-        # grid's last shape (index 240), which fit_pb rejects
+        # no sign change on the shape grid, so fit_pb raises at once;
+        # recorded with the scalar objective: its minimum is at the grid's
+        # last shape (index 240), so there is no interior minimum to miss
         data = Dataset(sample(100, Params(0.5, 1.0), seed=21))
         percentiles = inference._Percentiles(data.sorted_values)
         grid = np.logspace(-3.0, 3.0, 241)
@@ -866,36 +866,6 @@ class TestPbFallbackObjective:
         assert int(np.argmin(percentiles.scores(grid)[1])) == 240
         with pytest.raises(FitError, match="percentile objective has no interior minimum"):
             fit_pb(data)
-
-    @staticmethod
-    def remove_grid_sign_changes(monkeypatch):
-        """Make the first root pass, the 241-point shape grid, return
-        |t6 t8 - t7 t9|, so it shows no sign change; record the sizes of
-        the later root passes."""
-        roots = inference._Percentiles.roots
-        root_sizes = []
-
-        def grid_without_sign_change(self, betas):
-            vals = roots(self, betas)
-            if betas is inference._SHAPE_GRID:
-                return np.abs(vals)
-            root_sizes.append(betas.size)
-            return vals
-
-        monkeypatch.setattr(inference._Percentiles, "roots", grid_without_sign_change)
-        return root_sizes
-
-    def test_finer_grid_recovers_the_root(self, monkeypatch):
-        # the objective's interior minimum sends fit_pb to a 41-point grid
-        # over its cell, whose bracket bisects to the unforced fit's root
-        data = Dataset(sample(40, Params(1.5, 2.0), seed=4))
-        expected = fit_pb(data)
-        root_sizes = self.remove_grid_sign_changes(monkeypatch)
-        forced = fit_pb(data)
-        assert root_sizes[0] == 41
-        assert forced.params.beta == pytest.approx(expected.params.beta, rel=1e-12, abs=0)
-        assert forced.params.lam == pytest.approx(expected.params.lam, rel=1e-12, abs=0)
-        assert forced.iterations > 241 + 241 + 41
 
     def test_finer_grid_without_sign_change_raises(self, monkeypatch):
         data = Dataset(sample(40, Params(1.5, 2.0), seed=4))

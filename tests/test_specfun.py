@@ -9,10 +9,8 @@ from scipy.integrate import quad
 
 from ecrlab import specfun
 from ecrlab.specfun import (
-    DEFAULT_CONTROL,
     EULER_GAMMA,
     ConvergenceError,
-    SeriesControl,
     appell_f1,
     beta_fn,
     digamma,
@@ -175,13 +173,14 @@ class TestGauss2F1:
     def test_term_count_reported(self):
         value, terms = gauss_2f1(0.5, 1.5, 2.5, 0.5, full_output=True)
         assert value == pytest.approx(gauss_2f1(0.5, 1.5, 2.5, 0.5), rel=1e-15)
-        assert 0 < terms < DEFAULT_CONTROL.max_terms
+        assert 0 < terms < specfun._MAX_TERMS
 
     def test_convergence_error_carries_state(self):
-        ctl = SeriesControl(rel_tol=1e-15, max_terms=100)
+        # c - a - b = -3.5, so the terms grow like n^2.5 z^n and are still
+        # far above tolerance after the 10,000-term cap at z = 0.9999
         with pytest.raises(ConvergenceError) as err:
-            gauss_2f1(2.0, 3.0, 1.5, 0.99, control=ctl)
-        assert err.value.terms == 100
+            gauss_2f1(2.0, 3.0, 1.5, 0.9999)
+        assert err.value.terms == specfun._MAX_TERMS == 10_000
         assert math.isfinite(err.value.partial)
 
     def test_domain(self):
@@ -268,7 +267,7 @@ class TestLerchPhiHalf:
 
     def test_terms_stay_within_budget(self):
         _, terms = lerch_phi_half(1.0, 0.25, full_output=True)
-        assert terms < DEFAULT_CONTROL.max_terms
+        assert terms < specfun._MAX_TERMS
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -277,14 +276,6 @@ class TestLerchPhiHalf:
 
 class TestSeriesControl:
     def test_defaults(self):
-        assert DEFAULT_CONTROL.rel_tol == 1e-14
-        assert DEFAULT_CONTROL.max_terms >= 100
-
-    @pytest.mark.parametrize("kwargs", [
-        {"rel_tol": 0.0},
-        {"rel_tol": 1e-5},
-        {"max_terms": 50},
-    ])
-    def test_invalid(self, kwargs):
-        with pytest.raises(ValueError):
-            SeriesControl(**kwargs)
+        # the truncation policy every pinned moment was computed with
+        assert specfun._REL_TOL == 1e-14
+        assert specfun._MAX_TERMS == 10_000
