@@ -22,7 +22,11 @@ error, and its iteration count is the 241 grid points plus the
 bisection steps. The grid's data-free factors depend only on the sample
 size; they are memoized for up to four sizes of n <= 543 (about 4 MB
 each), so repeated fits at one size, as in a simulation cell, pay only
-for the two data sums.
+for the two data sums. The bisection walks several levels per pass:
+along the path toward each bracket's secant estimate, as far as the
+sign tests confirm it, or through full subtrees where the root function
+is rounding noise; either way it visits the points one-level bisection
+visits.
 """
 
 from __future__ import annotations
@@ -764,12 +768,13 @@ class _Percentiles:
         self.xs = xs
         self.p = _plotting_positions(xs.size)
         self.log_p = np.log(self.p)
-        self.xs_log_p = xs * self.log_p
-        # Dividing by a power of two is exact, so every objective scales by
-        # 1/unit^2 and no comparison moves, while (model - x)^2 stays in
-        # range at any data scale.
+        # Dividing by a power of two is exact, so the data sums, root values
+        # and lam2 scale by 1/unit and every objective by 1/unit^2, and no
+        # sign or comparison moves, while they stay in range at any data
+        # scale.
         self.unit = math.ldexp(1.0, math.frexp(float(xs[-1]))[1])
         self.xs_unit = xs / self.unit
+        self.xs_log_p = self.xs_unit * self.log_p
 
     def _weights(self, betas: np.ndarray):
         """The weights of ``betas`` per row block: memoized for _SHAPE_GRID
@@ -782,9 +787,10 @@ class _Percentiles:
 
     def sums(self, weights: _PbWeights):
         """(t6, t7, t8, t9): the two data sums t7 and t8 over the sorted
-        sample, with the data-free t6 and t9 passed through."""
+        sample in units of ``unit``, with the data-free t6 and t9 passed
+        through."""
         d_shape_cross = (self.xs_log_p / weights.one_minus_sq * weights.sqrt_ratio).sum(axis=-1)
-        cross = -(self.xs * weights.sqrt_prod / weights.one_minus).sum(axis=-1)
+        cross = -(self.xs_unit * weights.sqrt_prod / weights.one_minus).sum(axis=-1)
         return weights.d_shape_quad, d_shape_cross, cross, weights.quad
 
     def roots(self, betas: np.ndarray) -> np.ndarray:
@@ -798,14 +804,16 @@ class _Percentiles:
     def scores(self, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The scales lam2 = t8/t9 at every shape of ``betas`` and the
         objective there, :func:`pb_objective` on the sample in units of
-        ``unit``; inf where lam2 is not positive and finite."""
+        ``unit``; inf where lam2 is not positive and finite, which it is
+        not where lam2 in units times ``unit`` overflows."""
         lams, scores = [], []
         for weights in self._weights(betas):
             _, _, t8, t9 = self.sums(weights)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                lam = t8 / t9
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                lam_unit = t8 / t9
+                lam = lam_unit * self.unit
             ok = np.isfinite(lam) & (lam > 0.0)
-            model = (lam[ok, None] / self.unit) * weights.sqrt_prod[ok] / weights.one_minus[ok]
+            model = lam_unit[ok, None] * weights.sqrt_prod[ok] / weights.one_minus[ok]
             score = np.full(lam.size, math.inf)
             score[ok] = ((model - self.xs_unit) ** 2).sum(axis=-1)
             lams.append(lam)
@@ -813,11 +821,14 @@ class _Percentiles:
         return np.concatenate(lams), np.concatenate(scores)
 
 
-# Points one bisection pass may evaluate: 2^d - 1 tree points per active
-# bracket at depth d, each a row of the sample's size. Small enough that
-# a pass stays one row block and cheap next to numpy's per-call overhead.
+# Subtree passes evaluate 2^d - 1 tree points per bracket at depth d,
+# each a row of the sample's size. Small enough that a pass stays one
+# row block and cheap next to numpy's per-call overhead.
 _BISECT_ELEMENTS = _BLOCK_ELEMENTS // 8
 _BISECT_MAX_DEPTH = 6
+# Levels a secant path runs past the bracket's previous walk: secants
+# sharpen from pass to pass, so a walk rarely outgrows the last by more.
+_PATH_MARGIN = 4
 
 
 def _sign_changes(values: np.ndarray) -> np.ndarray:
@@ -826,63 +837,113 @@ def _sign_changes(values: np.ndarray) -> np.ndarray:
 
 
 def _bisect_brackets(root_values, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
-                     row_size: int = 1):
-    """Geometric bisection of the sign-change brackets [lo_j, hi_j] together.
+                     f_hi: np.ndarray, row_size: int = 1):
+    """Geometric bisection of the sign-change brackets [lo_j, hi_j]
+    together, several levels per pass, guided by secants.
 
     ``root_values`` maps an array of points to root-function values, at
-    a cost of ``row_size`` elements per point. Each bracket stops on its
-    own: at an exact zero, once its width is at most _STEP_TOL * hi, or
-    after _MAX_ITER steps. One pass evaluates the next d levels of every
-    active bracket's bisection tree: its 2^d - 1 midpoints, each the
-    sqrt(lo hi) of the sub-bracket bisection would hold there. Each
-    bracket then walks down its tree with the sign test against its
-    starting f_lo, so the points visited, and the result, are those of
-    one-level-per-pass bisection. d is the largest depth up to
-    _BISECT_MAX_DEPTH whose points fit in _BISECT_ELEMENTS. Returns the
-    bracket midpoints sqrt(lo hi) and the levels walked by all brackets.
+    a cost of ``row_size`` elements per point; ``f_lo`` and ``f_hi`` are
+    its values at the bracket ends. Each bracket stops on its own: at an
+    exact zero, once its width is at most _STEP_TOL * hi, or after
+    _MAX_ITER steps. A pass sends the points of every active bracket
+    through one ``root_values`` call.
+
+    A bracket's pass evaluates the path one-level bisection would take
+    toward the secant estimate of the root in log beta, formed from the
+    values at the bracket's current ends (the midpoint when the secant
+    ratio is not finite). Each point is the sqrt(lo hi) of the
+    sub-bracket bisection holds there if every earlier turn goes the
+    predicted way. The bracket walks the path with the sign test
+    against its starting f_lo and stops after the first wrong turn: the
+    prefix up to it is verified, the rest lies in the wrong half and is
+    discarded. A path runs _PATH_MARGIN levels past the bracket's
+    previous walk, so a first path has _PATH_MARGIN levels. Where the
+    root function is rounding noise (beta below about 1e-2 at small n),
+    a secant predicts nothing; a bracket whose path breaks within two
+    levels on two passes in a row walks full subtrees instead: all
+    2^d - 1 midpoints of its next d levels, d the largest depth up to
+    _BISECT_MAX_DEPTH whose points fit in _BISECT_ELEMENTS.
+
+    Either way every step is decided at the point, and by the test, of
+    one-level-per-pass bisection, so the points visited, and the
+    result, are bisection's. Returns the bracket midpoints sqrt(lo hi)
+    and the levels walked by all brackets.
     """
-    lo, hi = lo.tolist(), hi.tolist()
+    lo, hi, f_lo, f_hi = lo.tolist(), hi.tolist(), f_lo.tolist(), f_hi.tolist()
+    count = len(lo)
     # lo moves only on a step whose value tests like f_lo, so f_lo > 0
     # never changes and the sign test needs only its starting value.
-    positive = (f_lo > 0).tolist()
-    active = list(range(len(lo)))
-    level = steps = 0
-    while active and level < _MAX_ITER:
+    positive = [f > 0 for f in f_lo]
+    left = [_MAX_ITER] * count
+    path = [_PATH_MARGIN] * count  # path length; 0 once the bracket walks subtrees
+    misses = [0] * count  # passes in a row whose path broke within two levels
+    active = list(range(count))
+    steps = 0
+    while active:
         budget = _BISECT_ELEMENTS // (len(active) * row_size)
-        depth = max(1, min(_BISECT_MAX_DEPTH, (budget + 1).bit_length() - 1, _MAX_ITER - level))
-        points = []
+        depth = max(1, min(_BISECT_MAX_DEPTH, (budget + 1).bit_length() - 1))
+        points, plans = [], []
         for j in active:
-            # Level by level, the sub-brackets are the consecutive pairs of
-            # the sorted edges, so points come out breadth-first: the
-            # children of tree point i are points 2i+1 and 2i+2.
-            edges = [lo[j], hi[j]]
-            for _ in range(depth):
-                mids = [math.sqrt(a * b) for a, b in zip(edges, edges[1:])]
-                points += mids
-                edges[1:] = [e for pair in zip(mids, edges[1:]) for e in pair]
+            a, b = lo[j], hi[j]
+            start = len(points)
+            if path[j]:
+                ratio = f_lo[j] / (f_lo[j] - f_hi[j])
+                target = a * (b / a) ** (ratio if math.isfinite(ratio) else 0.5)
+                turns = []
+                for _ in range(min(path[j], left[j])):
+                    mid = math.sqrt(a * b)
+                    up = mid < target
+                    points.append(mid)
+                    turns.append(up)
+                    if up:
+                        a = mid
+                    else:
+                        b = mid
+            else:
+                # Tree point i bisects sub-bracket i; appending its two halves
+                # in turn lays the points out breadth-first, so the children
+                # of tree point i are points 2i+1 and 2i+2.
+                turns = None
+                subs = [(a, b)]
+                for i in range(2 ** min(depth, left[j]) - 1):
+                    x, y = subs[i]
+                    mid = math.sqrt(x * y)
+                    points.append(mid)
+                    subs += ((x, mid), (mid, y))
+            plans.append((j, start, len(points) - start, turns))
         values = root_values(np.array(points)).tolist()
         still = []
-        for offset, j in zip(range(0, len(points), 2**depth - 1), active):
-            a, b, up_sign, node = lo[j], hi[j], positive[j], offset
-            for walked in range(1, depth + 1):
-                mid, f_mid = points[node], values[node]
+        for j, start, size, turns in plans:
+            a, b, fa, fb, up_sign = lo[j], hi[j], f_lo[j], f_hi[j], positive[j]
+            node = walked = 0
+            while True:
+                mid, f_mid = points[start + node], values[start + node]
+                walked += 1
                 if f_mid == 0.0:
                     a = b = mid
                     break
-                if (f_mid > 0) == up_sign:
-                    a = mid
-                    node += node - offset + 2
+                up = (f_mid > 0) == up_sign
+                if up:
+                    a, fa = mid, f_mid
                 else:
-                    b = mid
-                    node += node - offset + 1
-                if b - a <= _STEP_TOL * b:
+                    b, fb = mid, f_mid
+                if b - a <= _STEP_TOL * b or walked == left[j]:
                     break
-            else:
-                still.append(j)
-            lo[j], hi[j] = a, b
+                if turns is None:
+                    node = 2 * node + 1 + up
+                else:
+                    node = node + 1 if up == turns[node] else size
+                if node >= size:
+                    still.append(j)
+                    break
+            if turns is not None:
+                # walked < size: a wrong turn ended the walk, not the path
+                misses[j] = misses[j] + 1 if walked <= 2 and walked < size else 0
+                path[j] = 0 if misses[j] == 2 else walked + _PATH_MARGIN
             steps += walked
+            left[j] -= walked
+            lo[j], hi[j], f_lo[j], f_hi[j] = a, b, fa, fb
         active = still
-        level += depth
     return np.sqrt(np.array(lo) * np.array(hi)), steps
 
 
@@ -899,6 +960,7 @@ def pb_gradient(data: Dataset, p: Params) -> tuple[float, float]:
     """Analytic gradient of :func:`pb_objective`."""
     percentiles = _Percentiles(data.sorted_values)
     t6, t7, t8, t9 = percentiles.sums(_pb_weights(p.beta, percentiles.p, percentiles.log_p))
+    t7, t8 = t7 * percentiles.unit, t8 * percentiles.unit
     d_beta = 2.0 * p.lam / p.beta**2 * (t7 - p.lam * t6)
     d_lam = 2.0 * (t8 - p.lam * t9)
     return float(d_beta), float(d_lam)
@@ -924,11 +986,21 @@ def fit_pb(data: Dataset) -> FitResult:
     involve the data depend only on n, so they are memoized for the four
     most recent sample sizes with 241 n <= 2^17 (n <= 543, about 4 MB per
     size) and regenerated block by block above that; every other shape
-    gets fresh factors. The objectives are scored on the sample divided by a power of
-    two above its maximum, which changes no comparison and keeps the
-    squares in range at any data scale. All sign-change brackets are
-    bisected together, several levels per pass (see
-    :func:`_bisect_brackets`), each with its own stopping rule.
+    gets fresh factors. The data sums, root values and objectives are
+    formed on the sample divided by a power of two above its maximum,
+    which changes no sign or comparison and keeps them in range at any
+    data scale; lam2 is scaled back at the end, and one that overflows
+    there is inadmissible.
+
+    All sign-change brackets are bisected together, several levels per
+    pass, each with its own stopping rule (see :func:`_bisect_brackets`).
+    A bracket's pass evaluates the bisection path toward the secant
+    estimate of its root, from the grid values at its ends on the first
+    pass, and walks the prefix its sign tests confirm; a bracket whose
+    paths keep breaking at once, as in the noisy beta < 1e-2 region at
+    small n, walks full subtrees of bisection points instead. Every step
+    is decided at bisection's point by bisection's sign test, so the
+    roots and step counts are exactly those of one-level bisection.
     ``iterations`` counts the 241 grid points and the bisection steps.
     """
     xs = data.sorted_values
@@ -941,12 +1013,13 @@ def fit_pb(data: Dataset) -> FitResult:
     sign_change = _sign_changes(vals)
     if not sign_change.size:
         raise FitError("percentile objective has no interior minimum")
-    # Bisection rather than Brent's method: its points are known levels
-    # ahead, so the brackets share one batched pass per few steps, and
-    # Brent's iterates move fits in the noisy beta < 1e-2 region far from
-    # where bisection lands.
+    # Bisection rather than Brent's method: its points can be laid out
+    # levels ahead, so the brackets share one batched pass per few steps,
+    # and Brent's iterates move fits in the noisy beta < 1e-2 region far
+    # from where bisection lands.
     roots, steps = _bisect_brackets(
-        percentiles.roots, grid[sign_change], grid[sign_change + 1], vals[sign_change], n
+        percentiles.roots, grid[sign_change], grid[sign_change + 1], vals[sign_change],
+        vals[sign_change + 1], n,
     )
     root_lams, scores = percentiles.scores(roots)
     _, beta, lam = min(zip(scores.tolist(), roots.tolist(), root_lams.tolist()))

@@ -161,9 +161,40 @@ class TestFit:
         assert shape == pytest.approx(unit_shape, rel=1e-12)
         assert scale == pytest.approx(unit_scale * float(values.split()[0]), rel=1e-12)
 
+    def test_pb_near_the_top_of_the_float_range(self, capsys, monkeypatch):
+        # the percentile sums and root values overflowed on this sample
+        # before they were formed in units of its power of two
+        _, draws, _ = run_cli(capsys, "sample", "--beta", "0.11540217103691063",
+                              "--lambda", "1.6365796583465295e+295", "--n", "30", "--seed", "1983728049")
+        monkeypatch.setattr("sys.stdin", io.StringIO(draws))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run_cli(capsys, "fit", "-", "--method", "pb")
+        assert code == 0, err
+        params = json.loads(out)["params"]
+        assert params["beta"] == pytest.approx(0.0203063, rel=1e-5)
+        assert params["lambda"] == pytest.approx(1.76155e296, rel=1e-5)
+
     def test_unknown_model_rejected_by_parser(self, capsys):
         code, _, _ = run_cli(capsys, "fit", EMBEDDED_NAME, "--model", "cauchy")
         assert code == 2
+
+
+def read_back(log_beta, log_lam, n, seed, method):
+    """Runs ``sample`` and, unless it exits 3, ``fit --method`` on its
+    output; both must exit 0 or 3."""
+    out, err = io.StringIO(), io.StringIO()
+    argv = ["sample", "--beta", repr(10.0**log_beta), "--lambda", repr(10.0**log_lam),
+            "--n", str(n), "--seed", str(seed)]
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 3)
+    if code == 3:
+        return
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        with mock.patch("sys.stdin", io.StringIO(out.getvalue())):
+            code = main(["fit", "-", "--method", method])
+    assert code in (0, 3), err.getvalue()
 
 
 class TestSample:
@@ -212,18 +243,17 @@ class TestSample:
            seed=st.integers(0, 2**32 - 1), method=st.sampled_from(("ml", "csml", "pb")))
     @example(log_beta=math.log10(0.002), log_lam=0.0, n=5, seed=1, method="ml")
     def test_sample_read_back_by_fit_never_exits_two(self, log_beta, log_lam, n, seed, method):
-        out, err = io.StringIO(), io.StringIO()
-        argv = ["sample", "--beta", repr(10.0**log_beta), "--lambda", repr(10.0**log_lam),
-                "--n", str(n), "--seed", str(seed)]
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(argv)
-        assert code in (0, 3)
-        if code == 3:
-            return
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            with mock.patch("sys.stdin", io.StringIO(out.getvalue())):
-                code = main(["fit", "-", "--method", method])
-        assert code in (0, 3), err.getvalue()
+        read_back(log_beta, log_lam, n, seed, method)
+
+    # Up to the top of the float range the percentile fit keeps its sums in
+    # units of the sample's power of two, so no step overflows or warns.
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(log_beta=st.floats(-3.5, 3.0), log_lam=st.floats(150.0, 308.0), n=st.integers(1, 30),
+           seed=st.integers(0, 2**32 - 1))
+    def test_pb_read_back_near_the_float_range_top_never_warns(self, log_beta, log_lam, n, seed):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            read_back(log_beta, log_lam, n, seed, "pb")
 
     def test_round_trip_through_fit(self, capsys, tmp_path):
         _, out, _ = run_cli(capsys, "sample", "--beta", "0.5", "--lambda", "0.6",

@@ -1,10 +1,12 @@
+import contextlib
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ecrlab import inference
@@ -725,16 +727,20 @@ class TestBlockedPasses:
         ps = np.arange(1, n + 1) / (n + 1.0)
         grid = np.logspace(-3.0, 3.0, 241)
         percentiles = inference._Percentiles(xs)
+        unit = percentiles.unit
         blocks = [percentiles.sums(weights) for weights in percentiles._weights(grid)]
         pieces = [np.concatenate(t).tolist() for t in zip(*blocks)]
         roots = percentiles.roots(grid).tolist()
         lams = percentiles.scores(grid)[0].tolist()
         for beta, t6, t7, t8, t9, root, lam in zip(grid.tolist(), *pieces, roots, lams):
-            assert (t6, t7, t8, t9) == reference_pb_pieces(beta, xs, ps)
+            # the data sums are formed on the sample in units of its power of
+            # two, which scales them exactly
+            assert (t6, t7, t8, t9) == reference_pb_pieces(beta, xs / unit, ps)
+            assert (t7 * unit, t8 * unit) == reference_pb_pieces(beta, xs, ps)[1:3]
             assert percentiles.sums(scalar_weights(percentiles, beta)) == (t6, t7, t8, t9)
             assert root == t6 * t8 - t7 * t9
             if t9 != 0.0:
-                assert lam == t8 / t9
+                assert lam == t8 / t9 * unit
 
     def test_joint_bisection_matches_one_at_a_time(self):
         data = Dataset(sample(20, Params(0.5, 1.0), seed=2))
@@ -743,7 +749,8 @@ class TestBlockedPasses:
         vals = percentiles.roots(grid)
         k = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
         assert k.size >= 2
-        roots, steps = inference._bisect_brackets(percentiles.roots, grid[k], grid[k + 1], vals[k])
+        roots, steps = inference._bisect_brackets(percentiles.roots, grid[k], grid[k + 1], vals[k],
+                                                  vals[k + 1])
         expected = [scalar_bisect(lambda b: scalar_root(percentiles, b), grid[j], grid[j + 1], vals[j])
                     for j in k]
         assert roots.tolist() == [r for r, _ in expected]
@@ -752,7 +759,8 @@ class TestBlockedPasses:
     def test_joint_bisection_stops_each_bracket_on_its_own(self):
         # the first bracket's first midpoint is an exact root
         lo, hi = np.array([0.5, 2.5]), np.array([2.0, 3.5])
-        roots, steps = inference._bisect_brackets(lambda b: b - np.round(b), lo, hi, lo - np.round(lo))
+        roots, steps = inference._bisect_brackets(lambda b: b - np.round(b), lo, hi, lo - np.round(lo),
+                                                  hi - np.round(hi))
         expected = [scalar_bisect(lambda b: b - round(b), a, b, a - round(a)) for a, b in zip(lo, hi)]
         assert expected[0] == (1.0, 1)
         assert roots.tolist() == [r for r, _ in expected]
@@ -767,9 +775,17 @@ def recording(fn, sizes):
     return wrapped
 
 
+def step_down(c):
+    """+1 below ``c`` and -1e9 above it: every secant predicts the root
+    next to the bracket's lower end, so with ``c`` near the upper end each
+    path breaks at its first level."""
+    return lambda b: 1.0 - 1e9 * (b >= c)
+
+
 class TestLevelBatchedBisection:
-    """Several bisection levels per pass must visit the points, and give
-    the roots and step counts, of one level per pass."""
+    """Several bisection levels per pass, along secant paths or full
+    subtrees, must visit the points, and give the roots and step counts,
+    of one level per pass."""
 
     @pytest.mark.parametrize("n", [15, 20, 100, 500, 5000])
     def test_matches_one_at_a_time_on_samples(self, n):
@@ -779,48 +795,183 @@ class TestLevelBatchedBisection:
         vals = percentiles.roots(grid)
         k = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
         assert k.size
-        roots, steps = inference._bisect_brackets(percentiles.roots, grid[k], grid[k + 1], vals[k], n)
+        roots, steps = inference._bisect_brackets(percentiles.roots, grid[k], grid[k + 1], vals[k],
+                                                  vals[k + 1], n)
         expected = [scalar_bisect(lambda b: scalar_root(percentiles, b), grid[j], grid[j + 1], vals[j])
                     for j in k]
         assert roots.tolist() == [r for r, _ in expected]
         assert steps == sum(s for _, s in expected)
 
-    @pytest.mark.parametrize("row_size, depth", [(15, 6), (20, 5), (50, 4), (100, 3), (200, 2), (500, 1)])
-    def test_depth_fits_the_element_budget(self, row_size, depth):
-        sizes = []
+    def test_path_runs_the_margin_past_the_last_walk(self):
+        # the first path breaks at its third level; after that the secant
+        # is verified to the end of every path, so each pass is the last
+        # walk plus the margin, whatever the row size
         f = lambda b: b * b - 2.0
         lo, hi = np.array([1.0]), np.array([2.0])
-        roots, steps = inference._bisect_brackets(recording(f, sizes), lo, hi, f(lo), row_size)
+        sizes = []
+        roots, steps = inference._bisect_brackets(recording(f, sizes), lo, hi, f(lo), f(hi), 500)
         root, expected_steps = scalar_bisect(f, 1.0, 2.0, f(1.0))
-        assert sizes[0] == 2**depth - 1
+        assert inference._PATH_MARGIN == 4
+        assert sizes == [4, 3 + 4, 7 + 4, 11 + 4, 15 + 4]
+        assert roots.tolist() == [root] and steps == expected_steps == 40
+
+    @pytest.mark.parametrize("row_size, depth", [(15, 6), (20, 5), (50, 4), (100, 3), (200, 2), (500, 1)])
+    def test_depth_fits_the_element_budget(self, row_size, depth):
+        # two paths that break at their first level, then full subtrees of
+        # the largest depth whose points fit the budget
+        f = step_down(2.0 * (1.0 - 1e-9))
+        lo, hi = np.array([1.0]), np.array([2.0])
+        sizes = []
+        roots, steps = inference._bisect_brackets(recording(f, sizes), lo, hi, f(lo), f(hi), row_size)
+        root, expected_steps = scalar_bisect(f, 1.0, 2.0, f(1.0))
+        assert sizes[:2] == [4, 1 + 4]
+        assert set(sizes[2:]) == {2**depth - 1}
         assert roots.tolist() == [root] and steps == expected_steps
 
     def test_exact_zero_inside_a_pass(self):
-        # the root c is the first bracket's third-level tree point, so its
-        # walk stops there while the second bracket goes on
+        # the root c is the first bracket's third-level tree point and lies
+        # on its first path, so its walk stops there while the second
+        # bracket goes on
         m1 = math.sqrt(0.5 * 3.0)
         c = math.sqrt(math.sqrt(0.5 * m1) * m1)
         f = lambda b: (b - c) * (b - 6.2)
         lo, hi = np.array([0.5, 4.0]), np.array([3.0, 9.0])
         sizes = []
-        roots, steps = inference._bisect_brackets(recording(f, sizes), lo, hi, f(lo))
+        roots, steps = inference._bisect_brackets(recording(f, sizes), lo, hi, f(lo), f(hi))
         expected = [scalar_bisect(f, a, b, f(a)) for a, b in zip(lo.tolist(), hi.tolist())]
-        assert sizes[0] == 2 * (2**6 - 1)
+        assert sizes[0] == 2 * 4
         assert expected[0][1] == 3
         assert roots.tolist() == [r for r, _ in expected]
         assert steps == sum(s for _, s in expected)
 
     def test_iteration_cap_inside_a_pass(self, monkeypatch):
-        # a cap of 10 levels is not a multiple of the six-level passes
+        # the cap is tracked per bracket: after walking 3 and 4 levels the
+        # second paths are 7 and 6 levels, the latter cut from 8 by the cap
         monkeypatch.setattr(inference, "_MAX_ITER", 10)
         f = lambda b: b * b - 2.0
         lo, hi = np.array([1.0, 1.2]), np.array([2.0, 1.5])
         sizes = []
-        roots, steps = inference._bisect_brackets(recording(f, sizes), lo, hi, f(lo))
+        roots, steps = inference._bisect_brackets(recording(f, sizes), lo, hi, f(lo), f(hi))
         expected = [scalar_bisect(f, a, b, f(a), max_iter=10) for a, b in zip(lo.tolist(), hi.tolist())]
-        assert sizes == [2 * (2**6 - 1), 2 * (2**4 - 1)]
+        assert sizes == [2 * 4, 7 + 6]
         assert roots.tolist() == [r for r, _ in expected]
         assert steps == 20 == sum(s for _, s in expected)
+
+    def test_iteration_cap_inside_a_subtree_pass(self, monkeypatch):
+        # a cap of 10 levels is not a multiple of the six-level subtrees:
+        # two path levels, a subtree of 6, then one of the 2 levels left
+        monkeypatch.setattr(inference, "_MAX_ITER", 10)
+        f = step_down(2.0 * (1.0 - 1e-9))
+        lo, hi = np.array([1.0]), np.array([2.0])
+        sizes = []
+        roots, steps = inference._bisect_brackets(recording(f, sizes), lo, hi, f(lo), f(hi))
+        root, expected_steps = scalar_bisect(f, 1.0, 2.0, f(1.0), max_iter=10)
+        assert sizes == [4, 5, 2**6 - 1, 2**2 - 1]
+        assert roots.tolist() == [root] and steps == expected_steps == 10
+
+
+def bisection_case(kind, lo, hi, shares, k, special):
+    """A root function of the given kind on [lo, hi], written with
+    correctly rounded operations only, so one point gives the same value
+    alone or inside an array."""
+    marks = sorted(lo * (hi / lo) ** s for s in shares)
+    if kind == "monotone":
+        r = marks[0]
+        return lambda b: (b - r) * (1.0 + b * b)
+    if kind == "several":
+        def several(b):
+            out = b - marks[0]
+            for r in marks[1:]:
+                out = out * (b - r)
+            return out
+        return several
+    if kind == "noisy":
+        return lambda b: b - np.round(b, k)
+    if kind == "nonfinite":
+        r, end = marks[0], marks[-1]
+        return lambda b: np.where((b > r) & (b < end), special, (b - r) * 3.0)
+    # "zero": the tree point reached by the turns of k's bits, an exact root
+    x, y = lo, hi
+    for level in range(1 + k % 12):
+        mid = math.sqrt(x * y)
+        if (k >> level) & 1:
+            x = mid
+        else:
+            y = mid
+    c = math.sqrt(x * y)
+    return lambda b: b - c
+
+
+class TestGuidedBisectionProperty:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(("monotone", "several", "noisy", "nonfinite", "zero")),
+           lo=st.floats(1e-3, 1e2), log_width=st.floats(0.01, 5.0),
+           shares=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
+           k=st.integers(0, 4095), special=st.sampled_from((math.nan, math.inf, -math.inf)),
+           grid_size=st.integers(2, 33), row_size=st.integers(1, 5000),
+           cap=st.sampled_from((200, 37, 10, 1)))
+    def test_same_points_roots_and_steps_as_one_level_bisection(
+            self, kind, lo, log_width, shares, k, special, grid_size, row_size, cap):
+        hi = lo * math.exp(log_width)
+        f = bisection_case(kind, lo, hi, shares, k % 8 if kind == "noisy" else k, special)
+        grid = np.geomspace(lo, hi, grid_size)
+        vals = f(grid)
+        j = inference._sign_changes(vals)
+        assume(j.size)
+        evaluated = set()
+
+        def root_values(points):
+            evaluated.update(points.tolist())
+            return f(points)
+
+        with mock.patch.object(inference, "_MAX_ITER", cap):
+            roots, steps = inference._bisect_brackets(root_values, grid[j], grid[j + 1], vals[j],
+                                                      vals[j + 1], row_size)
+        visited = []
+
+        def scalar(x):
+            visited.append(x)
+            return f(np.array([x]))[0]
+
+        expected = [scalar_bisect(scalar, grid[i], grid[i + 1], vals[i], max_iter=cap) for i in j]
+        assert set(visited) <= evaluated
+        assert roots.tolist() == [r for r, _ in expected]
+        assert steps == sum(s for _, s in expected)
+
+
+class TestBisectionPassCount:
+    """Root-function calls of fit_pb's bisection, per fit, on the
+    simulation study's seed-0 samples (40 per cell). A count repeats
+    exactly, so this cannot flake; it fails if the bisection falls back to
+    few levels per pass."""
+
+    # the mean at n = 20 with a full subtree per pass for every bracket
+    SUBTREE_PASSES_N20 = 12.45
+
+    def test_mean_passes_per_fit(self, monkeypatch):
+        bisect = inference._bisect_brackets
+        passes = []
+
+        def counting(root_values, *args):
+            passes.append(0)
+
+            def counted(points):
+                passes[-1] += 1
+                return root_values(points)
+
+            return bisect(counted, *args)
+
+        monkeypatch.setattr(inference, "_bisect_brackets", counting)
+        per_size = {}
+        for cell, (beta, n) in enumerate([(0.5, 20), (0.5, 100), (0.5, 500), (2.0, 20), (2.0, 100), (2.0, 500)]):
+            for rep in range(40):
+                start = len(passes)
+                with contextlib.suppress(FitError):
+                    fit_pb(study_draw(0, (cell, rep), n, (beta, 1.0)))
+                per_size.setdefault(n, []).extend(passes[start:])
+        means = {n: sum(counts) / len(counts) for n, counts in per_size.items()}
+        assert means[100] <= 8.0 and means[500] <= 8.0
+        assert means[20] <= 1.2 * self.SUBTREE_PASSES_N20
 
 
 class TestPbFallbackObjective:
@@ -845,7 +996,8 @@ class TestPbFallbackObjective:
 
         monkeypatch.setattr(inference._Percentiles, "sums", inadmissible)
         lams, scores = percentiles.scores(grid)
-        assert lams[::17].tolist() == [-1.0] * 15
+        # t8 is in units of ``unit``, so lam2 is -1 unit at every 17th shape
+        assert lams[::17].tolist() == [-unit] * 15
         assert math.isnan(lams[5]) and lams[9] == math.inf
         scaled = Dataset(data.values / unit)
         expected = [
