@@ -156,10 +156,16 @@ def _log_u(x, two_log_x, lam, s, log_s):
 
     Below the scale the rationalized form log(x^2) - log(s) - log(s+lam)
     avoids the 1 - lam/s cancellation; above it log1p(-lam/s) keeps
-    resolution all the way down to lam/s ~ 1e-300.
+    resolution all the way down to lam/s ~ 1e-300. When s + lam
+    overflows, near the top of the floating-point range, log(s+lam) is
+    taken as log(s) + log1p(lam/s) instead.
     """
-    with np.errstate(divide="ignore", invalid="ignore"):
-        rational = two_log_x - log_s - np.log(s + lam)
+    with np.errstate(divide="ignore", invalid="ignore", over="raise"):
+        try:
+            log_s_lam = np.log(s + lam)
+        except FloatingPointError:
+            log_s_lam = log_s + np.log1p(lam / s)
+        rational = two_log_x - log_s - log_s_lam
         direct = np.log1p(-lam / s)
     return np.where(x < lam, rational, direct)
 

@@ -8,6 +8,14 @@ Anderson-Darling statistics of Chen & Balakrishnan (1995): the fitted
 probability integral transforms are pushed through the standard normal
 quantile, standardized, and mapped back before the classical statistics
 and the (1 + 0.5/n) and (1 + 0.75/n + 2.25/n^2) factors are applied.
+
+Each comparison fit is a maximum-likelihood estimate or a typed failure.
+The log-normal fit is closed-form. The others profile out all but one
+parameter and solve that profile's score (for Weibull and gamma, the
+shape equation) by Brent's method on a fixed bracket, through the root
+path ``fit_ml`` uses: a score that does not change sign on its bracket,
+or a search that does not converge, raises :class:`inference.FitError`
+naming the equation.
 """
 
 from __future__ import annotations
@@ -17,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq, minimize_scalar
 from scipy.special import gammainc, ndtr, ndtri
 
 from . import inference, specfun
@@ -176,22 +183,24 @@ def _fit_cr(data: Dataset) -> tuple[float]:
 def _fit_weibull(data: Dataset) -> tuple[float, float]:
     # Profile likelihood: the shape solves
     # 1/a + mean(log x) - sum(x^a log x)/sum(x^a) = 0, then
-    # scale = mean(x^a)^(1/a). The equation is scale invariant, so the
-    # data is normalized by its geometric mean, and the scale is that mean
-    # times the normalized data's scale. Its ratio is also unchanged when
+    # scale = mean(x^a)^(1/a). The equation is scale invariant, so it is
+    # solved on log x minus its mean. Its ratio is also unchanged when
     # every x^a is divided by max(x)^a, which keeps the weights in range
-    # at any shape of the bracket.
-    geo = math.exp(float(np.mean(np.log(data.values))))
-    x = data.values / geo
-    log_x = np.log(x)
-    shifted = log_x - log_x.max()
+    # at any shape of the bracket; the scale is formed in logs from the
+    # same weights, so neither step leaves the floating-point range.
+    log_x = np.log(data.values)
+    log_geo = float(np.mean(log_x))
+    log_x = log_x - log_geo
+    top = float(log_x.max())
+    shifted = log_x - top
 
     def shape_eq(a: float) -> float:
         xa = np.exp(a * shifted)
         return 1.0 / a - float(np.sum(xa * log_x) / np.sum(xa))
 
-    a = brentq(shape_eq, 1e-3, 100.0, xtol=1e-13, rtol=1e-15)
-    return a, geo * float(np.mean(x**a)) ** (1.0 / a)
+    a, _ = inference._falling_root(shape_eq, 1e-3, 100.0, "Weibull shape equation")
+    # a power mean of the data, so it lies between their min and max
+    return a, math.exp(log_geo + top + math.log(float(np.mean(np.exp(a * shifted)))) / a)
 
 
 def _fit_gamma(data: Dataset) -> tuple[float, float]:
@@ -203,7 +212,7 @@ def _fit_gamma(data: Dataset) -> tuple[float, float]:
     def shape_eq(p: float) -> float:
         return math.log(p) - specfun.digamma(p) - gap
 
-    shape = brentq(shape_eq, 1e-6, 1e6, xtol=1e-13, rtol=1e-15)
+    shape, _ = inference._falling_root(shape_eq, 1e-6, 1e6, "gamma shape equation")
     return shape, float(np.mean(x)) / shape
 
 
@@ -211,33 +220,43 @@ def _fit_lognormal(data: Dataset) -> tuple[float, float]:
     log_x = np.log(data.values)
     mu = float(np.mean(log_x))
     sigma = float(np.sqrt(np.mean((log_x - mu) ** 2)))
+    if sigma == 0.0:
+        raise inference.FitError("log-normal sigma estimate is 0: the logs of the data are all equal")
     return mu, sigma
+
+
+def _log1mexp(t):
+    """log(1 - e^(-t)) for t >= 0: log(-expm1(-t)) below log 2, where
+    1 - e^(-t) is small, and log1p(-e^(-t)) above it, where e^(-t) is."""
+    with np.errstate(divide="ignore"):
+        return np.where(t < math.log(2.0), np.log(-np.expm1(-t)), np.log1p(-np.exp(-t)))
 
 
 def _fit_ee(data: Dataset) -> tuple[float, float]:
     # Exponentiated exponential F(x) = (1 - exp(-rate x))^alpha; for a
-    # fixed rate the shape closes as alpha(rate) = -n / sum log(1-e^(-rate x)).
-    # log1p keeps the sum negative even when rate * x is large.
+    # fixed rate the shape closes as alpha(rate) = -n / sum log(1-e^(-rate x)),
+    # and the rate solves the profile score
+    # n/rate - sum x + (alpha(rate) - 1) sum x e^(-rate x) / (1 - e^(-rate x)),
+    # whose terms tend to 1/rate where rate x underflows to 0.
     x = data.values
     n = data.n
-    scale = float(np.mean(x))
+    total = float(np.sum(x))
 
-    def sum_log_g(rate: float) -> float:
-        return float(np.sum(np.log1p(-np.exp(-rate * x))))
+    def shape(rate: float) -> float:
+        return -n / float(np.sum(_log1mexp(rate * x)))
 
-    def neg_profile(rate: float) -> float:
-        s = sum_log_g(rate)
-        alpha = -n / s
-        return -(n * math.log(alpha * rate) - rate * float(np.sum(x)) + (alpha - 1.0) * s)
+    def score(rate: float) -> float:
+        t = rate * x
+        with np.errstate(divide="ignore", invalid="ignore"):
+            terms = np.where(t > 0.0, x * np.exp(-t) / -np.expm1(-t), 1.0 / rate)
+        return n / rate - total + (shape(rate) - 1.0) * float(np.sum(terms))
 
-    res = minimize_scalar(
-        neg_profile,
-        bounds=(1e-4 / scale, 1e2 / scale),
-        method="bounded",
-        options={"xatol": 1e-14 / scale},
-    )
-    rate = float(res.x)
-    return -n / sum_log_g(rate), rate
+    scale = total / n
+    rate, _ = inference._falling_root(score, 1e-4 / scale, 1e2 / scale, "EE profile score")
+    alpha = shape(rate)
+    if not alpha > 0.0:
+        raise inference.FitError("EE shape estimate is 0: rate * x underflows to 0 at the root")
+    return alpha, rate
 
 
 def _ecr_loglik(data: Dataset, theta) -> float:
@@ -248,16 +267,17 @@ def _cr_loglik(data: Dataset, theta) -> float:
     return inference.log_likelihood(data, Params(1.0, theta[0]))
 
 
+# The Weibull cdf and log-likelihood go through log(x/b) = log x - log b,
+# because x/b itself leaves the floating-point range on data spanning it.
 def _weibull_cdf(x, theta):
     a, b = theta
-    return -np.expm1(-((np.asarray(x, dtype=float) / b) ** a))
+    return -np.expm1(-np.exp(a * (np.log(np.asarray(x, dtype=float)) - math.log(b))))
 
 
 def _weibull_loglik(data: Dataset, theta) -> float:
     a, b = theta
-    x = data.values
-    z = (x / b) ** a
-    return float(np.sum(math.log(a / b) + (a - 1.0) * np.log(x / b) - z))
+    log_z = np.log(data.values) - math.log(b)
+    return float(np.sum(math.log(a) - math.log(b) + (a - 1.0) * log_z - np.exp(a * log_z)))
 
 
 def _gamma_cdf(x, theta):
@@ -295,7 +315,7 @@ def _ee_cdf(x, theta):
 def _ee_loglik(data: Dataset, theta) -> float:
     alpha, rate = theta
     x = data.values
-    log_g = np.log(-np.expm1(-rate * x))
+    log_g = _log1mexp(rate * x)
     return float(data.n * math.log(alpha * rate) - rate * np.sum(x) + (alpha - 1.0) * np.sum(log_g))
 
 
@@ -346,8 +366,8 @@ def fit_comparison_models(data: Dataset) -> list[ComparisonFit]:
     """Fit all registered models and report them sorted by W*.
 
     A model whose fit fails with a fit error (``RuntimeError``, which
-    covers :class:`inference.FitError` and scipy's non-convergence,
-    ``ValueError`` or ``ArithmeticError``) is kept in the output with its
+    covers :class:`inference.FitError`, ``ValueError`` or
+    ``ArithmeticError``) is kept in the output with its
     error message and sorts last; any other exception is a defect and
     propagates. Data with fewer than two distinct observations raise
     :class:`InputError` before any model is fitted.

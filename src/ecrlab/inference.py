@@ -171,7 +171,7 @@ class _Kernel:
             log_s = np.log(s)
             sums_log_s = log_s.sum(axis=1).tolist()
             sums_log_u = _log_u(self.x, self.two_log_x, col, s, log_s).sum(axis=1).tolist()
-            for lam, sum_log_s, sum_log_u in zip(col[:, 0], sums_log_s, sums_log_u):
+            for lam, sum_log_s, sum_log_u in zip(col[:, 0].tolist(), sums_log_s, sums_log_u):
                 sum_log_u = _checked_sum_log_u(lam, sum_log_u)
                 values.append(_profile_from_sums(self.n, lam, self.sum_log_x, sum_log_s, sum_log_u))
         return values
@@ -240,7 +240,12 @@ def profile_log_likelihood(data: Dataset, lam: float) -> float:
 
 def _profile_from_sums(n: int, lam: float, sum_log_x: float, sum_log_s: float,
                        sum_log_u: float) -> float:
-    return n * (math.log(-n * lam / sum_log_u) - 1.0) + sum_log_x - 3.0 * sum_log_s - sum_log_u
+    # beta(lam) * lam can leave the floating-point range near its ends
+    # while its log does not
+    ratio = -n * lam / sum_log_u
+    log_ratio = (math.log(ratio) if 0.0 < ratio < math.inf
+                 else math.log(n) + math.log(lam) - math.log(-sum_log_u))
+    return n * (log_ratio - 1.0) + sum_log_x - 3.0 * sum_log_s - sum_log_u
 
 
 def _row_blocks(values: np.ndarray, n: int):
@@ -271,6 +276,19 @@ def _brent_root(f, lo: float, hi: float) -> tuple[float, int, bool]:
     return root, info.function_calls, info.converged
 
 
+def _falling_root(f, lo: float, hi: float, what: str) -> tuple[float, int]:
+    """:func:`_brent_root` of an ``f`` that falls from + at ``lo`` to - at
+    ``hi``; returns (root, function calls). ``f`` without that sign change,
+    or on which Brent's method does not converge, raises :class:`FitError`
+    naming ``what``."""
+    if not f(lo) > 0.0 > f(hi):
+        raise FitError(f"{what} has no bracketed root")
+    root, calls, converged = _brent_root(f, lo, hi)
+    if not converged:
+        raise FitError(f"{what} did not converge")
+    return root, calls
+
+
 def _score_half_cell(kernel: _Kernel, grid: np.ndarray, k: int) -> tuple[float, float] | None:
     """The half-cell next to the interior grid argmax ``k`` where the
     profile score falls from + to -: [grid[k], grid[k+1]] when the score
@@ -284,11 +302,11 @@ def _score_half_cell(kernel: _Kernel, grid: np.ndarray, k: int) -> tuple[float, 
     return (lo, lam) if kernel.score(lo) > 0.0 else None
 
 
-def fit_ml(data: Dataset, init: Params | None = None) -> FitResult:
+def fit_ml(data: Dataset) -> FitResult:
     """Maximum likelihood via the profile in the scale parameter.
 
-    A 41-point geometric grid (factor 4 around ``init.lam`` or the
-    median / sqrt(3)) brackets the profile maximum; the profile score at
+    A 41-point geometric grid (factor 4 around the median / sqrt(3))
+    brackets the profile maximum; the profile score at
     the grid's argmax and at one neighbour picks the half-cell where the
     score falls from + to -, and Brent's method finds the root there.
     When two stationary points share the argmax's cell and neither
@@ -317,7 +335,7 @@ def fit_ml(data: Dataset, init: Params | None = None) -> FitResult:
         raise FitError("need at least two distinct observations to fit")
 
     kernel = _Kernel(x)
-    center = init.lam if init is not None else float(np.median(x)) / math.sqrt(3.0)
+    center = float(np.median(x)) / math.sqrt(3.0)
     with np.errstate(over="ignore", under="ignore"):
         grid = center * 4.0 ** np.arange(-20.0, 21.0)
     if not (np.all(np.isfinite(grid)) and grid[0] > 0.0):
@@ -406,9 +424,10 @@ def fit_cr(data: Dataset) -> FitResult:
 
     The scale score n/lam - 3 lam sum 1/s^2 is monotone, so the root is
     bracketed on [1e-6 min x, 1e3 max x] and found by Brent's method;
-    ``iterations`` counts its score evaluations and ``converged`` is its
-    verdict. The shape entry of ``std_errors`` is 0 because beta is not
-    estimated.
+    ``iterations`` counts its score evaluations. A score without a sign
+    change there, or a root search that does not converge, raises
+    :class:`FitError`. The shape entry of ``std_errors`` is 0 because beta
+    is not estimated.
     """
     x = data.values
     n = data.n
@@ -416,11 +435,8 @@ def fit_cr(data: Dataset) -> FitResult:
     def g(lam: float) -> float:
         return n / lam - 3.0 * _inverse_sums(lam, np.hypot(lam, x))[1]
 
-    lo = float(np.min(x)) * 1e-6
-    hi = float(np.max(x)) * 1e3
-    if not (g(lo) > 0.0 > g(hi)):
-        raise FitError("CR scale score has no bracketed root")
-    lam, iterations, converged = _brent_root(g, lo, hi)
+    lam, iterations = _falling_root(g, float(np.min(x)) * 1e-6, float(np.max(x)) * 1e3,
+                                    "CR scale score")
     params = Params(1.0, lam)
     # Expected information for the single scale parameter: 4n/(5 lam^2).
     se = lam / math.sqrt(0.8 * n)
@@ -430,7 +446,7 @@ def fit_cr(data: Dataset) -> FitResult:
         loglik=log_likelihood(data, params),
         method="ml",
         iterations=iterations,
-        converged=converged,
+        converged=True,
         n=n,
     )
 

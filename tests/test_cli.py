@@ -7,13 +7,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ecrlab import specfun
 from ecrlab.cli import main
-from ecrlab.data import EMBEDDED_NAME
+from ecrlab.data import EMBEDDED_NAME, Dataset
 from ecrlab.ecr import Params, sample
+from ecrlab.inference import fit_cs_ml, fit_ml
 
 
 def run_cli(capsys, *argv):
@@ -180,21 +181,27 @@ class TestFit:
         assert code == 2
 
 
+def run_on_stdin(text, *argv):
+    """``main(argv)`` on ``text`` as standard input, with every warning an
+    error; returns (exit code, stdout, stderr)."""
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(), mock.patch("sys.stdin", io.StringIO(text)):
+        warnings.simplefilter("error")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
 def read_back(log_beta, log_lam, n, seed, method):
     """Runs ``sample`` and, unless it exits 3, ``fit --method`` on its
-    output; both must exit 0 or 3."""
-    out, err = io.StringIO(), io.StringIO()
-    argv = ["sample", "--beta", repr(10.0**log_beta), "--lambda", repr(10.0**log_lam),
-            "--n", str(n), "--seed", str(seed)]
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+    output; both must exit 0 or 3 without a warning."""
+    code, out, _ = run_on_stdin("", "sample", "--beta", repr(10.0**log_beta), "--lambda", repr(10.0**log_lam),
+                                "--n", str(n), "--seed", str(seed))
     assert code in (0, 3)
     if code == 3:
         return
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        with mock.patch("sys.stdin", io.StringIO(out.getvalue())):
-            code = main(["fit", "-", "--method", method])
-    assert code in (0, 3), err.getvalue()
+    code, _, err = run_on_stdin(out, "fit", "-", "--method", method)
+    assert code in (0, 3), err
 
 
 class TestSample:
@@ -238,12 +245,31 @@ class TestSample:
 
     # Every printed draw is a valid observation, so reading a sample back
     # can fail only numerically (exit 3), never as bad input (exit 2).
+    # Near the top of the float range s + lam and beta(lam) * lam overflow
+    # where their logs do not.
     @settings(derandomize=True, max_examples=60, deadline=None)
-    @given(log_beta=st.floats(-3.5, 3.0), log_lam=st.floats(-150.0, 150.0), n=st.integers(1, 30),
+    @given(log_beta=st.floats(-3.5, 3.0), log_lam=st.floats(-150.0, 308.0), n=st.integers(1, 30),
            seed=st.integers(0, 2**32 - 1), method=st.sampled_from(("ml", "csml", "pb")))
     @example(log_beta=math.log10(0.002), log_lam=0.0, n=5, seed=1, method="ml")
     def test_sample_read_back_by_fit_never_exits_two(self, log_beta, log_lam, n, seed, method):
         read_back(log_beta, log_lam, n, seed, method)
+
+    @pytest.mark.parametrize("method", ["ml", "csml"])
+    def test_ml_near_the_top_of_the_float_range(self, method):
+        # s + lam in log u and -n * lam in the profile overflowed on this
+        # sample: three RuntimeWarnings, then exit 3; the fit must be that
+        # of the sample divided by 2^986
+        _, draws, _ = run_on_stdin("", "sample", "--beta", "0.29544347344426447",
+                                   "--lambda", "7.662214500367946e+296", "--n", "23", "--seed", "349815427")
+        code, out, err = run_on_stdin(draws, "fit", "-", "--method", method)
+        assert code == 0, err
+        params = json.loads(out)["params"]
+        unit = Dataset(np.array([float(v) for v in draws.splitlines()[1:]]) / 2.0**986)
+        ml = fit_ml(unit)
+        if method == "csml":
+            ml = fit_cs_ml(unit, ml)
+        assert params["beta"] == pytest.approx(ml.params.beta, rel=1e-9)
+        assert params["lambda"] == pytest.approx(ml.params.lam * 2.0**986, rel=1e-9)
 
     # Up to the top of the float range the percentile fit keeps its sums in
     # units of the sample's power of two, so no step overflows or warns.
@@ -355,6 +381,85 @@ class TestGofAndTtt:
         last = lines[-1].split(",")
         assert float(last[0]) == 1.0
         assert float(last[1]) == pytest.approx(1.0, rel=1e-12)
+
+
+COMPARISON_COMMANDS = [("fit", "-", "--model", m) for m in ("ecr", "cr", "weibull", "gamma", "lognormal", "ee")]
+COMPARISON_COMMANDS.append(("gof", "-"))
+
+
+@st.composite
+def contract_samples(draw):
+    """n = 2-40 positive values, log10 in [-300, 300], with at least two
+    distinct values (gof rejects fewer as bad input): spread out, tied
+    onto two or three values, or near-constant."""
+    n = draw(st.integers(2, 40))
+    kind = draw(st.sampled_from(("spread", "ties", "near")))
+    if kind == "near":
+        base = 10.0 ** draw(st.floats(-300.0, 300.0))
+        rel = 10.0 ** draw(st.floats(-15.0, -1.0))
+        values = [base * (1.0 + rel * k) for k in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
+    else:
+        logs = st.floats(-300.0, 300.0)
+        if kind == "ties":
+            logs = st.sampled_from(draw(st.lists(logs, min_size=2, max_size=3)))
+        values = [10.0**v for v in draw(st.lists(logs, min_size=n, max_size=n))]
+    assume(len(set(values)) >= 2)
+    return "".join(f"{v!r}\n" for v in values)
+
+
+class TestComparisonFitContract:
+    """Each comparison fit is a maximum-likelihood estimate or a typed
+    numerical failure (exit 3) that names its equation."""
+
+    NEAR_CONSTANT = "1.0\n1.0001\n1.0002\n"
+
+    @pytest.mark.parametrize("model, equation", [("weibull", "Weibull shape equation"),
+                                                 ("gamma", "gamma shape equation"),
+                                                 ("ee", "EE profile score")])
+    def test_near_constant_sample_has_no_root(self, model, equation):
+        # scipy's bare sign error (exit 2) for the shape equations; for EE
+        # the bounded minimizer reported the bracket's upper end (exit 0)
+        code, out, err = run_on_stdin(self.NEAR_CONSTANT, "fit", "-", "--model", model)
+        assert (code, out, err) == (3, "", f"error: {equation} has no bracketed root\n")
+
+    def test_ee_fits_a_tiny_observation(self):
+        # log1p(-exp(-rate x)) is log(0) at rate x ~ 1e-21: a divide-by-zero
+        # warning, then a bare "math domain error" (exit 2); the pins are a
+        # 40-digit mpmath root of the profile score, to 5e-14
+        text = "1e-20\n1\n2\n3\n5\n"
+        code, out, err = run_on_stdin(text, "fit", "-", "--model", "ee")
+        assert code == 0, err
+        shape, rate = json.loads(out)["params"].values()
+        assert shape == pytest.approx(0.08894962578672347, rel=1e-9)
+        assert rate == pytest.approx(0.0717192160531141, rel=1e-9)
+        code, out, err = run_on_stdin(text, "gof", "-")
+        assert code == 0, err
+        assert all("error" not in report for report in json.loads(out)["reports"])
+
+    def test_lognormal_on_equal_logs_exits_three(self):
+        # these logs round to one value, so sigma = 0 divided by zero: a
+        # warning, then a bare "math domain error" (exit 2)
+        code, out, err = run_on_stdin("1.00000000000002e+30\n1.00000000000003e+30\n", "fit", "-", "--model", "lognormal")
+        assert (code, out, err) == (3, "", "error: log-normal sigma estimate is 0: the logs of the data are all equal\n")
+
+    def test_unconverged_cr_scale_exits_three(self):
+        # Brent's method stops after 200 iterations across 600 orders of
+        # magnitude; the unconverged scale used to be printed (exit 0)
+        code, out, err = run_on_stdin("1e-300\n1e-100\n1\n1e100\n1e300\n", "fit", "-", "--model", "cr")
+        assert (code, out, err) == (3, "", "error: CR scale score did not converge\n")
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(text=contract_samples())
+    @example(text=NEAR_CONSTANT)
+    @example(text="1e-20\n1\n2\n3\n5\n")
+    @example(text="1e-300\n1e-100\n1\n1e100\n1e300\n")
+    def test_exit_contract_property(self, text):
+        for argv in COMPARISON_COMMANDS:
+            code, out, err = run_on_stdin(text, *argv)
+            assert code in (0, 3), (argv, err)
+            assert err == "" if code == 0 else err.startswith("error: ") and err.count("\n") == 1
+            for bare in ("must have different signs", "math domain error"):
+                assert bare not in out + err, (argv, out, err)
 
 
 class TestSimulate:

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ecrlab.data import Dataset, InputError
 from ecrlab.ecr import Params, cdf, quantile, sample
@@ -254,3 +256,31 @@ class TestComparisonModels:
         report = gof_report(heart_data, entry, (24.491,))
         assert report.model == "cr"
         assert report.ks == pytest.approx(0.132, abs=1e-3)
+
+
+# How each comparison fit's parameters follow the data scaled by c: shapes
+# are scale free, scales move with c and the EE rate against it.
+SCALED = {
+    "cr": lambda theta, c: (c * theta[0],),
+    "weibull": lambda theta, c: (theta[0], c * theta[1]),
+    "gamma": lambda theta, c: (theta[0], c * theta[1]),
+    "ee": lambda theta, c: (theta[0], theta[1] / c),
+}
+
+
+class TestComparisonFitScaleEquivariance:
+    @settings(derandomize=True, max_examples=120, deadline=None)
+    @given(model=st.sampled_from(tuple(SCALED)), seed=st.integers(0, 2**32 - 1), n=st.integers(5, 200),
+           beta=st.floats(0.3, 3.0), log_c=st.floats(-100.0, 100.0))
+    def test_scale_equivariance_property(self, model, seed, n, beta, log_c):
+        data = Dataset(sample(n, Params(beta, 1.0), seed=seed))
+        c = 10.0**log_c
+        fit = MODELS[model].fit
+        try:
+            base = fit(data)
+        except FitError:
+            # scaling must not turn a failure into a fit either
+            with pytest.raises(FitError):
+                fit(data.scaled(c))
+            return
+        assert fit(data.scaled(c)) == pytest.approx(SCALED[model](base, c), rel=1e-10, abs=0)
