@@ -136,10 +136,16 @@ def _kernel(x, lam: float):
 
     u is formed as (x/s)(x/(s+lam)), the rationalized 1 - lam/s without
     cancellation; neither x^2 nor s^2 is formed, so u stays accurate
-    where they would overflow or underflow.
+    where they would overflow or underflow. When s + lam overflows, near
+    the top of the floating-point range, x/(s+lam) is taken as
+    (x/s)/(1 + lam/s) instead.
     """
     s = np.hypot(lam, x)
-    u = (x / s) * (x / (s + lam))
+    with np.errstate(over="raise"):
+        try:
+            u = (x / s) * (x / (s + lam))
+        except FloatingPointError:
+            u = (x / s) * ((x / s) / (1.0 + lam / s))
     return s, u
 
 

@@ -24,8 +24,7 @@ size; they are memoized for up to four sizes of n <= 543 (about 4 MB
 each), so repeated fits at one size, as in a simulation cell, pay only
 for the two data sums. The bisection walks several levels per pass:
 along the path toward each bracket's secant estimate, as far as the
-sign tests confirm it, or through full subtrees where the root function
-is rounding noise; either way it visits the points one-level bisection
+sign tests confirm it, so it visits the points one-level bisection
 visits.
 """
 
@@ -728,7 +727,11 @@ def _plotting_positions(n: int) -> np.ndarray:
 class _PbWeights(NamedTuple):
     """The data-free factors of the percentile sums at a shape or a (k, 1)
     column of shapes, with w = p^(1/beta): t6 and t9 themselves and the
-    factors t7, t8 and the model percentiles multiply the sample by."""
+    factors t7, t8 and the model percentiles multiply the sample by.
+
+    t9 = n - sum 1/(1-w)^2 is summed as -sum w(2-w)/(1-w)^2, term by term
+    the same quantity: every term has one sign, so no two sums near n
+    cancel where w is small, and t9 < 0 wherever some w is positive."""
 
     d_shape_quad: np.ndarray  # t6
     quad: np.ndarray  # t9
@@ -745,7 +748,7 @@ def _pb_weights(beta, p: np.ndarray, log_p: np.ndarray) -> _PbWeights:
     two_minus = 2.0 - w
     return _PbWeights(
         (w * log_p / one_minus**3).sum(axis=-1),
-        p.size - (1.0 / one_minus_sq).sum(axis=-1),
+        -(w * two_minus / one_minus_sq).sum(axis=-1),
         one_minus_sq,
         np.sqrt(w / two_minus),
         np.sqrt(two_minus * w),
@@ -837,11 +840,6 @@ class _Percentiles:
         return np.concatenate(lams), np.concatenate(scores)
 
 
-# Subtree passes evaluate 2^d - 1 tree points per bracket at depth d,
-# each a row of the sample's size. Small enough that a pass stays one
-# row block and cheap next to numpy's per-call overhead.
-_BISECT_ELEMENTS = _BLOCK_ELEMENTS // 8
-_BISECT_MAX_DEPTH = 6
 # Levels a secant path runs past the bracket's previous walk: secants
 # sharpen from pass to pass, so a walk rarely outgrows the last by more.
 _PATH_MARGIN = 4
@@ -853,16 +851,15 @@ def _sign_changes(values: np.ndarray) -> np.ndarray:
 
 
 def _bisect_brackets(root_values, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
-                     f_hi: np.ndarray, row_size: int = 1):
+                     f_hi: np.ndarray):
     """Geometric bisection of the sign-change brackets [lo_j, hi_j]
     together, several levels per pass, guided by secants.
 
-    ``root_values`` maps an array of points to root-function values, at
-    a cost of ``row_size`` elements per point; ``f_lo`` and ``f_hi`` are
-    its values at the bracket ends. Each bracket stops on its own: at an
-    exact zero, once its width is at most _STEP_TOL * hi, or after
-    _MAX_ITER steps. A pass sends the points of every active bracket
-    through one ``root_values`` call.
+    ``root_values`` maps an array of points to root-function values;
+    ``f_lo`` and ``f_hi`` are its values at the bracket ends. Each
+    bracket stops on its own: at an exact zero, once its width is at
+    most _STEP_TOL * hi, or after _MAX_ITER steps. A pass sends the
+    points of every active bracket through one ``root_values`` call.
 
     A bracket's pass evaluates the path one-level bisection would take
     toward the secant estimate of the root in log beta, formed from the
@@ -873,14 +870,11 @@ def _bisect_brackets(root_values, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarr
     against its starting f_lo and stops after the first wrong turn: the
     prefix up to it is verified, the rest lies in the wrong half and is
     discarded. A path runs _PATH_MARGIN levels past the bracket's
-    previous walk, so a first path has _PATH_MARGIN levels. Where the
-    root function is rounding noise (beta below about 1e-2 at small n),
-    a secant predicts nothing; a bracket whose path breaks within two
-    levels on two passes in a row walks full subtrees instead: all
-    2^d - 1 midpoints of its next d levels, d the largest depth up to
-    _BISECT_MAX_DEPTH whose points fit in _BISECT_ELEMENTS.
+    previous walk, so a first path has _PATH_MARGIN levels. A root
+    function whose secants predict nothing still ends where bisection
+    does, one verified level per pass.
 
-    Either way every step is decided at the point, and by the test, of
+    Every step is decided at the point, and by the test, of
     one-level-per-pass bisection, so the points visited, and the
     result, are bisection's. Returns the bracket midpoints sqrt(lo hi)
     and the levels walked by all brackets.
@@ -891,71 +885,49 @@ def _bisect_brackets(root_values, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarr
     # never changes and the sign test needs only its starting value.
     positive = [f > 0 for f in f_lo]
     left = [_MAX_ITER] * count
-    path = [_PATH_MARGIN] * count  # path length; 0 once the bracket walks subtrees
-    misses = [0] * count  # passes in a row whose path broke within two levels
+    path = [_PATH_MARGIN] * count  # levels of each bracket's next path
     active = list(range(count))
     steps = 0
     while active:
-        budget = _BISECT_ELEMENTS // (len(active) * row_size)
-        depth = max(1, min(_BISECT_MAX_DEPTH, (budget + 1).bit_length() - 1))
         points, plans = [], []
         for j in active:
             a, b = lo[j], hi[j]
-            start = len(points)
-            if path[j]:
-                ratio = f_lo[j] / (f_lo[j] - f_hi[j])
-                target = a * (b / a) ** (ratio if math.isfinite(ratio) else 0.5)
-                turns = []
-                for _ in range(min(path[j], left[j])):
-                    mid = math.sqrt(a * b)
-                    up = mid < target
-                    points.append(mid)
-                    turns.append(up)
-                    if up:
-                        a = mid
-                    else:
-                        b = mid
-            else:
-                # Tree point i bisects sub-bracket i; appending its two halves
-                # in turn lays the points out breadth-first, so the children
-                # of tree point i are points 2i+1 and 2i+2.
-                turns = None
-                subs = [(a, b)]
-                for i in range(2 ** min(depth, left[j]) - 1):
-                    x, y = subs[i]
-                    mid = math.sqrt(x * y)
-                    points.append(mid)
-                    subs += ((x, mid), (mid, y))
-            plans.append((j, start, len(points) - start, turns))
+            ratio = f_lo[j] / (f_lo[j] - f_hi[j])
+            target = a * (b / a) ** (ratio if math.isfinite(ratio) else 0.5)
+            turns = []
+            for _ in range(min(path[j], left[j])):
+                mid = math.sqrt(a * b)
+                up = mid < target
+                points.append(mid)
+                turns.append(up)
+                if up:
+                    a = mid
+                else:
+                    b = mid
+            plans.append((j, len(points) - len(turns), turns))
         values = root_values(np.array(points)).tolist()
         still = []
-        for j, start, size, turns in plans:
+        for j, start, turns in plans:
             a, b, fa, fb, up_sign = lo[j], hi[j], f_lo[j], f_hi[j], positive[j]
-            node = walked = 0
-            while True:
-                mid, f_mid = points[start + node], values[start + node]
+            walked, done = 0, False
+            for turn in turns:
+                mid, f_mid = points[start + walked], values[start + walked]
                 walked += 1
                 if f_mid == 0.0:
                     a = b = mid
+                    done = True
                     break
                 up = (f_mid > 0) == up_sign
                 if up:
                     a, fa = mid, f_mid
                 else:
                     b, fb = mid, f_mid
-                if b - a <= _STEP_TOL * b or walked == left[j]:
+                done = b - a <= _STEP_TOL * b or walked == left[j]
+                if done or up != turn:
                     break
-                if turns is None:
-                    node = 2 * node + 1 + up
-                else:
-                    node = node + 1 if up == turns[node] else size
-                if node >= size:
-                    still.append(j)
-                    break
-            if turns is not None:
-                # walked < size: a wrong turn ended the walk, not the path
-                misses[j] = misses[j] + 1 if walked <= 2 and walked < size else 0
-                path[j] = 0 if misses[j] == 2 else walked + _PATH_MARGIN
+            if not done:
+                still.append(j)
+            path[j] = walked + _PATH_MARGIN
             steps += walked
             left[j] -= walked
             lo[j], hi[j], f_lo[j], f_hi[j] = a, b, fa, fb
@@ -1012,12 +984,18 @@ def fit_pb(data: Dataset) -> FitResult:
     pass, each with its own stopping rule (see :func:`_bisect_brackets`).
     A bracket's pass evaluates the bisection path toward the secant
     estimate of its root, from the grid values at its ends on the first
-    pass, and walks the prefix its sign tests confirm; a bracket whose
-    paths keep breaking at once, as in the noisy beta < 1e-2 region at
-    small n, walks full subtrees of bisection points instead. Every step
-    is decided at bisection's point by bisection's sign test, so the
-    roots and step counts are exactly those of one-level bisection.
+    pass, and walks the prefix its sign tests confirm. Every step is
+    decided at bisection's point by bisection's sign test, so the roots
+    and step counts are exactly those of one-level bisection.
     ``iterations`` counts the 241 grid points and the bisection steps.
+
+    Each of t6, t7, t8 and t9 is a sum of terms of one sign (t9 as
+    written in :class:`_PbWeights`), so the root function cancels only
+    in the difference t6 t8 - t7 t9. Its terms i = j cancel exactly, so
+    where the largest position's w = p^(1/beta) outweighs the rest, at
+    beta below about 1/(60 n), that difference sinks below its rounding
+    and its signs are noise: on this grid only for n up to about 15, at
+    its first few shapes.
     """
     xs = data.sorted_values
     n = data.n
@@ -1030,12 +1008,10 @@ def fit_pb(data: Dataset) -> FitResult:
     if not sign_change.size:
         raise FitError("percentile objective has no interior minimum")
     # Bisection rather than Brent's method: its points can be laid out
-    # levels ahead, so the brackets share one batched pass per few steps,
-    # and Brent's iterates move fits in the noisy beta < 1e-2 region far
-    # from where bisection lands.
+    # levels ahead, so the brackets share one batched pass per few steps.
     roots, steps = _bisect_brackets(
         percentiles.roots, grid[sign_change], grid[sign_change + 1], vals[sign_change],
-        vals[sign_change + 1], n,
+        vals[sign_change + 1],
     )
     root_lams, scores = percentiles.scores(roots)
     _, beta, lam = min(zip(scores.tolist(), roots.tolist(), root_lams.tolist()))

@@ -108,6 +108,21 @@ class TestCdfQuantile:
         assert cdf(x, p) == pytest.approx(q, rel=1e-12, abs=0)
         assert sf(x, p) + cdf(x, p) == pytest.approx(1.0, rel=0, abs=1e-13)
 
+    @pytest.mark.parametrize("x, p", [(1e307, Params(1.5, 1e308)), (1.5e308, Params(0.7, 5e307)),
+                                      (1e300, Params(0.5, 1.7e308))])
+    def test_kernel_where_s_plus_lam_overflows(self, x, p):
+        # s + lam overflowed, with a RuntimeWarning (an error in this suite),
+        # and cdf and pdf came out 0; pdf values this far up are subnormal,
+        # so only about eight of its digits survive
+        with mpmath.workdps(40):
+            xm, lam = mpmath.mpf(x), mpmath.mpf(p.lam)
+            s = mpmath.sqrt(lam**2 + xm**2)
+            u = 1 - lam / s
+            exact_cdf = float(u**p.beta)
+            exact_pdf = float(p.beta * lam * xm / s**3 * u ** (p.beta - 1))
+        assert cdf(x, p) == pytest.approx(exact_cdf, rel=1e-14, abs=0)
+        assert pdf(x, p) == pytest.approx(exact_pdf, rel=1e-7, abs=0)
+
     def test_quantile_strictly_increasing(self):
         p = Params(2.0, 5.0)
         qs = np.linspace(0.001, 0.999, 500)
