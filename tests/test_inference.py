@@ -895,6 +895,35 @@ class TestLevelBatchedBisection:
         assert sizes[:30] == [4] + [1 + 4] * 29
         assert roots.tolist() == [root] and steps == expected_steps
 
+    @pytest.mark.parametrize("n, depth", [(15, 6), (20, 5), (50, 4), (100, 3), (200, 2), (500, 1)])
+    def test_depth_fits_the_element_budget(self, n, depth, monkeypatch):
+        # with a budget of `depth` rows of n, paths deeper than that are
+        # evaluated in several row blocks, none past the budget, and the
+        # roots and steps stay bisection's
+        data = Dataset(sample(n, Params(0.5, 1.0), seed=1))
+        percentiles = inference._Percentiles(data.sorted_values)
+        grid = np.logspace(-3.0, 3.0, 241)
+        vals = percentiles.roots(grid)
+        k = inference._sign_changes(vals)
+        assert k.size
+        expected = [scalar_bisect(lambda b: scalar_root(percentiles, b), grid[j], grid[j + 1], vals[j])
+                    for j in k]
+        blocks, sizes = [], []
+        pb_weights = inference._pb_weights
+
+        def recording_weights(col, p, log_p):
+            blocks.append(col.size)
+            return pb_weights(col, p, log_p)
+
+        monkeypatch.setattr(inference, "_BLOCK_ELEMENTS", depth * n)
+        monkeypatch.setattr(inference, "_pb_weights", recording_weights)
+        roots, steps = inference._bisect_brackets(recording(percentiles.roots, sizes), grid[k],
+                                                  grid[k + 1], vals[k], vals[k + 1])
+        assert max(sizes) > depth and max(blocks) == depth
+        assert sum(blocks) == sum(sizes)
+        assert roots.tolist() == [r for r, _ in expected]
+        assert steps == sum(s for _, s in expected)
+
     def test_exact_zero_inside_a_pass(self):
         # the root c is the first bracket's third-level tree point and lies
         # on its first path, so its walk stops there while the second
