@@ -186,8 +186,12 @@ def cmd_moments(args) -> int:
     attempt("raw", lambda: raw_moment(args.r, p), args.r)
     results["log"] = {"exists": True, "value": log_moment(p)}
     if args.x0 is not None:
-        attempt("incomplete", lambda: incomplete_moment(args.r, args.x0, p), args.r)
-        results["incomplete"]["x0"] = args.x0
+        attempt("incomplete", lambda: incomplete_moment(args.r, args.x0, p, full_output=True), args.r)
+        entry = results["incomplete"]
+        if entry["exists"]:
+            # series_rows: Appell series rows summed, 0 on the quadrature path
+            entry["value"], entry["series_rows"] = entry["value"]
+        entry["x0"] = args.x0
     if args.order_stat is not None:
         i, n = args.order_stat
         attempt("order_statistic", lambda: order_stat_moment(i, n, args.r, p), args.r)

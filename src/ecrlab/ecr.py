@@ -14,7 +14,8 @@ Numerical notes: the cdf kernel u(x) = 1 - lam/sqrt(lam^2+x^2) is
 evaluated through the cancellation-free identity u = (x/s) (x/(s + lam))
 with s = hypot(lam, x), and the survival function through expm1/log1p,
 so both tails retain full double precision. No power of x or s is
-formed, so extreme data scales stay in the floating-point range.
+formed, so extreme data scales stay in the floating-point range; where
+s itself would overflow, it is formed from lam/2 and x/2.
 """
 
 from __future__ import annotations
@@ -131,8 +132,26 @@ def _as_positive_array(name: str, x, allow_zero: bool = False):
     return arr
 
 
-def _kernel(x, lam: float):
-    """Return (s, u) with s = sqrt(lam^2 + x^2) and u = 1 - lam/s.
+def _hypot(lam, x):
+    """Return (lam, x, s, k) with s = hypot(lam, x) and k = 1.
+
+    Where hypot(lam, x) overflows, near the top of the floating-point
+    range, lam and x come back halved, s is their hypot and k is 2: k s
+    is the true sqrt(lam^2 + x^2), and every ratio of lam, x and s is
+    unchanged. Elsewhere nothing changes.
+    """
+    with np.errstate(over="ignore"):
+        s = np.hypot(lam, x)
+    big = np.isinf(s)
+    if not big.any():
+        return lam, x, s, 1.0
+    k = np.where(big, 2.0, 1.0)
+    lam, x = lam / k, x / k
+    return lam, x, np.hypot(lam, x), k
+
+
+def _u(x, lam, s):
+    """u = 1 - lam/s from s = hypot(lam, x).
 
     u is formed as (x/s)(x/(s+lam)), the rationalized 1 - lam/s without
     cancellation; neither x^2 nor s^2 is formed, so u stays accurate
@@ -140,18 +159,16 @@ def _kernel(x, lam: float):
     the top of the floating-point range, x/(s+lam) is taken as
     (x/s)/(1 + lam/s) instead.
     """
-    s = np.hypot(lam, x)
     with np.errstate(over="raise"):
         try:
-            u = (x / s) * (x / (s + lam))
+            return (x / s) * (x / (s + lam))
         except FloatingPointError:
-            u = (x / s) * ((x / s) / (1.0 + lam / s))
-    return s, u
+            return (x / s) * ((x / s) / (1.0 + lam / s))
 
 
 def _log_kernel(x, lam: float):
     """log u, accurate for x << lam and x >> lam alike; see :func:`_log_u`."""
-    s = np.hypot(lam, x)
+    lam, x, s, _ = _hypot(lam, x)
     with np.errstate(divide="ignore"):
         two_log_x = 2.0 * np.log(x)
     return _log_u(x, two_log_x, lam, s, np.log(s))
@@ -179,8 +196,8 @@ def _log_u(x, two_log_x, lam, s, log_s):
 def cdf(x, p: Params):
     """F(x) = (1 - lam/sqrt(lam^2+x^2))^beta for x >= 0."""
     arr = _as_positive_array("x", x, allow_zero=True)
-    _, u = _kernel(arr, p.lam)
-    out = u**p.beta
+    lam, arr, s, _ = _hypot(p.lam, arr)
+    out = _u(arr, lam, s) ** p.beta
     return out if out.ndim else float(out)
 
 
@@ -199,17 +216,19 @@ def pdf(x, p: Params):
     limiting behavior there.
     """
     arr = _as_positive_array("x", x)
-    s, u = _kernel(arr, p.lam)
-    out = p.beta * (p.lam / s) * (arr / s) / s * u ** (p.beta - 1.0)
+    lam, arr, s, k = _hypot(p.lam, arr)
+    out = p.beta * (lam / s) * (arr / s) / s / k * _u(arr, lam, s) ** (p.beta - 1.0)
     return out if out.ndim else float(out)
 
 
 def log_pdf(x, p: Params):
     """log f(x), stable over the whole positive axis."""
     arr = _as_positive_array("x", x)
-    s = np.hypot(p.lam, arr)
+    _, _, s, k = _hypot(p.lam, arr)
     log_u = _log_kernel(arr, p.lam)
-    out = math.log(p.beta * p.lam) + np.log(arr) - 3.0 * np.log(s) + (p.beta - 1.0) * log_u
+    beta_lam = p.beta * p.lam
+    log_beta_lam = math.log(beta_lam) if 0.0 < beta_lam < math.inf else math.log(p.beta) + math.log(p.lam)
+    out = log_beta_lam + np.log(arr) - 3.0 * (np.log(s) + np.log(k)) + (p.beta - 1.0) * log_u
     return out if out.ndim else float(out)
 
 
@@ -392,23 +411,36 @@ def log_moment(p: Params) -> float:
     )
 
 
-def incomplete_moment(r: float, x0: float, p: Params) -> float:
+def incomplete_moment(r: float, x0: float, p: Params, *, full_output: bool = False):
     """Lower incomplete moment int_0^x0 x^r f(x) dx for r > -2 beta.
 
     Closed form [beta 2^(r/2+1) lam^r u0^(beta+r/2) / (2 beta + r)]
     F1(r/2+beta; r, -r/2; r/2+beta+1; u0, u0/2) with
     u0 = 1 - lam/sqrt(x0^2+lam^2). Unlike the full moments, every order
     above the lower window is finite because the domain is bounded.
+    ``full_output=True`` returns ``(value, rows)``, where ``rows`` is the
+    number of Appell series rows summed, 0 where F1 was integrated by
+    quadrature (see :func:`ecrlab.specfun.appell_f1`).
     """
     if x0 <= 0:
         raise ValueError("x0 must be positive")
     lower = -2.0 * p.beta
     if r <= lower:
         raise _window_error("incomplete moment", r, lower, math.inf)
-    s0 = math.hypot(p.lam, x0)
-    u0 = (x0 / s0) * (x0 / (s0 + p.lam))  # as in _kernel, on Python floats
-    value = appell_f1(r / 2.0 + p.beta, r, -r / 2.0, r / 2.0 + p.beta + 1.0, u0, u0 / 2.0)
-    return p.beta * 2.0 ** (r / 2.0 + 1.0) * p.lam**r * u0 ** (p.beta + r / 2.0) / (2.0 * p.beta + r) * value
+    # u0 as in _hypot and _u, on Python floats; it depends on x0/lam only
+    lam = p.lam
+    s0 = math.hypot(lam, x0)
+    if math.isinf(s0):
+        x0, lam = x0 / 2.0, lam / 2.0
+        s0 = math.hypot(lam, x0)
+    if math.isinf(s0 + lam):
+        u0 = (x0 / s0) * ((x0 / s0) / (1.0 + lam / s0))
+    else:
+        u0 = (x0 / s0) * (x0 / (s0 + lam))
+    value, rows = appell_f1(r / 2.0 + p.beta, r, -r / 2.0, r / 2.0 + p.beta + 1.0, u0, u0 / 2.0,
+                            full_output=True)
+    moment = p.beta * 2.0 ** (r / 2.0 + 1.0) * p.lam**r * u0 ** (p.beta + r / 2.0) / (2.0 * p.beta + r) * value
+    return (moment, rows) if full_output else moment
 
 
 def order_stat_moment(i: int, n: int, r: float, p: Params) -> float:

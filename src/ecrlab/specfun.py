@@ -11,14 +11,20 @@ stopping on an accidentally tiny term, and a series that has not
 settled within ``_MAX_TERMS`` (10,000) terms raises
 :class:`ConvergenceError`. The one exception is ``appell_f1``'s inner
 row in n, which stops at its first term below tolerance; its outer sum
-over rows keeps the three-term rule. Series evaluators can report how
-many terms they consumed via ``full_output=True``.
+over rows keeps the three-term rule. ``appell_f1`` evaluates its double
+series in numpy blocks of rows, forming every term and partial sum by
+sequential accumulation (``np.multiply.accumulate``,
+``np.add.accumulate``) in the order of a term-by-term loop, so its
+values, row counts and errors are exactly those of that loop. Series
+evaluators can report how many terms they consumed via
+``full_output=True``.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
 from scipy.integrate import quad
 from scipy.special import digamma as _scipy_digamma
 
@@ -45,6 +51,10 @@ _TINY = 1e-300
 # The series truncation policy (see the module docstring).
 _REL_TOL = 1e-14
 _MAX_TERMS = 10_000
+
+# appell_f1 evaluates its double series in blocks of rows of about this
+# many elements (a row that needs more columns widens its block).
+_BLOCK_ELEMENTS = 2**13
 
 
 class ConvergenceError(ArithmeticError):
@@ -121,7 +131,15 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float, *,
     """Appell F1(a; b1, b2; c; x, y) for |x| < 1, |y| < 1 with a > 0, c > a.
 
     The double series sum_{m,n} (a)_{m+n} (b1)_m (b2)_n /
-    [(c)_{m+n} m! n!] x^m y^n is summed row-by-row in m. For x above
+    [(c)_{m+n} m! n!] x^m y^n is summed row by row in m: row m is the
+    series in n, which stops at its first term below tolerance, and the
+    rows stop after three consecutive settled row sums. The rows are
+    evaluated in blocks of at most about ``_BLOCK_ELEMENTS`` terms, with
+    about 33/(-ln|x|) + 8 rows and 33/(-ln|y|) + 8 columns; a block whose
+    needed row does not stop within its width is recomputed twice as
+    wide. Each term and partial sum is a sequential accumulation in the
+    order of a term-by-term loop, so the value, the row count and any
+    :class:`ConvergenceError` equal that loop's exactly. For x above
     0.95 the series converges too slowly and the one-dimensional
     integral representation
 
@@ -143,32 +161,83 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float, *,
         value = _appell_f1_quad(a, b1, b2, c, x, y)
         return (value, 0) if full_output else value
 
+    if c + 1.0 == 1.0:
+        # The first inner factor divides by (c + 0 + 1) - 1, which rounds
+        # to 0 here; summing term by term raises this error.
+        raise ZeroDivisionError("float division by zero")
+
     total = 0.0
-    row_lead = 1.0  # (a)_m (b1)_m / ((c)_m m!) x^m at n = 0
+    lead = 1.0  # (a)_m (b1)_m / ((c)_m m!) x^m, the n = 0 term of row m
     settled = 0
-    for m in range(_MAX_TERMS):
-        term = row_lead
-        row_sum = term
-        inner_ok = False
-        for n in range(1, _MAX_TERMS + 1):
-            term *= (a + m + n - 1.0) * (b2 + n - 1.0) / ((c + m + n - 1.0) * n) * y
-            row_sum += term
-            if abs(term) <= _REL_TOL * (abs(row_sum) + _TINY):
-                inner_ok = True
-                break
-        if not inner_ok:
-            raise ConvergenceError(
-                "appell_f1 inner series did not converge", total + row_sum, m
-            )
-        total += row_sum
-        if abs(row_sum) <= _REL_TOL * (abs(total) + _TINY):
-            settled += 1
-            if settled >= 3:
-                return (total, m + 1) if full_output else total
-        else:
-            settled = 0
-        row_lead *= (a + m) * (b1 + m) / ((c + m) * (m + 1.0)) * x
+    m0 = 0
+    span = _series_span(x)
+    width = min(_series_span(y), _MAX_TERMS + 1, _BLOCK_ELEMENTS)
+    # Columns past a row's stop may overflow or divide inf by inf; they
+    # are never read.
+    with np.errstate(all="ignore"):
+        while m0 < _MAX_TERMS:
+            # Row m of the block is column m - m0 of these (width, rows)
+            # arrays, and term n of that row is its entry n.
+            rows = min(span, max(1, _BLOCK_ELEMENTS // width), _MAX_TERMS - m0)
+            m = np.arange(m0, m0 + rows, dtype=float)
+            am = a + m
+            cm = c + m
+            leads = np.empty(rows + 1)
+            leads[0] = lead
+            leads[1:] = am * (b1 + m) / (cm * (m + 1.0)) * x
+            np.multiply.accumulate(leads, out=leads)
+
+            n = np.arange(1.0, width)[:, None]
+            terms = np.empty((width, rows))
+            terms[0] = leads[:rows]
+            factors = terms[1:]
+            np.add(am, n, out=factors)
+            factors -= 1.0
+            factors *= (b2 + n) - 1.0
+            den = cm + n
+            den -= 1.0
+            den *= n
+            factors /= den
+            factors *= y
+            np.multiply.accumulate(terms, out=terms)
+            sums = np.add.accumulate(terms)
+
+            # The inner rule: a row stops at its first term in n >= 1
+            # below tolerance. Rows from the first one that does not stop
+            # within this width on are left to a wider block.
+            bound = np.abs(sums[1:])
+            bound += _TINY
+            bound *= _REL_TOL
+            inner = np.abs(terms[1:]) <= bound
+            stop = inner.argmax(axis=0)
+            index = np.arange(rows)
+            open_rows = np.flatnonzero(~inner[stop, index])
+            done = int(open_rows[0]) if open_rows.size else rows
+
+            # The outer rule, row by row as in the term loop.
+            for j, row_sum in enumerate(sums[stop[:done] + 1, index[:done]].tolist()):
+                total += row_sum
+                if abs(row_sum) <= _REL_TOL * (abs(total) + _TINY):
+                    settled += 1
+                    if settled >= 3:
+                        return (total, m0 + j + 1) if full_output else total
+                else:
+                    settled = 0
+            lead = float(leads[done])
+            m0 += done
+            if done < rows:
+                if width > _MAX_TERMS:
+                    raise ConvergenceError(
+                        "appell_f1 inner series did not converge", total + float(sums[-1, done]), m0
+                    )
+                width = min(2 * width, _MAX_TERMS + 1)
     raise ConvergenceError("appell_f1 series did not converge", total, _MAX_TERMS)
+
+
+def _series_span(v: float) -> int:
+    """About how many terms a series of ratio v takes to fall by 1e-14;
+    8 at v = 0 (and for a NaN v, whose terms never settle anyway)."""
+    return 8 + int(33.0 / -math.log(abs(v))) if abs(v) > 0.0 else 8
 
 
 def _appell_f1_quad(a: float, b1: float, b2: float, c: float, x: float, y: float) -> float:

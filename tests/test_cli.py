@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from ecrlab import specfun
 from ecrlab.cli import main
 from ecrlab.data import EMBEDDED_NAME, Dataset
-from ecrlab.ecr import Params, sample
+from ecrlab.ecr import Params, incomplete_moment, sample
 from ecrlab.inference import fit_cs_ml, fit_ml
 
 
@@ -341,6 +341,14 @@ class TestMoments:
         assert code == 0
         value = json.loads(out)["results"]["incomplete"]["value"]
         assert value == pytest.approx(float(scale) ** 0.5 * 0.12889581438406248, rel=1e-14)
+
+    @pytest.mark.parametrize("x0, rows", [("2", 47), ("20", 0)])
+    def test_incomplete_moment_reports_its_path(self, capsys, x0, rows):
+        code, out, _ = run_cli(capsys, "moments", "--beta", "0.8", "--lambda", "1", "--r", "0.5", "--x0", x0)
+        assert code == 0
+        entry = json.loads(out)["results"]["incomplete"]
+        assert entry["series_rows"] == rows  # 0: the quadrature path
+        assert entry["value"] == incomplete_moment(0.5, float(x0), Params(0.8, 1.0))
 
     def test_optional_quantities(self, capsys):
         code, out, _ = run_cli(

@@ -123,6 +123,20 @@ class TestCdfQuantile:
         assert cdf(x, p) == pytest.approx(exact_cdf, rel=1e-14, abs=0)
         assert pdf(x, p) == pytest.approx(exact_pdf, rel=1e-7, abs=0)
 
+    @pytest.mark.parametrize("x, p", [(1.3e308, Params(1.5, 1.3e308)), (1.7e308, Params(0.7, 1e308)),
+                                      (1e308, Params(3.0, 1.7e308)), (1.79e308, Params(0.2, 1.79e308))])
+    def test_where_hypot_overflows(self, x, p):
+        # hypot(lam, x) overflowed with a RuntimeWarning, and cdf and pdf
+        # came out 0; log_pdf also overflowed forming log(beta lam)
+        with mpmath.workdps(40):
+            xm, lam = mpmath.mpf(x), mpmath.mpf(p.lam)
+            s = mpmath.sqrt(lam**2 + xm**2)
+            u = 1 - lam / s
+            exact = {cdf: u**p.beta, sf: 1 - u**p.beta, pdf: p.beta * lam * xm / s**3 * u ** (p.beta - 1)}
+            exact[log_pdf] = mpmath.log(exact[pdf])
+        for f, value in exact.items():
+            assert f(x, p) == pytest.approx(float(value), rel=1e-12, abs=0)
+
     def test_quantile_strictly_increasing(self):
         p = Params(2.0, 5.0)
         qs = np.linspace(0.001, 0.999, 500)
@@ -466,6 +480,18 @@ class TestIncompleteMoments:
         p = Params(1.5, 1.0)
         expected = c**0.5 * incomplete_moment(0.5, 1.0, p)
         assert incomplete_moment(0.5, c, Params(1.5, c)) == pytest.approx(expected, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("x0, lam, base", [(1e307, 1e308, 0.1), (1.3e308, 1.3e308, 1.0)])
+    def test_scale_equivariance_at_the_top_of_the_range(self, x0, lam, base):
+        # s0 + lam (and at 1.3e308 hypot itself) overflowed to inf without a
+        # warning, so u0 and the moment came out 0
+        expected = lam**0.5 * incomplete_moment(0.5, base, Params(1.5, 1.0))
+        assert incomplete_moment(0.5, x0, Params(1.5, lam)) == pytest.approx(expected, rel=1e-14, abs=0)
+
+    def test_reports_the_series_rows(self):
+        p = Params(0.8, 1.0)
+        assert incomplete_moment(0.5, 2.0, p, full_output=True) == (incomplete_moment(0.5, 2.0, p), 47)
+        assert incomplete_moment(0.5, 20.0, p, full_output=True)[1] == 0  # quadrature
 
     def test_high_order_allowed(self):
         # truncated moments are finite for any order above the lower window

@@ -200,6 +200,64 @@ def _f1_quadrature_oracle(a, b1, b2, c, x, y):
     return value / beta_fn(a, c - a)
 
 
+def _f1_term_loop(a, b1, b2, c, x, y):
+    """appell_f1's series summed term by term: the reference that its row
+    blocks reproduce exactly, values, row counts and errors alike."""
+    _REL_TOL, _TINY, _MAX_TERMS = specfun._REL_TOL, specfun._TINY, specfun._MAX_TERMS
+    total = 0.0
+    row_lead = 1.0  # (a)_m (b1)_m / ((c)_m m!) x^m at n = 0
+    settled = 0
+    for m in range(_MAX_TERMS):
+        term = row_lead
+        row_sum = term
+        inner_ok = False
+        for n in range(1, _MAX_TERMS + 1):
+            term *= (a + m + n - 1.0) * (b2 + n - 1.0) / ((c + m + n - 1.0) * n) * y
+            row_sum += term
+            if abs(term) <= _REL_TOL * (abs(row_sum) + _TINY):
+                inner_ok = True
+                break
+        if not inner_ok:
+            raise ConvergenceError(
+                "appell_f1 inner series did not converge", total + row_sum, m
+            )
+        total += row_sum
+        if abs(row_sum) <= _REL_TOL * (abs(total) + _TINY):
+            settled += 1
+            if settled >= 3:
+                return (total, m + 1)
+        else:
+            settled = 0
+        row_lead *= (a + m) * (b1 + m) / ((c + m) * (m + 1.0)) * x
+    raise ConvergenceError("appell_f1 series did not converge", total, _MAX_TERMS)
+
+
+def _f1_outcome(f, args):
+    try:
+        return repr(f(*args))
+    except (ConvergenceError, ZeroDivisionError) as exc:
+        return type(exc), str(exc), repr(getattr(exc, "partial", None)), getattr(exc, "terms", None)
+
+
+def _moment_f1_args(beta, place, u0):
+    # the F1 arguments of incomplete_moment(r, x0, Params(beta, lam)), with
+    # r at a place in (-2 beta, 3) and u0 below the quadrature switch
+    r = -2.0 * beta + place * (2.0 * beta + 3.0)
+    return r / 2.0 + beta, r, -r / 2.0, r / 2.0 + beta + 1.0, u0, u0 / 2.0
+
+
+F1_SERIES_ARGS = st.one_of(
+    st.builds(_moment_f1_args, st.floats(0.05, 20.0), st.floats(1e-6, 1.0), st.floats(0.0, 0.95)),
+    st.builds(
+        lambda a, gap, b1, b2, x, y: (a, b1, b2, a + gap, x, y),
+        st.floats(1e-3, 10.0), st.floats(1e-2, 10.0), st.floats(-5.0, 5.0), st.floats(-5.0, 5.0),
+        st.floats(-0.9, 0.95) | st.just(0.0),
+        # y near 1 leaves rows that do not settle in 10,000 terms
+        st.floats(0.9999, 0.999999) | st.floats(-0.99, 0.99),
+    ),
+)
+
+
 class TestAppellF1:
     def test_empty_series(self):
         assert appell_f1(1.3, 0.4, -0.2, 2.2, 0.0, 0.0) == 1.0
@@ -243,6 +301,22 @@ class TestAppellF1:
         with pytest.raises(ConvergenceError, match="maximum number of subdivisions") as info:
             appell_f1(1.7, 0.4, -0.2, 2.7, 0.96, 0.48)
         assert info.value.terms == 0
+
+    # The second budget puts a row or two in each block, so every call
+    # crosses blocks, the three-row settle run straddles their edges, and
+    # rows wider than the budget widen the block.
+    @pytest.mark.parametrize("budget", [specfun._BLOCK_ELEMENTS, 40])
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(args=F1_SERIES_ARGS)
+    @example(args=(1.3, 0.4, -0.2, 2.2, -0.9999, 0.0))  # the outer rule never settles
+    @example(args=(0.5, 0.5, 0.5, 4.5, 0.9, 0.9999))  # row 17 does not settle
+    @example(args=(0.8, 1.5, -2.5, 2.3, -0.6, -0.9))
+    @example(args=(1e-17, 0.5, 0.5, 2e-17, 0.1, 0.1))  # (c + 1) - 1 rounds to 0
+    def test_blocks_match_the_term_loop(self, budget, args):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(specfun, "_BLOCK_ELEMENTS", budget)
+            blocked = _f1_outcome(lambda *a: appell_f1(*a, full_output=True), args)
+        assert blocked == _f1_outcome(_f1_term_loop, args)
 
     def test_domain(self):
         with pytest.raises(ValueError):
