@@ -5,11 +5,17 @@ command is a pure function of its arguments and input files. Exit codes:
 0 on success, 2 for input problems, 3 for numerical non-convergence or
 a requested moment that does not exist. ECR_LAB_THREADS caps the
 simulation engine's process parallelism.
+
+:func:`main` builds its parser on the first call and reuses it for every
+later call in the process. If stdout closes early, as in
+``ecrlab ttt big.txt | head -1``, the command exits 1 with nothing on
+stderr.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -33,9 +39,20 @@ from .sim import StudyConfig, run_convergence_study, run_grid_study, summaries_t
 
 SCHEMA = "ecr-lab/1"
 
+# rows formatted and written at a time by _write_rows
+_BLOCK_ROWS = 4096
+
 
 def _fmt(x: float) -> str:
     return f"{x:.17g}"
+
+
+def _write_rows(template: str, *columns) -> None:
+    """Write ``template % row`` for the rows of the float columns, one
+    block of _BLOCK_ROWS rows per write."""
+    for start in range(0, len(columns[0]), _BLOCK_ROWS):
+        rows = zip(*(c[start : start + _BLOCK_ROWS].tolist() for c in columns))
+        sys.stdout.write("".join(map(template.__mod__, rows)))
 
 
 def _json_ready(x):
@@ -164,8 +181,7 @@ def cmd_fit(args) -> int:
 def cmd_sample(args) -> int:
     draws = sample(args.n, Params(args.beta, args.lam), args.seed)
     print(f"# ecrlab sample beta={args.beta:g} lambda={args.lam:g} n={args.n} seed={args.seed}")
-    for value in draws:
-        print(_fmt(float(value)))
+    _write_rows("%.17g\n", draws)
     return 0
 
 
@@ -240,8 +256,7 @@ def cmd_gof(args) -> int:
 def cmd_ttt(args) -> int:
     points = ttt_transform(_read_dataset(args.input))
     print("r_over_n,ttt")
-    for r_over_n, g in points:
-        print(f"{_fmt(r_over_n)},{_fmt(g)}")
+    _write_rows("%.17g,%.17g\n", points[:, 0], points[:, 1])
     return 0
 
 
@@ -334,10 +349,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # parse_args starts each call from a fresh namespace, so one parser
+    # serves every call in the process
+    return build_parser()
+
+
+def _run(argv: list[str] | None) -> int:
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
@@ -349,6 +370,25 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:  # InputError included
         print(f"error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        try:
+            return _run(argv)
+        finally:
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout closed early: send what is left to devnull, so that the
+        # interpreter's final flush does not fail again
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):
+            return 1
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+        return 1
 
 
 if __name__ == "__main__":

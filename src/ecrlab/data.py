@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NoReturn
 
 import numpy as np
 
@@ -91,8 +92,30 @@ def parse_values(text: str, source: str = "<text>") -> Dataset:
     '#' starts a comment that runs to end of line. Raises
     :class:`InputError` with a 1-based line number for non-numeric
     tokens and non-positive values.
+
+    The text is tokenized in one pass: every line boundary of
+    ``splitlines`` is whitespace to ``str.split``, so only comments need
+    the lines. The line loop of :func:`_first_bad_token` runs only to
+    name the line of an error.
     """
-    values: list[float] = []
+    body = text
+    if "#" in body:
+        body = "\n".join(line.split("#", 1)[0] for line in body.splitlines())
+    tokens = body.replace(",", " ").split()
+    if not tokens:
+        raise InputError("no observations found in input")
+    try:
+        values = np.array(list(map(float, tokens)))
+    except ValueError:
+        values = None
+    if values is None or not ((values > 0.0) & (values < math.inf)).all():
+        _first_bad_token(text)
+    return Dataset(values, source=source)
+
+
+def _first_bad_token(text: str) -> NoReturn:
+    """Raise the :class:`InputError` of the first token, in line order,
+    that is not a finite positive number."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
         for token in line.replace(",", " ").split():
@@ -102,10 +125,7 @@ def parse_values(text: str, source: str = "<text>") -> Dataset:
                 raise InputError(f"non-numeric token {token!r}", lineno) from None
             if not math.isfinite(value) or value <= 0.0:
                 raise InputError(f"non-positive value {token!r}", lineno)
-            values.append(value)
-    if not values:
-        raise InputError("no observations found in input")
-    return Dataset(np.asarray(values), source=source)
+    raise AssertionError("every token is a finite positive number")
 
 
 def load_dataset(path: str | Path) -> Dataset:
@@ -140,13 +160,39 @@ class DescriptiveStats:
     maximum: float
 
 
+# Inside 2^±200 no sum of fourth powers of the values or their spreads,
+# nor the square of a second moment, leaves the floating-point range.
+_SAFE_BINADE = 200
+
+
+def in_binade_units(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(x / 2^e, e)`` for the binade 2^e of the largest of the positive
+    values ``x``, where that lies outside 2^±_SAFE_BINADE; else ``(x, 0)``.
+
+    Dividing by a power of two is exact, so sums, products and square
+    roots of the scaled values are those of ``x`` times powers of 2^e,
+    without leaving the floating-point range; inside the safe range
+    nothing is scaled, and results keep their bits.
+    """
+    e = math.frexp(float(x.max()))[1]
+    return (np.ldexp(x, -e), e) if abs(e) > _SAFE_BINADE else (x, 0)
+
+
 def describe(data: Dataset) -> DescriptiveStats:
-    x = data.values
+    """Descriptive statistics of ``data``, computed in the units of
+    :func:`in_binade_units`: a variance beyond the floating-point range
+    raises :class:`OverflowError`, and one below it rounds to 0."""
     n = data.n
+    x, e = in_binade_units(data.values)
     mean = float(np.mean(x))
     centered = x - mean
     m2 = float(np.mean(centered**2))
-    variance = float(np.var(x, ddof=1)) if n >= 2 else None
+    variance = None
+    if n >= 2:
+        try:
+            variance = math.ldexp(float(np.var(x, ddof=1)), 2 * e)
+        except OverflowError:
+            raise OverflowError("the sample variance exceeds the floating-point range") from None
 
     skew_m = kurt_m = skew_a = kurt_a = None
     if n >= 2 and m2 > 0.0:
@@ -161,13 +207,13 @@ def describe(data: Dataset) -> DescriptiveStats:
 
     return DescriptiveStats(
         n=n,
-        mean=mean,
-        median=float(np.median(x)),
+        mean=math.ldexp(mean, e),
+        median=math.ldexp(float(np.median(x)), e),
         variance=variance,
         skewness_moment=skew_m,
         skewness_adjusted=skew_a,
         kurtosis_moment=kurt_m,
         kurtosis_adjusted=kurt_a,
-        minimum=float(np.min(x)),
-        maximum=float(np.max(x)),
+        minimum=float(data.sorted_values[0]),
+        maximum=float(data.sorted_values[-1]),
     )

@@ -103,7 +103,8 @@ class LossOfPrecisionError(ArithmeticError):
     wide (roughly t or n - i beyond 25) the largest term exceeds the
     result by enough orders of magnitude that double precision cannot
     back the digits, and the evaluation refuses rather than returning
-    noise."""
+    noise. The incomplete moment raises it where u0 = 1 - lam/s0 rounds
+    to 1, which its closed form cannot take."""
 
 
 class QuantileUnderflowError(ArithmeticError):
@@ -155,15 +156,19 @@ def _u(x, lam, s):
 
     u is formed as (x/s)(x/(s+lam)), the rationalized 1 - lam/s without
     cancellation; neither x^2 nor s^2 is formed, so u stays accurate
-    where they would overflow or underflow. When s + lam overflows, near
+    where they would overflow or underflow. Where s + lam overflows, near
     the top of the floating-point range, x/(s+lam) is taken as
-    (x/s)/(1 + lam/s) instead.
+    (x/s)/(1 + lam/s) instead, at those elements only, so an element's
+    value does not depend on its neighbours.
     """
     with np.errstate(over="raise"):
         try:
             return (x / s) * (x / (s + lam))
         except FloatingPointError:
-            return (x / s) * ((x / s) / (1.0 + lam / s))
+            pass
+    with np.errstate(over="ignore"):
+        s_lam = s + lam
+    return (x / s) * np.where(np.isinf(s_lam), (x / s) / (1.0 + lam / s), x / s_lam)
 
 
 def _log_kernel(x, lam: float):
@@ -422,8 +427,8 @@ def incomplete_moment(r: float, x0: float, p: Params, *, full_output: bool = Fal
     number of Appell series rows summed, 0 where F1 was integrated by
     quadrature (see :func:`ecrlab.specfun.appell_f1`).
     """
-    if x0 <= 0:
-        raise ValueError("x0 must be positive")
+    if not 0.0 < x0 < math.inf:
+        raise ValueError(f"x0 must be positive and finite, got {x0!r}")
     lower = -2.0 * p.beta
     if r <= lower:
         raise _window_error("incomplete moment", r, lower, math.inf)
@@ -437,6 +442,10 @@ def incomplete_moment(r: float, x0: float, p: Params, *, full_output: bool = Fal
         u0 = (x0 / s0) * ((x0 / s0) / (1.0 + lam / s0))
     else:
         u0 = (x0 / s0) * (x0 / (s0 + lam))
+    if u0 == 1.0:
+        raise LossOfPrecisionError(
+            f"incomplete moment: u0 = 1 - lambda/hypot(lambda, x0) rounds to 1 at x0/lambda = {x0 / lam:g}"
+        )
     value, rows = appell_f1(r / 2.0 + p.beta, r, -r / 2.0, r / 2.0 + p.beta + 1.0, u0, u0 / 2.0,
                             full_output=True)
     moment = p.beta * 2.0 ** (r / 2.0 + 1.0) * p.lam**r * u0 ** (p.beta + r / 2.0) / (2.0 * p.beta + r) * value

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import inference
-from .data import Dataset
+from .data import Dataset, in_binade_units
 from .ecr import Params, sample_from
 
 __all__ = [
@@ -144,9 +144,9 @@ def _summarize(cell: _Cell, estimator: str,
     for j, name in enumerate(("beta", "lambda")):
         truth = truth_values[j]
         if good.size:
-            estimates = good[:, j]
-            mean_bias = float(np.mean(estimates)) - truth
-            ssd = float(np.std(estimates, ddof=_SSD_DDOF)) if len(estimates) > 1 else math.nan
+            estimates, e = in_binade_units(good[:, j])
+            mean_bias = math.ldexp(float(np.mean(estimates)), e) - truth
+            ssd = math.ldexp(float(np.std(estimates, ddof=_SSD_DDOF)), e) if len(estimates) > 1 else math.nan
         else:
             mean_bias = math.nan
             ssd = math.nan

@@ -2,18 +2,20 @@ import contextlib
 import io
 import json
 import math
+import os
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, note, settings
 from hypothesis import strategies as st
 
-from ecrlab import specfun
-from ecrlab.cli import main
+from ecrlab import cli, specfun
+from ecrlab.cli import build_parser, main
 from ecrlab.data import EMBEDDED_NAME, Dataset
 from ecrlab.ecr import Params, incomplete_moment, sample
+from ecrlab.gof import ttt_transform
 from ecrlab.inference import fit_cs_ml, fit_ml
 
 
@@ -292,6 +294,17 @@ class TestSample:
         assert payload["params"]["beta"] == pytest.approx(0.5, rel=0.03)
         assert payload["params"]["lambda"] == pytest.approx(0.6, rel=0.03)
 
+    # draws from subnormal to about 1e306; n = 2 * block + 1 writes three
+    # blocks, the last of one row
+    @pytest.mark.parametrize("n", [1, 2, 2 * cli._BLOCK_ROWS + 1])
+    @pytest.mark.parametrize("beta, lam", [(0.7, 3e-320), (1.0, 1e-315), (0.5, 1e300), (1.0, 1e303)])
+    def test_stdout_matches_per_row_formatting(self, capsys, n, beta, lam):
+        code, out, err = run_cli(capsys, "sample", "--beta", repr(beta), "--lambda", repr(lam),
+                                 "--n", str(n), "--seed", "1")
+        assert code == 0, err
+        header = f"# ecrlab sample beta={beta:g} lambda={lam:g} n={n} seed=1\n"
+        assert out == header + "".join(f"{float(v):.17g}\n" for v in sample(n, Params(beta, lam), 1))
+
 
 class TestMoments:
     def test_nonexistent_moment_exits_three(self, capsys):
@@ -342,6 +355,11 @@ class TestMoments:
         value = json.loads(out)["results"]["incomplete"]["value"]
         assert value == pytest.approx(float(scale) ** 0.5 * 0.12889581438406248, rel=1e-14)
 
+    def test_incomplete_moment_where_u0_rounds_to_one_exits_three(self, capsys):
+        code, _, err = run_cli(capsys, "moments", "--beta", "0.8", "--lambda", "1", "--r", "0.5", "--x0", "1e20")
+        assert code == 3
+        assert err == "error: incomplete moment: u0 = 1 - lambda/hypot(lambda, x0) rounds to 1 at x0/lambda = 1e+20\n"
+
     @pytest.mark.parametrize("x0, rows", [("2", 47), ("20", 0)])
     def test_incomplete_moment_reports_its_path(self, capsys, x0, rows):
         code, out, _ = run_cli(capsys, "moments", "--beta", "0.8", "--lambda", "1", "--r", "0.5", "--x0", x0)
@@ -389,6 +407,19 @@ class TestGofAndTtt:
         last = lines[-1].split(",")
         assert float(last[0]) == 1.0
         assert float(last[1]) == pytest.approx(1.0, rel=1e-12)
+
+    # observations from 5e-324 to 1e308; n = 2 * block + 1 writes three
+    # blocks, the last of one row
+    @pytest.mark.parametrize("n", [1, 2, 2 * cli._BLOCK_ROWS + 1])
+    def test_ttt_stdout_matches_per_row_formatting(self, capsys, tmp_path, n):
+        values = 10.0 ** np.random.default_rng(n).uniform(-320.0, 300.0, n)
+        values[:2] = (5e-324, 1e308)[:n]
+        path = tmp_path / "values.txt"
+        path.write_text("".join(f"{v!r}\n" for v in values.tolist()))
+        code, out, err = run_cli(capsys, "ttt", str(path))
+        assert code == 0, err
+        rows = ttt_transform(Dataset(values))
+        assert out == "r_over_n,ttt\n" + "".join(f"{r:.17g},{g:.17g}\n" for r, g in rows)
 
 
 COMPARISON_COMMANDS = [("fit", "-", "--model", m) for m in ("ecr", "cr", "weibull", "gamma", "lognormal", "ee")]
@@ -537,3 +568,131 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "sample", "--beta", "-1", "--lambda", "1",
                                "--n", "5", "--seed", "1")
         assert code == 2
+
+
+class ClosedStdout(io.StringIO):
+    """A stdout whose reader has gone, as in ``ecrlab ttt big.txt | head -1``."""
+
+    def write(self, text):
+        self.flush()
+
+    def flush(self):  # argparse ignores a failed write; main's flush fails then
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestClosedStdout:
+    @pytest.mark.parametrize("argv", [("ttt", EMBEDDED_NAME), ("describe", EMBEDDED_NAME, "--json"),
+                                      ("sample", "--beta", "1", "--lambda", "1", "--n", "10", "--seed", "1"),
+                                      ("moments", "--beta", "1", "--lambda", "1", "--r", "1"),
+                                      ("--help",)])
+    def test_exits_one_quietly(self, argv):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(ClosedStdout()), contextlib.redirect_stderr(err):
+            code = main(list(argv))
+        assert (code, err.getvalue()) == (1, "")
+
+
+# Flag and data values: mostly positive, from ordinary magnitudes to both
+# ends of the float range, and otherwise zero, signed zeros, negatives,
+# NaN, inf or a literal that overflows to inf.
+MODERATE = st.floats(-2.0, 2.0).map(lambda e: repr(10.0**e))
+WIDE = st.floats(-300.0, 300.0).map(lambda e: repr(10.0**e))
+SPECIAL = st.one_of(
+    st.sampled_from(["0", "-0", "-1", "1e300", "1e-300", "-1e300", "-1e-300", "1.7e308", "5e-324",
+                     "nan", "inf", "-inf", "1e309"]),
+    WIDE.map(lambda v: "-" + v),
+)
+FLAG_FLOATS = st.one_of(MODERATE, MODERATE, WIDE, SPECIAL)
+FLAG_INTS = st.integers(-3, 40).map(str)
+
+
+@st.composite
+def data_source(draw, clean):
+    """(input argument, stdin text): up to 30 values on stdin, or the
+    embedded data if ``clean``, else a missing file."""
+    if draw(st.integers(0, 4)) == 0:
+        return (EMBEDDED_NAME, "") if clean else ("/nonexistent/values.txt", "")
+    value = st.one_of(MODERATE, WIDE) if clean else FLAG_FLOATS
+    return "-", "\n".join(draw(st.lists(value, min_size=int(clean), max_size=30)))
+
+
+@st.composite
+def cli_argv(draw, command, config):
+    """(argv, stdin text) for ``command``: half of them ``clean``, with
+    every value in its domain, the others with any flag values.
+    ``simulate`` rewrites ``config`` with a study of at most 2
+    replications of n <= 30."""
+    clean = draw(st.booleans())
+    number = st.one_of(MODERATE, MODERATE, WIDE) if clean else FLAG_FLOATS
+    stdin = ""
+    if command in ("describe", "fit", "gof", "ttt"):
+        source, stdin = draw(data_source(clean))
+        argv = [command, source]
+        if command == "describe":
+            argv += draw(st.sampled_from(([], ["--json"], ["--csv"])))
+        if command == "fit":
+            model = draw(st.sampled_from(("ecr", "ecr", "ecr", "cr", "weibull", "gamma", "lognormal", "ee")))
+            # csml and pb apply to ecr only
+            method = "ml" if model != "ecr" and clean else draw(st.sampled_from(("ml", "csml", "pb")))
+            argv += ["--method", method, "--model", model]
+    elif command == "sample":
+        # --flag=value, so that argparse takes a negative value for a value
+        n = st.integers(1, 40) if clean else st.integers(-3, 40)
+        argv = [command, f"--beta={draw(number)}", f"--lambda={draw(number)}",
+                f"--n={draw(n)}", f"--seed={draw(st.integers(-2 * (not clean), 2**64))}"]
+    elif command == "moments":
+        r = st.floats(-0.99, 0.99).map(repr) if clean else FLAG_FLOATS
+        argv = [command, f"--beta={draw(number)}", f"--lambda={draw(number)}", f"--r={draw(r)}"]
+        if draw(st.booleans()):
+            argv.append(f"--x0={draw(number)}")
+        if draw(st.booleans()):
+            size = draw(st.integers(1, 40))
+            rank = st.integers(1, size) if clean else st.integers(-3, 40)
+            argv += ["--order-stat", str(draw(rank)), str(size)]
+        if draw(st.booleans()):
+            index = st.integers(0 if clean else -2, 6)
+            argv += ["--pwm", str(draw(index)), str(draw(index))]
+    else:
+        estimators = st.lists(st.sampled_from(("ml", "csml", "pb")), min_size=1, max_size=3)
+        if not clean:
+            estimators = st.one_of(estimators, st.just(["mom"]))
+        study = {"truth": {"beta": float(draw(number)), "lambda": float(draw(number))},
+                 "sample_sizes": [draw(st.integers(5 if clean else 4, 30))],
+                 "replications": draw(st.integers(1 if clean else 0, 2)),
+                 "estimators": draw(estimators),
+                 "master_seed": draw(st.integers(0 if clean else -1, 2**32))}
+        config.write_text(json.dumps(study))
+        argv = [command, "--config", str(config)]
+    if not clean and draw(st.integers(0, 4)) == 0:  # a flag the command does not take
+        argv.insert(draw(st.integers(0, len(argv))), draw(st.sampled_from(("--bogus", "--n", "-x", "--json"))))
+    return argv, stdin
+
+
+def parsed(parser, argv):
+    """The repr of the namespace ``parser`` makes of ``argv`` (a float's
+    repr is exact, and NaN equals itself), or its exit code."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return repr(parser.parse_args(argv))
+        except SystemExit as exc:
+            return exc.code
+
+
+class TestArgvFuzz:
+    """Every argv ends in exit 0, 2 or 3, without an escaping exception or
+    a warning, and the parser ``main`` keeps for the process parses it as
+    a freshly built one does."""
+
+    @pytest.mark.parametrize("command", ["describe", "fit", "gof", "ttt", "sample", "moments", "simulate"])
+    @settings(derandomize=True, max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_every_command_exits_by_the_contract(self, tmp_path, command, data):
+        config = tmp_path / "study.json"
+        argv, stdin = data.draw(cli_argv(command, config))
+        note(f"stdin {stdin!r}" if command != "simulate" else f"config {config.read_text()}")
+        with mock.patch.dict(os.environ):
+            os.environ.pop("ECR_LAB_THREADS", None)  # simulate stays serial
+            code, _, err = run_on_stdin(stdin, *argv)
+        assert code in (0, 2, 3), (argv, code, err)
+        assert parsed(cli._parser(), argv) == parsed(build_parser(), argv)

@@ -137,6 +137,21 @@ class TestCdfQuantile:
         for f, value in exact.items():
             assert f(x, p) == pytest.approx(float(value), rel=1e-12, abs=0)
 
+    # One element whose s + lam overflowed switched the whole array to the
+    # overflow form of u, so the other elements moved by rounding. Each is
+    # compared as a one-element array: numpy's scalar power differs from its
+    # vectorized one by rounding on ordinary inputs too.
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(log_x=st.lists(st.floats(300.0, math.log10(1.7e308)), min_size=2, max_size=9),
+           lam=st.floats(1e307, 1.7e308), beta=st.floats(0.1, 10.0))
+    @example(log_x=[307.0, 308.0], lam=1e308, beta=1.5)
+    def test_elements_do_not_depend_on_their_neighbours(self, log_x, lam, beta):
+        x, p = 10.0 ** np.array(log_x), Params(beta, lam)
+        for f in (cdf, pdf):
+            alone = np.concatenate([f(x[i : i + 1], p) for i in range(x.size)])
+            assert f(x, p).tobytes() == alone.tobytes()
+            assert f(x, p).tolist() == pytest.approx([f(v, p) for v in x.tolist()], rel=1e-15, abs=0)
+
     def test_quantile_strictly_increasing(self):
         p = Params(2.0, 5.0)
         qs = np.linspace(0.001, 0.999, 500)
@@ -502,6 +517,20 @@ class TestIncompleteMoments:
             incomplete_moment(-1.4, 1.0, Params(0.7, 1.0))
         with pytest.raises(ValueError):
             incomplete_moment(0.5, -1.0, Params(0.7, 1.0))
+
+    @pytest.mark.parametrize("x0", [math.nan, math.inf])
+    def test_non_finite_limit_is_bad_input(self, x0):
+        # reached appell_f1, which rejected its x = nan as out of (-1, 1)
+        with pytest.raises(ValueError, match="^x0 must be positive and finite"):
+            incomplete_moment(0.5, x0, Params(0.7, 1.0))
+
+    @pytest.mark.parametrize("x0, lam", [(1e16, 1.0), (1e20, 1.0), (1e300, 1e-10)])
+    def test_u0_rounding_to_one_is_a_numerical_failure(self, x0, lam):
+        # appell_f1 rejected x = u0 = 1 as out of (-1, 1): a ValueError on
+        # valid arguments
+        with pytest.raises(LossOfPrecisionError, match="^incomplete moment: u0 = 1 - lambda/hypot"):
+            incomplete_moment(0.5, x0, Params(0.8, lam))
+        assert incomplete_moment(0.5, 5e15, Params(0.8, 1.0)) == pytest.approx(raw_moment(0.5, Params(0.8, 1.0)))
 
 
 class TestOrderStatMoments:

@@ -105,6 +105,16 @@ class TestEngineAgainstDirectCalls:
         assert row.relative_bias == pytest.approx(row.mean_bias / cfg.truth.lam, rel=1e-12)
         assert row.relative_ssd == pytest.approx(row.ssd / cfg.truth.lam, rel=1e-12)
 
+    @pytest.mark.parametrize("scale", [2.0**996, 2.0**-1000], ids=["2^996", "2^-1000"])
+    def test_summaries_at_the_ends_of_the_float_range(self, scale):
+        # the squares of pb scale estimates near 1e301 overflowed, with a
+        # RuntimeWarning; sampling and pb are scale equivariant to the bit
+        # under a power of two, and so must the summaries be
+        unit = StudyConfig(Params(1.0, 1.0), (20,), 3, ("pb",), master_seed=5)
+        far = replace(unit, truth=Params(1.0, scale))
+        for a, b in zip(run_convergence_study(unit), run_convergence_study(far), strict=True):
+            assert (b.relative_bias, b.relative_ssd) == (a.relative_bias, a.relative_ssd)
+
 
 class TestAccounting:
     def test_buckets_sum_to_replications(self):
