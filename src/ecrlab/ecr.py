@@ -28,6 +28,8 @@ import numpy as np
 
 from .specfun import (
     EULER_GAMMA,
+    ConvergenceError,
+    _gauss_2f1_lanes,
     appell_f1,
     beta_fn,
     digamma,
@@ -184,15 +186,18 @@ def _log_u(x, two_log_x, lam, s, log_s):
 
     Below the scale the rationalized form log(x^2) - log(s) - log(s+lam)
     avoids the 1 - lam/s cancellation; above it log1p(-lam/s) keeps
-    resolution all the way down to lam/s ~ 1e-300. When s + lam
+    resolution all the way down to lam/s ~ 1e-300. Where s + lam
     overflows, near the top of the floating-point range, log(s+lam) is
-    taken as log(s) + log1p(lam/s) instead.
+    taken as log(s) + log1p(lam/s) instead, at those elements only, so
+    an element's value does not depend on its neighbours.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="raise"):
         try:
             log_s_lam = np.log(s + lam)
         except FloatingPointError:
-            log_s_lam = log_s + np.log1p(lam / s)
+            with np.errstate(over="ignore"):
+                s_lam = s + lam
+            log_s_lam = np.where(np.isinf(s_lam), log_s + np.log1p(lam / s), np.log(s_lam))
         rational = two_log_x - log_s - log_s_lam
         direct = np.log1p(-lam / s)
     return np.where(x < lam, rational, direct)
@@ -341,16 +346,38 @@ def tail_ratio(c: float, x: float, p: Params) -> float:
 
 _CANCELLATION_TOL = 1e-6  # estimated relative error before refusing
 
+# Sums of at least this many terms evaluate their 2F1 factors in one
+# numpy block; below it the block's fixed cost outweighs the scalar calls.
+_BLOCK_TERMS = 8
+
 
 def _moment_sum(r: float, weights, shapes, label: str) -> float:
     """sum_k w_k B(1-r, r/2 + g_k) 2F1(-r/2, r/2+g_k; 1-r/2+g_k; 1/2).
 
     Tracks the gross term magnitude so alternating-sign cancellation is
-    detected instead of silently eroding the result."""
+    detected instead of silently eroding the result. A sum of at least
+    ``_BLOCK_TERMS`` (8) terms evaluates all of its 2F1 factors in one
+    block (:func:`ecrlab.specfun._gauss_2f1_lanes`), equal to the scalar
+    series to the bit; each term's beta factor, and any error of either
+    factor, still comes in term order. Narrower sums, such as the raw
+    moment's single term, call :func:`ecrlab.specfun.gauss_2f1` per term,
+    which is faster there than the block's fixed cost of about four
+    scalar calls."""
+    block = len(shapes) >= _BLOCK_TERMS
+    if block:
+        g = np.array(shapes, dtype=float)
+        factors = _gauss_2f1_lanes(-r / 2.0, r / 2.0 + g, 1.0 - r / 2.0 + g, 0.5)
     total = 0.0
     gross = 0.0
-    for w, g in zip(weights, shapes):
-        term = w * beta_fn(1.0 - r, r / 2.0 + g) * gauss_2f1(-r / 2.0, r / 2.0 + g, 1.0 - r / 2.0 + g, 0.5)
+    for k, (w, g) in enumerate(zip(weights, shapes)):
+        beta = beta_fn(1.0 - r, r / 2.0 + g)
+        if not block:
+            factor = gauss_2f1(-r / 2.0, r / 2.0 + g, 1.0 - r / 2.0 + g, 0.5)
+        elif isinstance(factors[k], ConvergenceError):
+            raise factors[k]
+        else:
+            factor = factors[k][0]
+        term = w * beta * factor
         total += term
         gross += abs(term)
     if gross * np.finfo(float).eps > _CANCELLATION_TOL * abs(total):

@@ -15,9 +15,13 @@ over rows keeps the three-term rule. ``appell_f1`` evaluates its double
 series in numpy blocks of rows, forming every term and partial sum by
 sequential accumulation (``np.multiply.accumulate``,
 ``np.add.accumulate``) in the order of a term-by-term loop, so its
-values, row counts and errors are exactly those of that loop. Series
-evaluators can report how many terms they consumed via
-``full_output=True``.
+values, row counts and errors are exactly those of that loop. The
+private ``_gauss_2f1_lanes`` does the same for a row of 2F1 series that
+share a and z, one lane per series: the moments' wide binomial sums
+(``ecr._moment_sum`` from 8 terms on, where the block costs less than
+the scalar calls) take every 2F1 factor from one block, equal to
+``gauss_2f1`` lane by lane. Series evaluators can report how many terms
+they consumed via ``full_output=True``.
 """
 
 from __future__ import annotations
@@ -124,6 +128,52 @@ def gauss_2f1(a: float, b: float, c: float, z: float, *, full_output: bool = Fal
         else:
             settled = 0
     raise ConvergenceError("gauss_2f1 series did not converge", total, _MAX_TERMS)
+
+
+def _gauss_2f1_lanes(a: float, b: np.ndarray, c: np.ndarray, z: float) -> list:
+    """``gauss_2f1(a, b[k], c[k], z, full_output=True)`` for every lane k,
+    from one numpy block of (terms, lanes).
+
+    Returns one entry per lane: the ``(value, terms)`` pair of the loop,
+    or the :class:`ConvergenceError` the loop would raise, handed back
+    rather than raised so that the caller can raise it in its own order.
+    The block starts ``_series_span(z)`` terms wide; lanes that have not
+    settled within it are recomputed in a block twice as wide, up to the
+    loop's ``_MAX_TERMS``. Every factor is formed in the loop's operation
+    order and every term and partial sum by sequential accumulation, so
+    each lane's value and term count are exactly the loop's. The caller
+    supplies c with no non-positive integer and z in [0, 1).
+    """
+    out = [None] * b.size
+    lanes = np.arange(b.size)
+    width = min(_series_span(z), _MAX_TERMS + 1)
+    # Terms past a lane's stop may overflow or divide inf by inf; they
+    # are never read.
+    with np.errstate(all="ignore"):
+        while lanes.size:
+            n = np.arange(1.0, width)[:, None]
+            terms = np.empty((width, lanes.size))
+            terms[0] = 1.0
+            terms[1:] = (a + n - 1.0) * (b[lanes] + n - 1.0) / ((c[lanes] + n - 1.0) * n) * z
+            np.multiply.accumulate(terms, out=terms)
+            sums = np.add.accumulate(terms)
+            # A lane stops at the third consecutive term n >= 1 below
+            # tolerance; settled[k] marks terms k + 1, k + 2 and k + 3.
+            small = np.abs(terms[1:]) <= _REL_TOL * np.abs(sums[1:])
+            settled = small[:-2] & small[1:-1] & small[2:]
+            stop = settled.argmax(axis=0) + 3
+            done = settled[stop - 3, np.arange(lanes.size)]
+            cols = np.flatnonzero(done)
+            for lane, n_stop, value in zip(lanes[cols].tolist(), stop[cols].tolist(),
+                                           sums[stop[cols], cols].tolist()):
+                out[lane] = (value, n_stop)
+            lanes = lanes[~done]
+            if width > _MAX_TERMS:
+                for lane, partial in zip(lanes.tolist(), sums[-1, ~done].tolist()):
+                    out[lane] = ConvergenceError("gauss_2f1 series did not converge", partial, _MAX_TERMS)
+                break
+            width = min(2 * width, _MAX_TERMS + 1)
+    return out
 
 
 def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float, *,

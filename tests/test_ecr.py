@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
+from ecrlab import ecr, specfun
 from ecrlab.ecr import (
     LossOfPrecisionError,
     MomentExistenceError,
@@ -31,6 +32,7 @@ from ecrlab.ecr import (
     sf,
     tail_ratio,
 )
+from ecrlab.specfun import ConvergenceError, beta_fn, gauss_2f1
 
 TABLE_FIT = Params(0.38669, 80.68399)
 
@@ -138,16 +140,17 @@ class TestCdfQuantile:
             assert f(x, p) == pytest.approx(float(value), rel=1e-12, abs=0)
 
     # One element whose s + lam overflowed switched the whole array to the
-    # overflow form of u, so the other elements moved by rounding. Each is
-    # compared as a one-element array: numpy's scalar power differs from its
-    # vectorized one by rounding on ordinary inputs too.
+    # overflow form of u (cdf, pdf) or of log u (sf, log_pdf), so the other
+    # elements moved by rounding. Each is compared as a one-element array:
+    # numpy's scalar power differs from its vectorized one by rounding on
+    # ordinary inputs too.
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(log_x=st.lists(st.floats(300.0, math.log10(1.7e308)), min_size=2, max_size=9),
            lam=st.floats(1e307, 1.7e308), beta=st.floats(0.1, 10.0))
     @example(log_x=[307.0, 308.0], lam=1e308, beta=1.5)
     def test_elements_do_not_depend_on_their_neighbours(self, log_x, lam, beta):
         x, p = 10.0 ** np.array(log_x), Params(beta, lam)
-        for f in (cdf, pdf):
+        for f in (cdf, pdf, sf, log_pdf):
             alone = np.concatenate([f(x[i : i + 1], p) for i in range(x.size)])
             assert f(x, p).tobytes() == alone.tobytes()
             assert f(x, p).tolist() == pytest.approx([f(v, p) for v in x.tolist()], rel=1e-15, abs=0)
@@ -600,6 +603,78 @@ class TestOrderStatMoments:
     def test_wide_rank_range_refuses_cancellation(self):
         with pytest.raises(LossOfPrecisionError, match="cancels"):
             order_stat_moment(1, 80, 0.5, Params(1.0, 1.0))
+
+
+def _moment_sum_loop(r: float, weights, shapes, label: str) -> float:
+    """ecr._moment_sum as one scalar term loop, with no 2F1 block: the
+    reference the block reproduces exactly, values and errors alike."""
+    total = 0.0
+    gross = 0.0
+    for w, g in zip(weights, shapes):
+        term = w * beta_fn(1.0 - r, r / 2.0 + g) * gauss_2f1(-r / 2.0, r / 2.0 + g, 1.0 - r / 2.0 + g, 0.5)
+        total += term
+        gross += abs(term)
+    if gross * np.finfo(float).eps > ecr._CANCELLATION_TOL * abs(total):
+        raise LossOfPrecisionError(
+            f"{label}: the alternating sum cancels {gross / max(abs(total), 1e-300):.1e}-fold,"
+            " beyond double precision; integrate the density numerically instead"
+        )
+    return total
+
+
+def _outcome(f, *args):
+    try:
+        return repr(f(*args))
+    except (ArithmeticError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+def _outcome_of_the_loop(f, *args):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ecr, "_moment_sum", _moment_sum_loop)
+        return _outcome(f, *args)
+
+
+class TestMomentSumBlock:
+    """Sums of at least ecr._BLOCK_TERMS terms take their 2F1 factors from
+    one block; each result must be the term loop's, to the bit or as the
+    same error. beta up to 1e6 puts r far below 0, where the 2F1 series
+    take hundreds of terms or overflow."""
+
+    SUMS = settings(derandomize=True, max_examples=30, deadline=None)
+    PARAMS = dict(log_beta=st.floats(-2.0, 6.0), log_lam=st.floats(-3.0, 3.0),
+                  place=st.floats(0.01, 0.99))
+
+    @SUMS
+    @given(**PARAMS, s=st.integers(0, 4), t=st.integers(ecr._BLOCK_TERMS - 1, 40))
+    def test_pwm(self, log_beta, log_lam, place, s, t):
+        p = Params(10.0**log_beta, 10.0**log_lam)
+        lower = -2.0 * (s + 1.0) * p.beta
+        args = (s, lower + place * (1.0 - lower), t, p)
+        assert _outcome(pwm, *args) == _outcome_of_the_loop(pwm, *args)
+
+    @SUMS
+    @given(**PARAMS, i=st.integers(1, 5), n=st.integers(ecr._BLOCK_TERMS + 4, 80))
+    def test_order_stat_moment(self, log_beta, log_lam, place, i, n):
+        p = Params(10.0**log_beta, 10.0**log_lam)
+        lower = -2.0 * i * p.beta
+        args = (i, n, lower + place * (1.0 - lower), p)
+        assert _outcome(order_stat_moment, *args) == _outcome_of_the_loop(order_stat_moment, *args)
+
+    # With the 2F1 term budget cut to 35, the lanes of shape 0.3 settle (in
+    # 32 terms) and those of shape 100 do not; shape 0.2 makes r/2 + g
+    # negative, which beta_fn rejects. Whichever lane fails first in term
+    # order raises, as in the loop.
+    @pytest.mark.parametrize("shapes, error", [
+        ([0.3, 0.3, 0.3, 0.2, 100.0, 100.0, 100.0, 100.0], ValueError),
+        ([0.3, 0.3, 0.3, 100.0, 0.2, 0.3, 0.3, 0.3], ConvergenceError),
+    ])
+    def test_errors_come_in_term_order(self, monkeypatch, shapes, error):
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 35)
+        args = (-0.5, [1.0] * len(shapes), shapes, "sum")
+        blocked = _outcome(ecr._moment_sum, *args)
+        assert blocked[0] is error
+        assert blocked == _outcome(_moment_sum_loop, *args)
 
 
 class TestMomentsAgainstQuadrature:

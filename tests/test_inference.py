@@ -790,6 +790,16 @@ class TestBlockedPasses:
         expected = [reference_profile(data.values, lam) for lam in grid]
         assert inference._Kernel(data.values).profile_grid(grid) == expected
 
+    # Scales above about 0.9e308 make s + lam overflow, which switched the
+    # whole row block to the overflow form of log u; the rows at smaller
+    # scales then moved by rounding.
+    @pytest.mark.parametrize("seed", [1, 6])
+    def test_profile_grid_matches_scalar_near_the_float_range_top(self, seed):
+        x = sample(20, Params(0.8, 1.0), seed=seed)
+        kernel = inference._Kernel(x / x.max() * 1e307)
+        grid = np.logspace(300.0, math.log10(1.5e308), 41)
+        assert kernel.profile_grid(grid) == [kernel.profile(lam) for lam in grid.tolist()]
+
     @pytest.mark.parametrize("n", [20, 5000])
     def test_pb_grid_matches_scalar(self, n):
         data = Dataset(sample(n, Params(0.8, 2.0), seed=n))

@@ -192,6 +192,59 @@ class TestGauss2F1:
             gauss_2f1(1.0, 1.0, 2.0, -0.1)
 
 
+def _2f1_outcome(lane):
+    """A lane's value bits and term count, or its error's message, partial
+    sum and term count; ``lane`` is an entry of ``_gauss_2f1_lanes``."""
+    if isinstance(lane, ConvergenceError):
+        return str(lane), repr(lane.partial), lane.terms
+    return repr(lane[0]), lane[1]
+
+
+def _2f1_loop_outcome(a, b, c, z):
+    try:
+        return _2f1_outcome(gauss_2f1(a, b, c, z, full_output=True))
+    except ConvergenceError as exc:
+        return _2f1_outcome(exc)
+
+
+def _moment_lanes(log_beta, place, first, count):
+    # the 2F1 factors of a binomial moment sum over shapes (first + j) beta,
+    # j < count, with r at a place in its window (-2 first beta, 1)
+    beta = 10.0**log_beta
+    r = -2.0 * first * beta + place * (1.0 + 2.0 * first * beta)
+    g = (first + np.arange(count)) * beta
+    return -r / 2.0, r / 2.0 + g, 1.0 - r / 2.0 + g, 0.5
+
+
+LANES = st.one_of(
+    # beta up to 1e6 puts r, and so a = -r/2, far below 0: those lanes need
+    # wider blocks, and their terms overflow before they settle
+    st.builds(_moment_lanes, st.floats(-2.0, 6.0), st.floats(0.0, 1.0), st.integers(1, 5), st.integers(1, 69)),
+    st.builds(
+        lambda a, g, gap, z: (a, np.array(g), np.array(g) + gap, z),
+        st.floats(-3.0, 3.0), st.lists(st.floats(0.01, 1e3), min_size=1, max_size=8),
+        st.floats(0.5, 2.0), st.floats(0.0, 0.99),
+    ),
+)
+
+
+class TestGauss2F1Lanes:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(args=LANES)
+    # the first two lanes do not settle within 10,000 terms, so they carry
+    # the loop's ConvergenceError; the third is a polynomial of degree 3
+    @example(args=(2.0, np.array([3.0, 1.0, -3.0]), np.array([1.5, 4.0, 2.0]), 0.9999))
+    # in the first lane term 14 divides by c + 13 = 1e-11 and rises above
+    # tolerance between settled terms 13 and 15, so the run of three restarts
+    @example(args=(-14.0 + 1e-11, np.array([-3.17, 0.5]), np.array([-13.0 + 1e-11, 2.0]), 0.12))
+    def test_lanes_match_the_loop(self, args):
+        a, b, c, z = args
+        lanes = specfun._gauss_2f1_lanes(a, b, c, z)
+        assert [_2f1_outcome(lane) for lane in lanes] == [
+            _2f1_loop_outcome(a, bk, ck, z) for bk, ck in zip(b.tolist(), c.tolist())
+        ]
+
+
 def _f1_quadrature_oracle(a, b1, b2, c, x, y):
     def integrand(t):
         return t ** (a - 1.0) * (1.0 - t) ** (c - a - 1.0) * (1.0 - x * t) ** (-b1) * (1.0 - y * t) ** (-b2)
