@@ -1,0 +1,8 @@
+"""``python -m ecrlab``: the command line without the console script."""
+
+import sys
+
+from . import cli
+
+if __name__ == "__main__":
+    sys.exit(cli.main())

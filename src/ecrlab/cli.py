@@ -389,7 +389,3 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, fd)
         os.close(devnull)
         return 1
-
-
-if __name__ == "__main__":
-    sys.exit(main())

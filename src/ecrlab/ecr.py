@@ -106,7 +106,9 @@ class LossOfPrecisionError(ArithmeticError):
     result by enough orders of magnitude that double precision cannot
     back the digits, and the evaluation refuses rather than returning
     noise. The incomplete moment raises it where u0 = 1 - lam/s0 rounds
-    to 1, which its closed form cannot take."""
+    to 1, which its closed form cannot take, and the raw, probability
+    weighted and order-statistic moments where their scale factor or
+    value leaves the floating-point range."""
 
 
 class QuantileUnderflowError(ArithmeticError):
@@ -388,6 +390,25 @@ def _moment_sum(r: float, weights, shapes, label: str) -> float:
     return total
 
 
+def _scaled(label: str, r: float, p: Params, total: float, count: int = 1) -> float:
+    """beta (lam sqrt(2))^r count total, multiplied left to right; a power
+    that overflows or a value that is not finite raises
+    :class:`LossOfPrecisionError` naming ``label``."""
+    try:
+        power = (p.lam * math.sqrt(2.0)) ** r
+    except OverflowError:
+        raise LossOfPrecisionError(
+            f"{label}: (lambda sqrt 2)^r overflows at lambda = {p.lam:g}, r = {r:g}"
+        ) from None
+    value = p.beta * power * count * total
+    if not math.isfinite(value):
+        raise LossOfPrecisionError(
+            f"{label}: the closed form evaluates to {value} at beta = {p.beta:g}, lambda = {p.lam:g},"
+            f" r = {r:g}; its factors leave the floating-point range"
+        )
+    return value
+
+
 def pwm(s: int, r: float, t: int, p: Params) -> float:
     """Probability weighted moment E[X^r F(X)^s (1 - F(X))^t].
 
@@ -404,8 +425,8 @@ def pwm(s: int, r: float, t: int, p: Params) -> float:
         raise _window_error("probability weighted moment", r, lower, 1.0)
     weights = [(-1.0) ** i * math.comb(t, i) for i in range(t + 1)]
     shapes = [(s + i + 1.0) * p.beta for i in range(t + 1)]
-    total = _moment_sum(r, weights, shapes, "probability weighted moment")
-    return p.beta * (p.lam * math.sqrt(2.0)) ** r * total
+    label = "probability weighted moment"
+    return _scaled(label, r, p, _moment_sum(r, weights, shapes, label))
 
 
 def raw_moment(r: float, p: Params) -> float:
@@ -418,7 +439,7 @@ def raw_moment(r: float, p: Params) -> float:
     lower = -2.0 * p.beta
     if not lower < r < 1.0:
         raise _window_error("raw moment", r, lower, 1.0)
-    return p.beta * (p.lam * math.sqrt(2.0)) ** r * _moment_sum(r, [1.0], [p.beta], "raw moment")
+    return _scaled("raw moment", r, p, _moment_sum(r, [1.0], [p.beta], "raw moment"))
 
 
 def cr_moment(r: float, lam: float) -> float:
@@ -494,5 +515,5 @@ def order_stat_moment(i: int, n: int, r: float, p: Params) -> float:
         raise _window_error("order statistic moment", r, lower, 1.0)
     weights = [(-1.0) ** j * math.comb(n - i, j) for j in range(n - i + 1)]
     shapes = [(i + j) * p.beta for j in range(n - i + 1)]
-    total = _moment_sum(r, weights, shapes, "order statistic moment")
-    return p.beta * (p.lam * math.sqrt(2.0)) ** r * (int(i) * math.comb(n, i)) * total
+    label = "order statistic moment"
+    return _scaled(label, r, p, _moment_sum(r, weights, shapes, label), int(i) * math.comb(n, i))

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.special import gammainc, ndtr, ndtri
 
 from . import inference, specfun
 from .data import Dataset, InputError
@@ -84,6 +83,8 @@ def _transformed_pit(data: Dataset, cdf) -> np.ndarray | None:
     Returns None when a fitted probability hits 0 or 1 exactly, which
     makes the quantile step (and the statistics) infinite.
     """
+    from scipy.special import ndtr, ndtri
+
     u = np.sort(np.asarray(cdf(data.sorted_values), dtype=float))
     if np.any(u <= 0.0) or np.any(u >= 1.0):
         return None
@@ -281,6 +282,8 @@ def _weibull_loglik(data: Dataset, theta) -> float:
 
 
 def _gamma_cdf(x, theta):
+    from scipy.special import gammainc
+
     p, b = theta
     return gammainc(p, np.asarray(x, dtype=float) / b)
 
@@ -294,6 +297,8 @@ def _gamma_loglik(data: Dataset, theta) -> float:
 
 
 def _lognormal_cdf(x, theta):
+    from scipy.special import ndtr
+
     mu, sigma = theta
     return ndtr((np.log(np.asarray(x, dtype=float)) - mu) / sigma)
 

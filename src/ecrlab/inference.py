@@ -36,8 +36,6 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import erfc, ndtri
 
 from .data import Dataset
 from .ecr import Params, _log_u
@@ -270,6 +268,8 @@ def _brent_root(f, lo: float, hi: float) -> tuple[float, int, bool]:
     the absolute tolerance is scaled to the bracket so the result is
     scale-equivariant. Returns (root, function calls, converged).
     """
+    from scipy.optimize import brentq
+
     root, info = brentq(f, lo, hi, xtol=_STEP_TOL * lo, rtol=_STEP_TOL, maxiter=_MAX_ITER,
                         full_output=True, disp=False)
     return root, info.function_calls, info.converged
@@ -1041,6 +1041,8 @@ def confidence_intervals(
         raise ValueError(f"level must lie in (0, 1), got {level!r}")
     if fit.std_errors is None:
         raise ValueError("fit carries no standard errors")
+    from scipy.special import ndtri
+
     z = float(ndtri(0.5 * (1.0 + level)))
     out = []
     for est, se in zip((fit.params.beta, fit.params.lam), fit.std_errors):
@@ -1055,6 +1057,8 @@ def lr_test_cr(data: Dataset) -> tuple[float, float]:
     the p-value is the chi-square(1) upper tail, computed through the
     complementary error function.
     """
+    from scipy.special import erfc
+
     full = fit_ml(data)
     nested = fit_cr(data)
     stat = max(0.0, 2.0 * (full.loglik - nested.loglik))

@@ -29,8 +29,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import digamma as _scipy_digamma
 
 __all__ = [
     "EULER_GAMMA",
@@ -101,7 +99,9 @@ def beta_fn(a: float, b: float) -> float:
 
 def digamma(x: float) -> float:
     """psi(x) = d/dx ln Gamma(x) for x > 0, by ``scipy.special.digamma``."""
-    return float(_scipy_digamma(_require_positive("x", x)))
+    from scipy.special import digamma as scipy_digamma
+
+    return float(scipy_digamma(_require_positive("x", x)))
 
 
 def gauss_2f1(a: float, b: float, c: float, z: float, *, full_output: bool = False):
@@ -291,6 +291,8 @@ def _series_span(v: float) -> int:
 
 
 def _appell_f1_quad(a: float, b1: float, b2: float, c: float, x: float, y: float) -> float:
+    from scipy.integrate import quad
+
     def integrand(t: float) -> float:
         return (
             t ** (a - 1.0)

@@ -3,15 +3,18 @@ import io
 import json
 import math
 import os
+import subprocess
+import sys
 import warnings
 from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import HealthCheck, assume, example, given, note, settings
 from hypothesis import strategies as st
 
-from ecrlab import cli, specfun
+from ecrlab import cli
 from ecrlab.cli import build_parser, main
 from ecrlab.data import EMBEDDED_NAME, Dataset
 from ecrlab.ecr import Params, incomplete_moment, sample
@@ -330,11 +333,22 @@ class TestMoments:
         assert err.startswith("error: order statistic moment")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, cause", [
+        (["--beta", "1e6", "--lambda", "1", "--r=-1e6"], "the closed form evaluates to nan"),
+        (["--beta", "1e5", "--lambda", "1e-3", "--r=-1e5", "--pwm", "0", "8"], "(lambda sqrt 2)^r overflows"),
+    ])
+    def test_value_outside_the_float_range_exits_three(self, capsys, argv, cause):
+        code, out, err = run_cli(capsys, "moments", *argv)
+        assert code == 3
+        assert out == ""
+        assert err.startswith(f"error: raw moment: {cause}")
+        assert err.count("\n") == 1
+
     def test_quadrature_warning_exits_three(self, capsys, monkeypatch):
         def warned(*args, **kwargs):
             return 1.0, 1e-3, {"last": 500}, "The maximum number of subdivisions has been achieved."
 
-        monkeypatch.setattr(specfun, "quad", warned)
+        monkeypatch.setattr(scipy.integrate, "quad", warned)
         code, _, err = run_cli(
             capsys, "moments", "--beta", "0.8", "--lambda", "1.0", "--r", "0.5", "--x0", "20",
         )
@@ -568,6 +582,41 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "sample", "--beta", "-1", "--lambda", "1",
                                "--n", "5", "--seed", "1")
         assert code == 2
+
+
+def run_python(*args):
+    """A fresh interpreter that imports ecrlab from this source tree."""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
+
+
+# One interpreter runs every command, so the check costs one start-up.
+NO_SCIPY = """
+import contextlib, io, sys
+from ecrlab import cli
+path = sys.argv[1]
+for argv in (["describe", path], ["ttt", path], ["fit", path, "--method", "pb"],
+             ["sample", "--beta", "1.5", "--lambda", "2", "--n", "20", "--seed", "9"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+import ecrlab.sim
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+class TestStartUp:
+    def test_pure_numpy_commands_load_no_scipy(self, tmp_path):
+        path = tmp_path / "draws.txt"
+        path.write_text("\n".join(repr(float(v)) for v in sample(30, Params(1.5, 2.0), 4)))
+        result = run_python("-c", NO_SCIPY, str(path))
+        assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+    def test_python_dash_m(self):
+        result = run_python("-m", "ecrlab", "describe", EMBEDDED_NAME)
+        assert (result.returncode, result.stderr) == (0, "")
+        assert result.stdout.startswith("n ")
 
 
 class ClosedStdout(io.StringIO):

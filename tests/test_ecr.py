@@ -456,6 +456,28 @@ class TestPwm:
             pwm(0, 0.2, 1.5, p)
 
 
+class TestMomentsOutsideTheFloatRange:
+    # a = -r/2 = 5e5: the 2F1 terms overflow to inf and the beta factor
+    # underflows to 0, so the closed form's product is nan
+    @pytest.mark.parametrize("label, moment", [
+        ("raw moment", lambda: raw_moment(-1e6, Params(1e6, 1.0))),
+        ("probability weighted moment", lambda: pwm(1, -1e6, 3, Params(1e6, 1.0))),
+    ])
+    def test_nan_value_raises(self, label, moment):
+        with pytest.raises(LossOfPrecisionError, match=f"^{label}: the closed form evaluates to nan"):
+            moment()
+
+    # (1e-3 sqrt 2)^-1e5 overflows a float
+    @pytest.mark.parametrize("label, moment", [
+        ("raw moment", lambda: raw_moment(-1e5, Params(1e5, 1e-3))),
+        ("probability weighted moment", lambda: pwm(0, -1e5, 8, Params(1e5, 1e-3))),
+        ("order statistic moment", lambda: order_stat_moment(1, 3, -1e5, Params(1e5, 1e-3))),
+    ])
+    def test_scale_overflow_raises(self, label, moment):
+        with pytest.raises(LossOfPrecisionError, match=rf"^{label}: \(lambda sqrt 2\)\^r overflows"):
+            moment()
+
+
 class TestLogMoment:
     def test_cr_standard(self):
         assert log_moment(Params(1.0, 1.0)) == pytest.approx(math.log(2.0), rel=1e-12)

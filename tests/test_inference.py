@@ -7,6 +7,7 @@ from unittest import mock
 import mpmath
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -191,12 +192,12 @@ class TestFitMl:
 
     def test_unconverged_root_search_raises_with_best(self, heart_data, monkeypatch):
         fit = fit_ml(heart_data)
-        real_brentq = inference.brentq
+        real_brentq = scipy.optimize.brentq
 
         def one_step(f, a, b, **kwargs):
             return real_brentq(f, a, b, **{**kwargs, "maxiter": 1})
 
-        monkeypatch.setattr(inference, "brentq", one_step)
+        monkeypatch.setattr(scipy.optimize, "brentq", one_step)
         with pytest.raises(FitError, match="did not converge") as info:
             fit_ml(heart_data)
         best = info.value.best

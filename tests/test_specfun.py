@@ -3,6 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
+import scipy.integrate
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
@@ -350,7 +351,7 @@ class TestAppellF1:
         def warned(*args, **kwargs):
             return 0.5, 1e-3, {"last": 500}, "The maximum number of\n  subdivisions (500) has been achieved."
 
-        monkeypatch.setattr(specfun, "quad", warned)
+        monkeypatch.setattr(scipy.integrate, "quad", warned)
         with pytest.raises(ConvergenceError, match="maximum number of subdivisions") as info:
             appell_f1(1.7, 0.4, -0.2, 2.7, 0.96, 0.48)
         assert info.value.terms == 0
