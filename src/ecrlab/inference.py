@@ -9,11 +9,11 @@ s_i = sqrt(lam^2 + x_i^2):
                    + (beta - 1) sum log u_i
 
 For fixed lam the shape score vanishes at beta(lam) = -n / sum log u_i,
-so fitting reduces to a one-dimensional search over the scale: a grid
-pass on the profile log-likelihood, whose argmax and two profile-score
-probes give a sign bracket, then Brent's method (scipy's brentq) on the
-profile score inside it. Every pass of one fit goes through a per-sample
-kernel object that holds log x and its sum.
+so fitting reduces to a one-dimensional search over the scale: one grid
+pass gives the profile log-likelihood and the profile score at every
+grid scale, and Brent's method (scipy's brentq) finds the score's root
+in every grid cell where it falls from + to -. Every pass of one fit
+goes through a per-sample kernel object that holds log x and its sum.
 
 The percentile estimator evaluates through a per-sample object too. It
 scans a fixed 241-point shape grid for sign changes of its root
@@ -37,7 +37,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset
+from .data import Dataset, in_binade_units
 from .ecr import Params, _log_u
 
 __all__ = [
@@ -103,11 +103,10 @@ class FitResult:
     is False only when a requested Cox-Snell correction would have left
     the parameter space, in which case the plain ML fit is carried.
     ``iterations`` counts objective and score evaluations over all
-    phases: for ML the grid points, the two half-cell score probes, the
-    finer grid's points and probes when it is used, and Brent's score
-    evaluations (csml carries its ML fit's count); for the CR submodel
-    Brent's evaluations; for "pb" the shape grid's points and the
-    bisection steps.
+    phases: for ML the grid points, the finer grids' points where they
+    are used, and Brent's score evaluations over all its brackets (csml
+    carries its ML fit's count); for the CR submodel Brent's evaluations;
+    for "pb" the shape grid's points and the bisection steps.
     """
 
     params: Params
@@ -159,35 +158,39 @@ class _Kernel:
         """:func:`profile_log_likelihood` at ``lam``."""
         return _profile_from_sums(self.n, lam, self.sum_log_x, *self.log_sums(lam))
 
-    def profile_grid(self, grid: np.ndarray) -> list[float]:
-        """:meth:`profile` at every scale of ``grid``, to the bit, from one
-        broadcast pass per row block."""
-        values = []
+    def profile_grid(self, grid: np.ndarray) -> tuple[list[float], list[float]]:
+        """:meth:`profile` and :meth:`score` at every scale of ``grid``, to
+        the bit, from one broadcast pass per row block."""
+        values, scores = [], []
         for col in _row_blocks(grid, self.n):
             s = np.hypot(col, self.x)
             log_s = np.log(s)
             sums_log_s = log_s.sum(axis=1).tolist()
-            sums_log_u = _log_u(self.x, self.two_log_x, col, s, log_s).sum(axis=1).tolist()
-            for lam, sum_log_s, sum_log_u in zip(col[:, 0].tolist(), sums_log_s, sums_log_u):
+            sums_log_u = _log_u(self.x, self.two_log_x, col, s, log_s).sum(axis=1)
+            for lam, sum_log_s, sum_log_u in zip(col[:, 0].tolist(), sums_log_s, sums_log_u.tolist()):
                 sum_log_u = _checked_sum_log_u(lam, sum_log_u)
                 values.append(_profile_from_sums(self.n, lam, self.sum_log_x, sum_log_s, sum_log_u))
-        return values
+            scores += _scale_score(self.n, col[:, 0], -self.n / sums_log_u, *_inverse_sums(col, s)).tolist()
+        return values, scores
 
     def score(self, lam: float) -> float:
         """:func:`profile_score` at ``lam``."""
-        n = self.n
         s, _, sum_log_u = self.scan(lam)
-        sum_inv_s, lam_sum_inv_s2 = _inverse_sums(lam, s)
-        ratio = n / sum_log_u
-        return n / lam + (1.0 + ratio) * sum_inv_s - (2.0 - ratio) * lam_sum_inv_s2
+        return _scale_score(self.n, lam, -self.n / sum_log_u, *map(float, _inverse_sums(lam, s)))
 
 
-def _inverse_sums(lam: float, s: np.ndarray) -> tuple[float, float]:
-    """(sum 1/s, lam * sum 1/s^2), the latter as sum (lam/s)(1/s) so that
-    s^2 is never formed: it would overflow for data near 1e160 and
-    underflow to zero near 1e-200."""
+def _scale_score(n: int, lam, beta, sum_inv_s, lam_sum_inv_s2):
+    """d/dlam of the log-likelihood from its sums, at one point or
+    elementwise; at beta(lam) it is the profile score."""
+    return n / lam + (1.0 - beta) * sum_inv_s - (beta + 2.0) * lam_sum_inv_s2
+
+
+def _inverse_sums(lam, s: np.ndarray):
+    """(sum 1/s, lam * sum 1/s^2) over the last axis of ``s``, the latter
+    as sum (lam/s)(1/s) so that s^2 is never formed: it would overflow for
+    data near 1e160 and underflow to zero near 1e-200."""
     inv_s = 1.0 / s
-    return float(inv_s.sum()), float((lam * inv_s * inv_s).sum())
+    return inv_s.sum(axis=-1), (lam * inv_s * inv_s).sum(axis=-1)
 
 
 def _checked_sum_log_u(lam: float, sum_log_u: float) -> float:
@@ -219,10 +222,7 @@ def score(data: Dataset, p: Params) -> tuple[float, float]:
     """Analytic gradient of the log-likelihood, (d/dbeta, d/dlam)."""
     n = data.n
     s, _, sum_log_u = _Kernel(data.values).scan(p.lam)
-    sum_inv_s, lam_sum_inv_s2 = _inverse_sums(p.lam, s)
-    u_beta = n / p.beta + sum_log_u
-    u_lam = n / p.lam + (1.0 - p.beta) * sum_inv_s - (p.beta + 2.0) * lam_sum_inv_s2
-    return u_beta, u_lam
+    return n / p.beta + sum_log_u, _scale_score(n, p.lam, p.beta, *map(float, _inverse_sums(p.lam, s)))
 
 
 def profile_beta(data: Dataset, lam: float) -> float:
@@ -261,146 +261,142 @@ def profile_score(data: Dataset, lam: float) -> float:
 # Maximum likelihood
 
 
-def _brent_root(f, lo: float, hi: float) -> tuple[float, int, bool]:
+def _brent_root(f, lo: float, hi: float, log_scale: bool = False) -> tuple[float, int, bool]:
     """Root of ``f`` on the sign bracket [lo, hi] by Brent's method.
 
     Stops once the bracket is within _STEP_TOL of the root, relatively:
     the absolute tolerance is scaled to the bracket so the result is
-    scale-equivariant. Returns (root, function calls, converged).
+    scale-equivariant; on a bracket in log scale it is _STEP_TOL itself.
+    Returns (root, function calls, converged).
     """
     from scipy.optimize import brentq
 
-    root, info = brentq(f, lo, hi, xtol=_STEP_TOL * lo, rtol=_STEP_TOL, maxiter=_MAX_ITER,
+    xtol, rtol = (_STEP_TOL, 4.0 * np.finfo(float).eps) if log_scale else (_STEP_TOL * lo, _STEP_TOL)
+    root, info = brentq(f, lo, hi, xtol=xtol, rtol=rtol, maxiter=_MAX_ITER,
                         full_output=True, disp=False)
     return root, info.function_calls, info.converged
 
 
-def _falling_root(f, lo: float, hi: float, what: str) -> tuple[float, int]:
+def _falling_root(f, lo: float, hi: float, what: str, log_scale: bool = False) -> tuple[float, int]:
     """:func:`_brent_root` of an ``f`` that falls from + at ``lo`` to - at
     ``hi``; returns (root, function calls). ``f`` without that sign change,
     or on which Brent's method does not converge, raises :class:`FitError`
     naming ``what``."""
     if not f(lo) > 0.0 > f(hi):
         raise FitError(f"{what} has no bracketed root")
-    root, calls, converged = _brent_root(f, lo, hi)
+    root, calls, converged = _brent_root(f, lo, hi, log_scale)
     if not converged:
         raise FitError(f"{what} did not converge")
     return root, calls
 
 
-def _score_half_cell(kernel: _Kernel, grid: np.ndarray, k: int) -> tuple[float, float] | None:
-    """The half-cell next to the interior grid argmax ``k`` where the
-    profile score falls from + to -: [grid[k], grid[k+1]] when the score
-    at grid[k] is positive, else [grid[k-1], grid[k]]; None when the
-    score does not change sign across it."""
-    lam = float(grid[k])
-    if kernel.score(lam) > 0.0:
-        hi = float(grid[k + 1])
-        return (lam, hi) if kernel.score(hi) < 0.0 else None
-    lo = float(grid[k - 1])
-    return (lo, lam) if kernel.score(lo) > 0.0 else None
+def _score_cells(grid: np.ndarray, values: list[float], scores: list[float]):
+    """(falling, hidden): the cells [grid[i], grid[i+1]] across which the
+    profile score falls from + to - (or to 0), and those where it must do
+    so unseen: the profile ``values`` rise across the cell though the
+    score is - at both ends, or do not rise though it is + at both."""
+    lams, up = grid.tolist(), [score > 0.0 for score in scores]
+    cells = range(len(lams) - 1)
+    return ([(lams[i], lams[i + 1]) for i in cells if up[i] and scores[i + 1] <= 0.0],
+            [(lams[i], lams[i + 1]) for i in cells
+             if up[i] == up[i + 1] and (values[i + 1] > values[i]) != up[i]])
 
 
 def fit_ml(data: Dataset) -> FitResult:
     """Maximum likelihood via the profile in the scale parameter.
 
-    A 41-point geometric grid (factor 4 around the median / sqrt(3))
-    brackets the profile maximum; the profile score at
-    the grid's argmax and at one neighbour picks the half-cell where the
-    score falls from + to -, and Brent's method finds the root there.
-    When two stationary points share the argmax's cell and neither
-    half-cell changes sign, a second 41-point grid over that cell picks
-    the half-cell instead; if it fails too the fit raises
-    :class:`FitError`. All passes share one per-sample kernel; each grid
-    is evaluated in one broadcast pass per row block, with the same
-    values :func:`profile_log_likelihood` gives point by point. Data
-    whose range puts the grid or a profile value outside the
-    floating-point range raise :class:`FitError`. ``iterations`` counts
-    the grid points, the two half-cell score probes, the finer grid's
-    points and probes when it is used, and Brent's score evaluations.
+    One pass over a 41-point geometric grid (factor 4 around the median /
+    sqrt(3)) gives the profile and its score at every grid scale, as
+    :func:`profile_log_likelihood` and :func:`profile_score` give them
+    point by point. Brent's method runs on every cell where the score
+    falls from + to -, and on those of a finer 41-point grid over each
+    cell where it must do so unseen (see :func:`_score_cells`); the fit
+    is the root with the highest profile. Where no root reaches the
+    profile at the grid's larger end (the family degenerates to an
+    inverse-exponential limit as the scale -> 0), the fit raises the
+    boundary :class:`FitError` ("no interior likelihood maximum").
     Standard errors are the square roots of the diagonal of the inverse
     expected information divided by n.
+
+    Outside 2^+-200 the grid is laid on the sample in units of its
+    largest value's power of two where that division is exact, so the
+    estimate is the scaled sample's times that power; inside, nothing is
+    scaled. Data that still put the grid, a profile value or the
+    estimate outside the floating-point range raise :class:`FitError`.
 
     Where the profile is flat to double precision (a shape estimate near
     1e4 or more, as the scale approaches the scale -> 0 boundary), the
     score is rounding noise across a band of relative width about 1e-6,
     so which point of that band is returned depends on the root finder.
-    The boundary check against the grid's tiny-scale end is strict, with
-    no tolerance, so such a stationary point still counts as interior.
+    The boundary check against the grid's ends is strict, with no
+    tolerance, so such a stationary point still counts as interior.
     """
     x = data.values
     n = data.n
     if n < 2 or float(np.min(x)) == float(np.max(x)):
         raise FitError("need at least two distinct observations to fit")
 
-    kernel = _Kernel(x)
-    center = float(np.median(x)) / math.sqrt(3.0)
+    units, e = in_binade_units(x)
+    if e and not np.array_equal(np.ldexp(units, e), x):
+        units, e = x, 0
+    kernel = _Kernel(units)
+    center = float(np.median(units)) / math.sqrt(3.0)
     with np.errstate(over="ignore", under="ignore"):
         grid = center * 4.0 ** np.arange(-20.0, 21.0)
     if not (np.all(np.isfinite(grid)) and grid[0] > 0.0):
         raise FitError("the scale grid leaves the floating-point range: the data span too many "
                        "orders of magnitude")
-    values = kernel.profile_grid(grid)
+    values, scores = kernel.profile_grid(grid)
     if not all(map(math.isfinite, values)):
         raise FitError("the profile log-likelihood is not finite on the scale grid")
-    k = int(np.argmax(values))
+    cells, hidden = _score_cells(grid, values, scores)
     iterations = grid.size
-    if k == 0 or k == grid.size - 1:
-        side = "(shape -> inf, scale -> 0)" if k == 0 else "(scale -> inf)"
-        raise FitError(
-            f"no interior likelihood maximum: the profile increases toward the {side} boundary",
-            best=_best_ml(kernel, float(grid[k]), iterations),
-        )
-
-    # The profile score runs -/+/- in lam, the maximum being its second
-    # root, so the score at grid[k] picks the half-cell on the maximum's
-    # side. Two stationary points can share one factor-4 cell (the score
-    # runs +/-/+ inside it); a finer grid over the cell then separates them.
-    bracket = _score_half_cell(kernel, grid, k)
-    iterations += 2
-    if bracket is None:
-        fine = np.geomspace(grid[k - 1], grid[k + 1], grid.size)
-        fine_values = kernel.profile_grid(fine)
-        k = int(np.argmax(fine_values))
+    for lo, hi in hidden:
+        fine = np.geomspace(lo, hi, grid.size)
+        cells += _score_cells(fine, *kernel.profile_grid(fine))[0]
         iterations += fine.size
-        if 0 < k < fine.size - 1:
-            bracket = _score_half_cell(kernel, fine, k)
-            iterations += 2
-        if bracket is None:
-            raise FitError(
-                "profile score has no bracketed root near the profile maximum",
-                best=_best_ml(kernel, float(fine[k]), iterations),
-            )
-    lo, hi = bracket
-    lam, calls, converged = _brent_root(kernel.score, lo, hi)
-    iterations += calls
+    roots = []
+    for lo, hi in cells:
+        lam, calls, converged = _brent_root(kernel.score, lo, hi)
+        iterations += calls
+        roots.append((kernel.profile(lam), lam, converged))
 
-    # Stationary but not the global optimum: the likelihood can still be
-    # higher at the scale -> 0 boundary (the family degenerates to an
-    # inverse-exponential limit there, where no interior MLE exists).
-    if values[0] > kernel.profile(lam):
+    value, lam, converged = max(roots, default=(-math.inf, math.nan, False))
+    end = 0 if values[0] >= values[-1] else grid.size - 1
+    if values[end] > value:
+        side = "(shape -> inf, scale -> 0)" if end == 0 else "(scale -> inf)"
         raise FitError(
-            "no interior likelihood maximum: the (shape -> inf, scale -> 0) "
-            "boundary dominates the stationary point",
-            best=_best_ml(kernel, lam, iterations),
+            f"no interior likelihood maximum: the profile is higher toward the {side} boundary "
+            "than at any stationary point",
+            best=_ml_result(kernel, float(grid[end]), iterations, False, e),
         )
-
-    result = _ml_result(kernel, lam, iterations, converged)
+    result = _ml_result(kernel, lam, iterations, converged, e)
+    if result is None:
+        raise FitError("the ML estimate leaves the parameter space or the floating-point range")
     if not converged:
         raise FitError("profile search did not converge", best=result)
     return result
 
 
-def _ml_result(kernel: _Kernel, lam: float, iterations: int, converged: bool) -> FitResult:
-    """The ML fit at scale ``lam``: profile shape and log-likelihood from
-    one kernel pass, bit-equal to :func:`profile_beta` and
-    :func:`log_likelihood`."""
-    sum_log_s, sum_log_u = kernel.log_sums(lam)
-    params = Params(-kernel.n / sum_log_u, lam)
+def _ml_result(kernel: _Kernel, lam: float, iterations: int, converged: bool,
+               e: int = 0) -> FitResult | None:
+    """The ML fit at scale ``lam`` of a kernel on the sample in units of
+    2^``e``, bit-equal to :func:`profile_beta` and :func:`log_likelihood`
+    where e is 0 (the scale and its error are multiplied back by 2^e, the
+    log-likelihood shifted by -n e log 2); None where that scale admits
+    no valid parameters or they or their standard errors overflow."""
+    try:
+        sum_log_s, sum_log_u = kernel.log_sums(lam)
+        beta = -kernel.n / sum_log_u
+        params = Params(beta, math.ldexp(lam, e))
+        std_errors = asymptotic_std_errors(params, kernel.n)
+    except (ValueError, OverflowError):
+        return None
+    loglik = _log_likelihood_from_sums(kernel, Params(beta, lam), sum_log_s, sum_log_u)
     return FitResult(
         params=params,
-        std_errors=asymptotic_std_errors(params, kernel.n),
-        loglik=_log_likelihood_from_sums(kernel, params, sum_log_s, sum_log_u),
+        std_errors=std_errors,
+        loglik=loglik - kernel.n * e * math.log(2.0),
         method="ml",
         iterations=iterations,
         converged=converged,
@@ -408,34 +404,35 @@ def _ml_result(kernel: _Kernel, lam: float, iterations: int, converged: bool) ->
     )
 
 
-def _best_ml(kernel: _Kernel, lam: float, iterations: int) -> FitResult | None:
-    """The unconverged fit at ``lam`` a :class:`FitError` carries, or None
-    where that scale admits no valid parameters or their standard errors
-    overflow."""
-    try:
-        return _ml_result(kernel, lam, iterations, False)
-    except (ValueError, OverflowError):
-        return None
-
-
 def fit_cr(data: Dataset) -> FitResult:
     """ML fit of the CR submodel (shape pinned at 1).
 
-    The scale score n/lam - 3 lam sum 1/s^2 is monotone, so the root is
-    bracketed on [1e-6 min x, 1e3 max x] and found by Brent's method;
-    ``iterations`` counts its score evaluations. A score without a sign
-    change there, or a root search that does not converge, raises
-    :class:`FitError`. The shape entry of ``std_errors`` is 0 because beta
-    is not estimated.
+    The scale score n/lam - 3 lam sum 1/s^2 has the sign of
+    h = n - 3 sum 1/(1 + (x/lam)^2), which falls from n to -2n with its
+    root in [min x, max x] / sqrt(2). Brent's method finds it in log lam
+    on [min x / 2, max x], so its score evaluations (``iterations``) do
+    not grow with the decades the data span; a search that does not
+    converge raises :class:`FitError`. The shape entry of ``std_errors``
+    is 0 because beta is not estimated.
     """
     x = data.values
     n = data.n
+    log_x = np.log(x)
 
-    def g(lam: float) -> float:
-        return n / lam - 3.0 * _inverse_sums(lam, np.hypot(lam, x))[1]
+    # h as n - 3k (k the count below lam) plus 3 sum +-q^2/(1 + q^2), q =
+    # min(x/lam, lam/x), so the small terms that place the root are not
+    # rounded away against n; where n = 3k they are scaled by e^(2 min
+    # |log(x/lam)|) so that they cannot all underflow
+    def h(log_lam: float) -> float:
+        d = log_x - log_lam
+        whole = n - 3 * int(np.count_nonzero(d < 0.0))
+        q2 = np.exp(-2.0 * np.abs(d))
+        small = (q2 if whole else np.exp(2.0 * (np.abs(d).min() - np.abs(d)))) / (1.0 + q2)
+        return whole + 3.0 * float(np.copysign(small, -d).sum())
 
-    lam, iterations = _falling_root(g, float(np.min(x)) * 1e-6, float(np.max(x)) * 1e3,
-                                    "CR scale score")
+    log_lam, iterations = _falling_root(h, float(log_x.min()) - math.log(2.0), float(log_x.max()),
+                                        "CR scale score", log_scale=True)
+    lam = math.exp(log_lam)
     params = Params(1.0, lam)
     # Expected information for the single scale parameter: 4n/(5 lam^2).
     se = lam / math.sqrt(0.8 * n)

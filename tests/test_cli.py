@@ -495,11 +495,21 @@ class TestComparisonFitContract:
         code, out, err = run_on_stdin("1.00000000000002e+30\n1.00000000000003e+30\n", "fit", "-", "--model", "lognormal")
         assert (code, out, err) == (3, "", "error: log-normal sigma estimate is 0: the logs of the data are all equal\n")
 
-    def test_unconverged_cr_scale_exits_three(self):
-        # Brent's method stops after 200 iterations across 600 orders of
-        # magnitude; the unconverged scale used to be printed (exit 0)
-        code, out, err = run_on_stdin("1e-300\n1e-100\n1\n1e100\n1e300\n", "fit", "-", "--model", "cr")
-        assert (code, out, err) == (3, "", "error: CR scale score did not converge\n")
+    @pytest.mark.parametrize("text, lam", [
+        # 3 sum 1/(1 + (x/lam)^2) = n has the root sqrt(2) 1e-100 here, to
+        # about 1e-200 relative
+        ("1e-300\n1e-100\n1\n1e100\n1e300\n", math.sqrt(2.0) * 1e-100),
+        # its 40-digit mpmath root
+        ("1e-60\n1\n3\n1e60\n2e50\n", 1.1010061082705337),
+    ], ids=["600-decades", "120-decades"])
+    def test_cr_scale_across_hundreds_of_decades(self, text, lam):
+        # Brent's method in the scale itself stopped after 200 iterations
+        # across these spans: first the unconverged scale was printed (exit
+        # 0), then "CR scale score did not converge" (exit 3); in log scale
+        # it converges
+        code, out, err = run_on_stdin(text, "fit", "-", "--model", "cr")
+        assert code == 0, err
+        assert json.loads(out)["params"]["lambda"] == pytest.approx(lam, rel=1e-12)
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(text=contract_samples())
