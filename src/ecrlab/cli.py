@@ -127,13 +127,12 @@ def cmd_describe(args) -> int:
     return 0
 
 
-_ECR_FITTERS = {"ml": fit_ml, "csml": fit_cs_ml, "pb": fit_pb}
-
-
 def cmd_fit(args) -> int:
     data = _read_dataset(args.input)
     if args.model == "ecr":
-        fit = _ECR_FITTERS[args.method](data)
+        # looked up per call, so a patched or traced fitter is the one run
+        fitter = {"ml": fit_ml, "csml": fit_cs_ml, "pb": fit_pb}[args.method]
+        fit = fitter(data)
         payload = {
             "schema": SCHEMA,
             "model": "ecr",

@@ -106,9 +106,8 @@ class LossOfPrecisionError(ArithmeticError):
     result by enough orders of magnitude that double precision cannot
     back the digits, and the evaluation refuses rather than returning
     noise. The incomplete moment raises it where u0 = 1 - lam/s0 rounds
-    to 1, which its closed form cannot take, and the raw, probability
-    weighted and order-statistic moments where their scale factor or
-    value leaves the floating-point range."""
+    to 1, which its closed form cannot take, and every moment where its
+    scale factor or value leaves the floating-point range."""
 
 
 class QuantileUnderflowError(ArithmeticError):
@@ -236,11 +235,12 @@ def pdf(x, p: Params):
 def log_pdf(x, p: Params):
     """log f(x), stable over the whole positive axis."""
     arr = _as_positive_array("x", x)
-    _, _, s, k = _hypot(p.lam, arr)
-    log_u = _log_kernel(arr, p.lam)
+    lam, x, s, k = _hypot(p.lam, arr)  # as in _log_kernel, with s and log s formed once
+    log_s = np.log(s)
+    log_u = _log_u(x, 2.0 * np.log(x), lam, s, log_s)
     beta_lam = p.beta * p.lam
     log_beta_lam = math.log(beta_lam) if 0.0 < beta_lam < math.inf else math.log(p.beta) + math.log(p.lam)
-    out = log_beta_lam + np.log(arr) - 3.0 * (np.log(s) + np.log(k)) + (p.beta - 1.0) * log_u
+    out = log_beta_lam + np.log(arr) - 3.0 * (log_s + np.log(k)) + (p.beta - 1.0) * log_u
     return out if out.ndim else float(out)
 
 
@@ -358,10 +358,11 @@ def _moment_sum(r: float, weights, shapes, label: str) -> float:
 
     Tracks the gross term magnitude so alternating-sign cancellation is
     detected instead of silently eroding the result. A sum of at least
-    ``_BLOCK_TERMS`` (8) terms evaluates all of its 2F1 factors in one
-    block (:func:`ecrlab.specfun._gauss_2f1_lanes`), equal to the scalar
-    series to the bit; each term's beta factor, and any error of either
-    factor, still comes in term order. Narrower sums, such as the raw
+    ``_BLOCK_TERMS`` (8) terms evaluates all of its 2F1 factors as the
+    lanes of one block of specfun's series engine
+    (:func:`ecrlab.specfun._gauss_2f1_lanes`), equal to the scalar series
+    to the bit; each term's beta factor, and any error of either factor,
+    still comes in term order. Narrower sums, such as the raw
     moment's single term, call :func:`ecrlab.specfun.gauss_2f1` per term,
     which is faster there than the block's fixed cost of about four
     scalar calls."""
@@ -496,7 +497,15 @@ def incomplete_moment(r: float, x0: float, p: Params, *, full_output: bool = Fal
         )
     value, rows = appell_f1(r / 2.0 + p.beta, r, -r / 2.0, r / 2.0 + p.beta + 1.0, u0, u0 / 2.0,
                             full_output=True)
-    moment = p.beta * 2.0 ** (r / 2.0 + 1.0) * p.lam**r * u0 ** (p.beta + r / 2.0) / (2.0 * p.beta + r) * value
+    try:
+        moment = p.beta * 2.0 ** (r / 2.0 + 1.0) * p.lam**r * u0 ** (p.beta + r / 2.0) / (2.0 * p.beta + r) * value
+    except OverflowError:  # a power overflows
+        moment = math.inf
+    if not math.isfinite(moment):
+        raise LossOfPrecisionError(
+            f"incomplete moment: the closed form's factors leave the floating-point range at beta = {p.beta:g},"
+            f" lambda = {p.lam:g}, r = {r:g}"
+        )
     return (moment, rows) if full_output else moment
 
 

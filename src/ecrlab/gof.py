@@ -12,10 +12,10 @@ and the (1 + 0.5/n) and (1 + 0.75/n + 2.25/n^2) factors are applied.
 Each comparison fit is a maximum-likelihood estimate or a typed failure.
 The log-normal fit is closed-form. The others profile out all but one
 parameter and solve that profile's score (for Weibull and gamma, the
-shape equation) by Brent's method on a fixed bracket, through the root
-path ``fit_ml`` uses: a score that does not change sign on its bracket,
-or a search that does not converge, raises :class:`inference.FitError`
-naming the equation.
+shape equation) by Brent's method on a bracket taken from the data,
+through the root path ``fit_ml`` uses: a score that does not change sign
+on its bracket, or a search that does not converge, raises
+:class:`inference.FitError` naming the equation.
 """
 
 from __future__ import annotations
@@ -199,7 +199,13 @@ def _fit_weibull(data: Dataset) -> tuple[float, float]:
         xa = np.exp(a * shifted)
         return 1.0 / a - float(np.sum(xa * log_x) / np.sum(xa))
 
-    a, _ = inference._falling_root(shape_eq, 1e-3, 100.0, "Weibull shape equation")
+    # The weighted mean of log_x falls short of top, so shape_eq(1/top) > 0.
+    # log mean x^a is convex in a, 0 at a = 0 with slope mean(log_x) = 0,
+    # and at least a top - ln n, so the weighted mean is at least
+    # top - (ln n)/a and shape_eq((1 + ln n)/top) <= 0.
+    if not top > 0.0:
+        raise inference.FitError("Weibull shape equation has no bracketed root: the logs of the data are all equal")
+    a, _ = inference._falling_root(shape_eq, 1.0 / top, (1.0 + math.log(data.n)) / top, "Weibull shape equation")
     # a power mean of the data, so it lies between their min and max
     return a, math.exp(log_geo + top + math.log(float(np.mean(np.exp(a * shifted)))) / a)
 
@@ -213,7 +219,12 @@ def _fit_gamma(data: Dataset) -> tuple[float, float]:
     def shape_eq(p: float) -> float:
         return math.log(p) - specfun.digamma(p) - gap
 
-    shape, _ = inference._falling_root(shape_eq, 1e-6, 1e6, "gamma shape equation")
+    # Alzer's inequality 1/(2p) < log p - psi(p) < 1/p puts the root in
+    # [1/(2 gap), 1/gap]; the bracket is twice as wide at each end,
+    # because log p - psi(p) is rounded by about 1e-15.
+    if not (0.0 < gap < math.inf and 2.0 / gap < math.inf):
+        raise inference.FitError(f"gamma shape equation has no bracketed root: log(mean x) - mean(log x) is {gap!r}")
+    shape, _ = inference._falling_root(shape_eq, 0.25 / gap, 2.0 / gap, "gamma shape equation")
     return shape, float(np.mean(x)) / shape
 
 
@@ -252,8 +263,21 @@ def _fit_ee(data: Dataset) -> tuple[float, float]:
             terms = np.where(t > 0.0, x * np.exp(-t) / -np.expm1(-t), 1.0 / rate)
         return n / rate - total + (shape(rate) - 1.0) * float(np.sum(terms))
 
-    scale = total / n
-    rate, _ = inference._falling_root(score, 1e-4 / scale, 1e2 / scale, "EE profile score")
+    # The bracket, in log scale. As x e^(-t)/(1 - e^(-t)) lies in
+    # [1/rate - x/2, 1/rate], the score is positive wherever
+    # rate mean(x) < min(1, shape): at rate mean(x) = 1e-4, since the shape
+    # exceeds 1e-4 unless some rate x underflows to 0. For large rates the
+    # score approaches n/rate - sum(x - min x), negative once
+    # rate (max x - min x) exceeds n; the upper end is twice that, but not
+    # past rate min x = 700, beyond which e^(-rate x) leaves the normal
+    # floats at every x.
+    low, high = float(x.min()), float(x.max())
+    if not (high > low and total < math.inf):
+        raise inference.FitError("EE profile score has no bracketed root: the data are all equal or their sum overflows")
+    log_rate, _ = inference._falling_root(lambda v: score(math.exp(v)), math.log(1e-4 * n / total),
+                                          math.log(min(2.0 * n / (high - low), 700.0 / low)),
+                                          "EE profile score", log_scale=True)
+    rate = math.exp(log_rate)
     alpha = shape(rate)
     if not alpha > 0.0:
         raise inference.FitError("EE shape estimate is 0: rate * x underflows to 0 at the root")

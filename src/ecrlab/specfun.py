@@ -3,25 +3,20 @@
 Everything here is real-valued, pure and deterministic. The gamma family
 is backed by the standard library and scipy: ``log_gamma`` by
 ``math.lgamma`` and ``digamma`` by ``scipy.special.digamma``, with
-``gamma_fn`` and ``beta_fn`` built on ``log_gamma``. All series share
-one truncation policy, two module constants: summation stops once the
-running term is below ``_REL_TOL`` (1e-14) relative to the partial sum
-for three consecutive terms, which keeps alternating series from
-stopping on an accidentally tiny term, and a series that has not
-settled within ``_MAX_TERMS`` (10,000) terms raises
-:class:`ConvergenceError`. The one exception is ``appell_f1``'s inner
-row in n, which stops at its first term below tolerance; its outer sum
-over rows keeps the three-term rule. ``appell_f1`` evaluates its double
-series in numpy blocks of rows, forming every term and partial sum by
-sequential accumulation (``np.multiply.accumulate``,
-``np.add.accumulate``) in the order of a term-by-term loop, so its
-values, row counts and errors are exactly those of that loop. The
-private ``_gauss_2f1_lanes`` does the same for a row of 2F1 series that
-share a and z, one lane per series: the moments' wide binomial sums
-(``ecr._moment_sum`` from 8 terms on, where the block costs less than
-the scalar calls) take every 2F1 factor from one block, equal to
-``gauss_2f1`` lane by lane. Series evaluators can report how many terms
-they consumed via ``full_output=True``.
+``gamma_fn`` and ``beta_fn`` built on ``log_gamma``. Every series obeys
+one bound, |term| <= ``_REL_TOL`` (|partial sum| + ``_TINY``), that is
+1e-14 (|sum| + 1e-300): it stops at the third consecutive term within
+it, which keeps alternating series from stopping on an accidentally tiny
+term, and raises :class:`ConvergenceError` if it has not stopped within
+``_MAX_TERMS`` (10,000) terms. The one difference is ``appell_f1``'s
+inner row in n, which stops at its first term within the bound. One
+engine, ``_series_lanes``, sums a row of 2F1-type series in a numpy
+block, one lane per series, with every term and partial sum formed by
+sequential accumulation in the order of a term loop, so each lane equals
+that loop to the bit. It sums ``appell_f1``'s rows, a block at a time,
+and, through ``_gauss_2f1_lanes``, the 2F1 factors of the moments' wide
+binomial sums (``ecr._moment_sum`` from 8 terms on). Series evaluators
+can report how many terms they consumed via ``full_output=True``.
 """
 
 from __future__ import annotations
@@ -48,14 +43,13 @@ EULER_GAMMA = 0.5772156649015328606065120900824024
 # representation is integrated numerically instead.
 _F1_QUAD_SWITCH = 0.95
 
-_TINY = 1e-300
-
 # The series truncation policy (see the module docstring).
 _REL_TOL = 1e-14
+_TINY = 1e-300
 _MAX_TERMS = 10_000
 
-# appell_f1 evaluates its double series in blocks of rows of about this
-# many elements (a row that needs more columns widens its block).
+# appell_f1 takes its rows in blocks of about this many terms at the
+# block's first width (rows that need more columns widen on their own).
 _BLOCK_ELEMENTS = 2**13
 
 
@@ -121,7 +115,7 @@ def gauss_2f1(a: float, b: float, c: float, z: float, *, full_output: bool = Fal
     for n in range(1, _MAX_TERMS + 1):
         term *= (a + n - 1.0) * (b + n - 1.0) / ((c + n - 1.0) * n) * z
         total += term
-        if abs(term) <= _REL_TOL * abs(total):
+        if abs(term) <= _REL_TOL * (abs(total) + _TINY):
             settled += 1
             if settled >= 3:
                 return (total, n) if full_output else total
@@ -130,50 +124,82 @@ def gauss_2f1(a: float, b: float, c: float, z: float, *, full_output: bool = Fal
     raise ConvergenceError("gauss_2f1 series did not converge", total, _MAX_TERMS)
 
 
+def _series_lanes(first: np.ndarray, a: float, b: np.ndarray, c: np.ndarray, z: float, run: int):
+    """first[k] sum_n (a)_n (b[k])_n / ((c[k])_n n!) z^n for every lane k,
+    from numpy blocks of (terms, lanes). Returns ``(values, stops)``.
+
+    Lane k stops at term stops[k], the last of ``run`` consecutive terms
+    n >= 1 within the series bound, and values[k] is its partial sum
+    there. The block starts ``_series_span(z)`` terms wide; open lanes
+    are recomputed in a block twice as wide, up to ``_MAX_TERMS`` terms.
+    A lane open there, or whose partial sum is NaN and so can never stop,
+    gets stop 0 and its partial sum. Each factor is formed as
+    ((b + n) - 1)((a + n) - 1) / (((c + n) - 1) n) z, so every lane
+    equals a term loop from ``first[k]`` to the bit. The caller keeps
+    every (c + n) - 1 nonzero and runs this under
+    ``np.errstate(all="ignore")``: terms past a lane's stop may overflow
+    or divide inf by inf, and are never read.
+    """
+    values = stops = None
+    lanes = slice(None)  # every lane, and no copy, on the first pass
+    width = min(_series_span(z), _MAX_TERMS + 1)
+    while True:
+        n = np.arange(1.0, width)[:, None]
+        lane_b = b[lanes]
+        terms = np.empty((width, lane_b.size))
+        terms[0] = first[lanes]
+        factors = terms[1:]
+        np.add(lane_b, n, out=factors)
+        factors -= 1.0
+        factors *= (a + n) - 1.0
+        den = c[lanes] + n
+        den -= 1.0
+        den *= n
+        factors /= den
+        factors *= z
+        np.multiply.accumulate(terms, out=terms)
+        sums = np.add.accumulate(terms)
+        bound = np.abs(sums[1:])
+        bound += _TINY
+        bound *= _REL_TOL
+        # small[k] marks terms k + 1 to k + run all within the bound
+        small = np.abs(terms[1:]) <= bound
+        for _ in range(1, run):
+            small = small[:-1] & small[1:]
+        stop = small.argmax(axis=0)
+        index = np.arange(stop.size)
+        done = small[stop, index]
+        stop += run
+        if values is None:
+            values, stops = sums[stop, index], stop
+        else:
+            values[lanes] = sums[stop, index]
+            stops[lanes] = stop
+        if done.all():
+            return values, stops
+        lanes = np.arange(b.size)[lanes]
+        final = ~done if width > _MAX_TERMS else ~done & np.isnan(sums[-1])
+        values[lanes[final]] = sums[-1, final]
+        stops[lanes[final]] = 0
+        lanes = lanes[~(done | final)]
+        if not lanes.size:
+            return values, stops
+        width = min(2 * width, _MAX_TERMS + 1)
+
+
 def _gauss_2f1_lanes(a: float, b: np.ndarray, c: np.ndarray, z: float) -> list:
     """``gauss_2f1(a, b[k], c[k], z, full_output=True)`` for every lane k,
-    from one numpy block of (terms, lanes).
+    from :func:`_series_lanes` with the scalar loop's run of three.
 
     Returns one entry per lane: the ``(value, terms)`` pair of the loop,
     or the :class:`ConvergenceError` the loop would raise, handed back
     rather than raised so that the caller can raise it in its own order.
-    The block starts ``_series_span(z)`` terms wide; lanes that have not
-    settled within it are recomputed in a block twice as wide, up to the
-    loop's ``_MAX_TERMS``. Every factor is formed in the loop's operation
-    order and every term and partial sum by sequential accumulation, so
-    each lane's value and term count are exactly the loop's. The caller
-    supplies c with no non-positive integer and z in [0, 1).
+    The caller supplies c with no non-positive integer and z in [0, 1).
     """
-    out = [None] * b.size
-    lanes = np.arange(b.size)
-    width = min(_series_span(z), _MAX_TERMS + 1)
-    # Terms past a lane's stop may overflow or divide inf by inf; they
-    # are never read.
     with np.errstate(all="ignore"):
-        while lanes.size:
-            n = np.arange(1.0, width)[:, None]
-            terms = np.empty((width, lanes.size))
-            terms[0] = 1.0
-            terms[1:] = (a + n - 1.0) * (b[lanes] + n - 1.0) / ((c[lanes] + n - 1.0) * n) * z
-            np.multiply.accumulate(terms, out=terms)
-            sums = np.add.accumulate(terms)
-            # A lane stops at the third consecutive term n >= 1 below
-            # tolerance; settled[k] marks terms k + 1, k + 2 and k + 3.
-            small = np.abs(terms[1:]) <= _REL_TOL * np.abs(sums[1:])
-            settled = small[:-2] & small[1:-1] & small[2:]
-            stop = settled.argmax(axis=0) + 3
-            done = settled[stop - 3, np.arange(lanes.size)]
-            cols = np.flatnonzero(done)
-            for lane, n_stop, value in zip(lanes[cols].tolist(), stop[cols].tolist(),
-                                           sums[stop[cols], cols].tolist()):
-                out[lane] = (value, n_stop)
-            lanes = lanes[~done]
-            if width > _MAX_TERMS:
-                for lane, partial in zip(lanes.tolist(), sums[-1, ~done].tolist()):
-                    out[lane] = ConvergenceError("gauss_2f1 series did not converge", partial, _MAX_TERMS)
-                break
-            width = min(2 * width, _MAX_TERMS + 1)
-    return out
+        values, stops = _series_lanes(np.ones(b.size), a, b, c, z, 3)
+    return [(value, stop) if stop else ConvergenceError("gauss_2f1 series did not converge", value, _MAX_TERMS)
+            for value, stop in zip(values.tolist(), stops.tolist())]
 
 
 def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float, *,
@@ -181,16 +207,14 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float, *,
     """Appell F1(a; b1, b2; c; x, y) for |x| < 1, |y| < 1 with a > 0, c > a.
 
     The double series sum_{m,n} (a)_{m+n} (b1)_m (b2)_n /
-    [(c)_{m+n} m! n!] x^m y^n is summed row by row in m: row m is the
-    series in n, which stops at its first term below tolerance, and the
-    rows stop after three consecutive settled row sums. The rows are
-    evaluated in blocks of at most about ``_BLOCK_ELEMENTS`` terms, with
-    about 33/(-ln|x|) + 8 rows and 33/(-ln|y|) + 8 columns; a block whose
-    needed row does not stop within its width is recomputed twice as
-    wide. Each term and partial sum is a sequential accumulation in the
-    order of a term-by-term loop, so the value, the row count and any
-    :class:`ConvergenceError` equal that loop's exactly. For x above
-    0.95 the series converges too slowly and the one-dimensional
+    [(c)_{m+n} m! n!] x^m y^n is summed row by row in m. Row m is
+    lead_m 2F1(b2, a + m; c + m; y), with lead_m its n = 0 term, and
+    stops at its first term below tolerance; the rows stop after three
+    consecutive settled row sums. Blocks of about 33/(-ln|x|) + 8 rows,
+    at most about ``_BLOCK_ELEMENTS`` terms wide at first, are each one
+    call of :func:`_series_lanes`, so the value, the row count and any
+    :class:`ConvergenceError` equal a term-by-term loop's exactly. For x
+    above 0.95 the series converges too slowly and the one-dimensional
     integral representation
 
         F1 = 1/B(a, c-a) * int_0^1 t^{a-1} (1-t)^{c-a-1}
@@ -217,18 +241,13 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float, *,
         raise ZeroDivisionError("float division by zero")
 
     total = 0.0
-    lead = 1.0  # (a)_m (b1)_m / ((c)_m m!) x^m, the n = 0 term of row m
+    lead = 1.0  # the n = 0 term of the next row
     settled = 0
     m0 = 0
-    span = _series_span(x)
-    width = min(_series_span(y), _MAX_TERMS + 1, _BLOCK_ELEMENTS)
-    # Columns past a row's stop may overflow or divide inf by inf; they
-    # are never read.
-    with np.errstate(all="ignore"):
+    block = min(_series_span(x), max(1, _BLOCK_ELEMENTS // min(_series_span(y), _MAX_TERMS + 1)))
+    with np.errstate(all="ignore"):  # for _series_lanes, and leads past the outer stop
         while m0 < _MAX_TERMS:
-            # Row m of the block is column m - m0 of these (width, rows)
-            # arrays, and term n of that row is its entry n.
-            rows = min(span, max(1, _BLOCK_ELEMENTS // width), _MAX_TERMS - m0)
+            rows = min(block, _MAX_TERMS - m0)
             m = np.arange(m0, m0 + rows, dtype=float)
             am = a + m
             cm = c + m
@@ -236,36 +255,11 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float, *,
             leads[0] = lead
             leads[1:] = am * (b1 + m) / (cm * (m + 1.0)) * x
             np.multiply.accumulate(leads, out=leads)
-
-            n = np.arange(1.0, width)[:, None]
-            terms = np.empty((width, rows))
-            terms[0] = leads[:rows]
-            factors = terms[1:]
-            np.add(am, n, out=factors)
-            factors -= 1.0
-            factors *= (b2 + n) - 1.0
-            den = cm + n
-            den -= 1.0
-            den *= n
-            factors /= den
-            factors *= y
-            np.multiply.accumulate(terms, out=terms)
-            sums = np.add.accumulate(terms)
-
-            # The inner rule: a row stops at its first term in n >= 1
-            # below tolerance. Rows from the first one that does not stop
-            # within this width on are left to a wider block.
-            bound = np.abs(sums[1:])
-            bound += _TINY
-            bound *= _REL_TOL
-            inner = np.abs(terms[1:]) <= bound
-            stop = inner.argmax(axis=0)
-            index = np.arange(rows)
-            open_rows = np.flatnonzero(~inner[stop, index])
-            done = int(open_rows[0]) if open_rows.size else rows
-
-            # The outer rule, row by row as in the term loop.
-            for j, row_sum in enumerate(sums[stop[:done] + 1, index[:done]].tolist()):
+            values, stops = _series_lanes(leads[:rows], b2, am, cm, y, 1)
+            # The outer rule, row by row as in the term loop, up to the
+            # first row that did not settle.
+            done = rows if stops.all() else int(stops.argmin())
+            for j, row_sum in enumerate(values[:done].tolist()):
                 total += row_sum
                 if abs(row_sum) <= _REL_TOL * (abs(total) + _TINY):
                     settled += 1
@@ -273,14 +267,11 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float, *,
                         return (total, m0 + j + 1) if full_output else total
                 else:
                     settled = 0
-            lead = float(leads[done])
-            m0 += done
             if done < rows:
-                if width > _MAX_TERMS:
-                    raise ConvergenceError(
-                        "appell_f1 inner series did not converge", total + float(sums[-1, done]), m0
-                    )
-                width = min(2 * width, _MAX_TERMS + 1)
+                raise ConvergenceError("appell_f1 inner series did not converge",
+                                       total + float(values[done]), m0 + done)
+            lead = float(leads[rows])
+            m0 += rows
     raise ConvergenceError("appell_f1 series did not converge", total, _MAX_TERMS)
 
 

@@ -107,6 +107,22 @@ class TestFit:
         assert code == 0
         assert payload["std_errors"] is None
 
+    @pytest.mark.parametrize("method", ["ml", "csml", "pb"])
+    def test_fitter_is_looked_up_per_call(self, capsys, monkeypatch, method):
+        # a table of the fitters bound at import ran the original function,
+        # so a patched (or traced) ecrlab.cli fitter was never called
+        name = {"ml": "fit_ml", "csml": "fit_cs_ml", "pb": "fit_pb"}[method]
+        calls = []
+        original = getattr(cli, name)
+
+        def spy(data):
+            calls.append(data.n)
+            return original(data)
+
+        monkeypatch.setattr(cli, name, spy)
+        code, out, _ = run_cli(capsys, "fit", EMBEDDED_NAME, "--method", method)
+        assert (code, calls, json.loads(out)["method"]) == (0, [66], method)
+
     def test_pb_small_sample_exits_cleanly(self, capsys, tmp_path):
         path = tmp_path / "fifteen.txt"
         path.write_text("\n".join(repr(v) for v in sample(15, Params(1.0, 1.0), seed=3).tolist()))
@@ -374,6 +390,15 @@ class TestMoments:
         assert code == 3
         assert err == "error: incomplete moment: u0 = 1 - lambda/hypot(lambda, x0) rounds to 1 at x0/lambda = 1e+20\n"
 
+    def test_incomplete_moment_prefactor_overflow_exits_three(self, capsys):
+        # lambda^r = 1e308.7 overflowed as a bare OverflowError, printed as
+        # "error: (34, 'Numerical result out of range')"; the raw moment
+        # there is finite (5.6e161)
+        code, out, err = run_cli(capsys, "moments", "--beta", "1e3", "--lambda", "1e-3", "--r=-102.9", "--x0", "1")
+        assert (code, out) == (3, "")
+        assert err == ("error: incomplete moment: the closed form's factors leave the floating-point range"
+                       " at beta = 1000, lambda = 0.001, r = -102.9\n")
+
     @pytest.mark.parametrize("x0, rows", [("2", 47), ("20", 0)])
     def test_incomplete_moment_reports_its_path(self, capsys, x0, rows):
         code, out, _ = run_cli(capsys, "moments", "--beta", "0.8", "--lambda", "1", "--r", "0.5", "--x0", x0)
@@ -466,14 +491,28 @@ class TestComparisonFitContract:
 
     NEAR_CONSTANT = "1.0\n1.0001\n1.0002\n"
 
-    @pytest.mark.parametrize("model, equation", [("weibull", "Weibull shape equation"),
-                                                 ("gamma", "gamma shape equation"),
-                                                 ("ee", "EE profile score")])
+    @pytest.mark.parametrize("model, equation", [("ee", "EE profile score")])
     def test_near_constant_sample_has_no_root(self, model, equation):
-        # scipy's bare sign error (exit 2) for the shape equations; for EE
-        # the bounded minimizer reported the bracket's upper end (exit 0)
+        # for EE the bounded minimizer reported the bracket's upper end
+        # (exit 0); the root lies beyond rate min x = 700, where the shape
+        # e^(rate min x) leaves the floating-point range
         code, out, err = run_on_stdin(self.NEAR_CONSTANT, "fit", "-", "--model", model)
         assert (code, out, err) == (3, "", f"error: {equation} has no bracketed root\n")
+
+    # 30-digit mpmath roots of the shape equations on the exact data, and
+    # the scale each implies. The fixed brackets [1e-3, 100] and [1e-6, 1e6]
+    # missed these shapes ("has no bracketed root", exit 3). The gamma
+    # equation's log p - psi(p) = 3.3e-9 is rounded by about 1e-15, so its
+    # root is good to about 1e-6 (2.1e-7 measured).
+    @pytest.mark.parametrize("model, shape, scale, rel", [
+        ("weibull", 13951.1739459456403878843485854, 1.00014055867149008211648193197, 1e-12),
+        ("gamma", 150030000.916699708773005039369, 6.66600009257668229981149303392e-9, 1e-6),
+    ], ids=["weibull", "gamma"])
+    def test_near_constant_sample_fits(self, model, shape, scale, rel):
+        code, out, err = run_on_stdin(self.NEAR_CONSTANT, "fit", "-", "--model", model)
+        assert code == 0, err
+        params = json.loads(out)["params"]
+        assert params == {"shape": pytest.approx(shape, rel=rel), "scale": pytest.approx(scale, rel=rel)}
 
     def test_ee_fits_a_tiny_observation(self):
         # log1p(-exp(-rate x)) is log(0) at rate x ~ 1e-21: a divide-by-zero

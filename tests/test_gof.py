@@ -1,6 +1,7 @@
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -256,6 +257,61 @@ class TestComparisonModels:
         report = gof_report(heart_data, entry, (24.491,))
         assert report.model == "cr"
         assert report.ks == pytest.approx(0.132, abs=1e-3)
+
+
+def _weibull_shape_root(values, start):
+    """The root of 1/a + mean(log x) - sum(x^a log x)/sum(x^a) on the
+    exact data at 40 digits; the left side falls in a, so it is unique."""
+    with mpmath.workdps(40):
+        x = [mpmath.mpf(v) for v in values]
+        logs = [mpmath.log(v) for v in x]
+        mean_log = sum(logs) / len(x)
+        return float(mpmath.findroot(lambda a: 1 / a + mean_log - sum(v**a * l for v, l in zip(x, logs))
+                                     / sum(v**a for v in x), start))
+
+
+def _gamma_shape_root(values, start):
+    """(root, gap): the root of log p - psi(p) = gap = log(mean x) -
+    mean(log x) on the exact data at 40 digits, unique as the left side
+    falls in p."""
+    with mpmath.workdps(40):
+        x = [mpmath.mpf(v) for v in values]
+        gap = mpmath.log(sum(x) / len(x)) - sum(mpmath.log(v) for v in x) / len(x)
+        return float(mpmath.findroot(lambda p: mpmath.log(p) - mpmath.digamma(p) - gap, start)), float(gap)
+
+
+class TestShapeBrackets:
+    """The Weibull and gamma shape equations are bracketed from the data.
+    The fixed brackets [1e-3, 100] and [1e-6, 1e6] held no root for
+    Weibull on the first three samples and for gamma on the second and
+    third ("no bracketed root", exit 3)."""
+
+    SAMPLES = [[1000.0, 1001.0, 1002.0, 999.0, 998.0, 1000.5],
+               [100000.0, 100001.0, 100002.0, 99999.0, 99998.0],
+               [1.0, 1.0001, 1.0002],
+               [1e-300, 1.0, 1e300],
+               [1.0, 2.0, 5.0]]
+
+    @pytest.mark.parametrize("values", SAMPLES)
+    def test_weibull_shape_is_the_root(self, values):
+        shape, _ = MODELS["weibull"].fit(Dataset(np.array(values)))
+        assert shape == pytest.approx(_weibull_shape_root(values, shape), rel=1e-10)
+
+    @pytest.mark.parametrize("values", SAMPLES)
+    def test_gamma_shape_is_the_root(self, values):
+        # log p - psi(p) carries about 1e-15 of rounding against a slope of
+        # about gap/p, so the shape is good to about 1e-15/gap relative
+        # (measured: at most 7e-16/gap)
+        shape, _ = MODELS["gamma"].fit(Dataset(np.array(values)))
+        root, gap = _gamma_shape_root(values, shape)
+        assert shape == pytest.approx(root, rel=max(1e-12, 4e-15 / gap))
+
+    def test_gamma_gap_rounding_to_zero_is_typed(self):
+        # log(mean x) - mean(log x) rounds to 0 here, so the bracket
+        # [1/(4 gap), 2/gap] does not exist; the error says so instead of
+        # dividing by 0 or ending in a bare "math domain error"
+        with pytest.raises(FitError, match="^gamma shape equation has no bracketed root: log"):
+            MODELS["gamma"].fit(Dataset(np.array([1e27, 1.0000002e27])))
 
 
 # How each comparison fit's parameters follow the data scaled by c: shapes

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -244,6 +245,32 @@ class TestGauss2F1Lanes:
         assert [_2f1_outcome(lane) for lane in lanes] == [
             _2f1_loop_outcome(a, bk, ck, z) for bk, ck in zip(b.tolist(), c.tolist())
         ]
+
+
+class TestSeriesLanes:
+    def test_nan_lane_stops_without_widening(self, monkeypatch):
+        # A NaN partial sum never settles. Its lane takes stop 0 and its
+        # partial sum at once; widening it instead, as the Appell rows of a
+        # NaN y did, held (rows, _MAX_TERMS) blocks: 1.2 s and 290 MB at
+        # x = 0.95. With the budget raised to 2^20 terms, widening would
+        # allocate tens of MB here.
+        monkeypatch.setattr(specfun, "_MAX_TERMS", 2**20)
+        b, c = np.array([0.5, np.nan, 1.5]), np.array([2.5, 2.0, 3.0])
+        tracemalloc.start()
+        try:
+            with np.errstate(all="ignore"):
+                values, stops = specfun._series_lanes(np.ones(3), -0.25, b, c, 0.5, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+        assert math.isnan(values[1]) and stops[1] == 0
+        for k in (0, 2):
+            assert (values[k], stops[k]) == gauss_2f1(-0.25, b[k], c[k], 0.5, full_output=True)
+
+    def test_appell_nan_row_raises_as_the_loop(self):
+        args = (1.0, 1.0, 1.0, 2.0, 0.95, math.nan)
+        assert _f1_outcome(lambda *a: appell_f1(*a, full_output=True), args) == _f1_outcome(_f1_term_loop, args)
 
 
 def _f1_quadrature_oracle(a, b1, b2, c, x, y):
