@@ -105,12 +105,9 @@ def parse_values(text: str, source: str = "<text>") -> Dataset:
     if not tokens:
         raise InputError("no observations found in input")
     try:
-        values = np.array(list(map(float, tokens)))
-    except ValueError:
-        values = None
-    if values is None or not ((values > 0.0) & (values < math.inf)).all():
+        return Dataset(np.array(list(map(float, tokens))), source=source)
+    except ValueError:  # a non-numeric token, or Dataset's InputError
         _first_bad_token(text)
-    return Dataset(values, source=source)
 
 
 def _first_bad_token(text: str) -> NoReturn:

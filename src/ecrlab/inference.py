@@ -202,19 +202,31 @@ def _checked_sum_log_u(lam: float, sum_log_u: float) -> float:
     return sum_log_u
 
 
+def _exact_units(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """:func:`ecrlab.data.in_binade_units` of ``x`` where dividing every
+    value by 2^e is exact, else ``(x, 0)``."""
+    units, e = in_binade_units(x)
+    return (units, e) if not e or np.array_equal(np.ldexp(units, e), x) else (x, 0)
+
+
 def log_likelihood(data: Dataset, p: Params) -> float:
-    kernel = _Kernel(data.values)
-    sum_log_s, sum_log_u = kernel.log_sums(p.lam)
-    return _log_likelihood_from_sums(kernel, p, sum_log_s, sum_log_u)
+    """The log-likelihood, on the sample in the units of :func:`_exact_units`."""
+    units, e = _exact_units(data.values)
+    kernel = _Kernel(units)
+    lam = math.ldexp(p.lam, -e)
+    sum_log_s, sum_log_u = kernel.log_sums(lam)
+    return _log_likelihood_from_sums(kernel, p.beta, lam, e, sum_log_s, sum_log_u)
 
 
-def _log_likelihood_from_sums(kernel: _Kernel, p: Params, sum_log_s: float,
+def _log_likelihood_from_sums(kernel: _Kernel, beta: float, lam: float, e: int, sum_log_s: float,
                               sum_log_u: float) -> float:
+    """The log-likelihood at (beta, lam 2^e) from a kernel's sums at lam in units of 2^e."""
     return (
-        kernel.n * math.log(p.beta * p.lam)
+        kernel.n * math.log(beta * lam)
         + kernel.sum_log_x
         - 3.0 * sum_log_s
-        + (p.beta - 1.0) * sum_log_u
+        + (beta - 1.0) * sum_log_u
+        - kernel.n * e * math.log(2.0)
     )
 
 
@@ -318,11 +330,10 @@ def fit_ml(data: Dataset) -> FitResult:
     Standard errors are the square roots of the diagonal of the inverse
     expected information divided by n.
 
-    Outside 2^+-200 the grid is laid on the sample in units of its
-    largest value's power of two where that division is exact, so the
-    estimate is the scaled sample's times that power; inside, nothing is
-    scaled. Data that still put the grid, a profile value or the
-    estimate outside the floating-point range raise :class:`FitError`.
+    The grid is laid on the sample in the units of :func:`_exact_units`,
+    so the estimate is the scaled sample's times that power of two. Data
+    that still put the grid, a profile value or the estimate outside the
+    floating-point range raise :class:`FitError`.
 
     Where the profile is flat to double precision (a shape estimate near
     1e4 or more, as the scale approaches the scale -> 0 boundary), the
@@ -336,9 +347,7 @@ def fit_ml(data: Dataset) -> FitResult:
     if n < 2 or float(np.min(x)) == float(np.max(x)):
         raise FitError("need at least two distinct observations to fit")
 
-    units, e = in_binade_units(x)
-    if e and not np.array_equal(np.ldexp(units, e), x):
-        units, e = x, 0
+    units, e = _exact_units(x)
     kernel = _Kernel(units)
     center = float(np.median(units)) / math.sqrt(3.0)
     with np.errstate(over="ignore", under="ignore"):
@@ -381,10 +390,9 @@ def fit_ml(data: Dataset) -> FitResult:
 def _ml_result(kernel: _Kernel, lam: float, iterations: int, converged: bool,
                e: int = 0) -> FitResult | None:
     """The ML fit at scale ``lam`` of a kernel on the sample in units of
-    2^``e``, bit-equal to :func:`profile_beta` and :func:`log_likelihood`
-    where e is 0 (the scale and its error are multiplied back by 2^e, the
-    log-likelihood shifted by -n e log 2); None where that scale admits
-    no valid parameters or they or their standard errors overflow."""
+    2^``e``, bit-equal to :func:`profile_beta` where e is 0 and to
+    :func:`log_likelihood` at every e; None where that scale admits no
+    valid parameters or they or their standard errors overflow."""
     try:
         sum_log_s, sum_log_u = kernel.log_sums(lam)
         beta = -kernel.n / sum_log_u
@@ -392,11 +400,10 @@ def _ml_result(kernel: _Kernel, lam: float, iterations: int, converged: bool,
         std_errors = asymptotic_std_errors(params, kernel.n)
     except (ValueError, OverflowError):
         return None
-    loglik = _log_likelihood_from_sums(kernel, Params(beta, lam), sum_log_s, sum_log_u)
     return FitResult(
         params=params,
         std_errors=std_errors,
-        loglik=loglik - kernel.n * e * math.log(2.0),
+        loglik=_log_likelihood_from_sums(kernel, beta, lam, e, sum_log_s, sum_log_u),
         method="ml",
         iterations=iterations,
         converged=converged,
@@ -784,12 +791,7 @@ class _Percentiles:
         self.xs = xs
         self.p = _plotting_positions(xs.size)
         self.log_p = np.log(self.p)
-        # Dividing by a power of two is exact, so the data sums, root values
-        # and lam2 scale by 1/unit and every objective by 1/unit^2, and no
-        # sign or comparison moves, while they stay in range at any data
-        # scale.
-        self.unit = math.ldexp(1.0, math.frexp(float(xs[-1]))[1])
-        self.xs_unit = xs / self.unit
+        self.xs_unit, self.e = in_binade_units(xs)
         self.xs_log_p = self.xs_unit * self.log_p
 
     def _weights(self, betas: np.ndarray):
@@ -803,7 +805,7 @@ class _Percentiles:
 
     def sums(self, weights: _PbWeights):
         """(t6, t7, t8, t9): the two data sums t7 and t8 over the sorted
-        sample in units of ``unit``, with the data-free t6 and t9 passed
+        sample in units of 2^``e``, with the data-free t6 and t9 passed
         through."""
         d_shape_cross = (self.xs_log_p / weights.one_minus_sq * weights.sqrt_ratio).sum(axis=-1)
         cross = -(self.xs_unit * weights.sqrt_prod / weights.one_minus).sum(axis=-1)
@@ -820,14 +822,14 @@ class _Percentiles:
     def scores(self, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The scales lam2 = t8/t9 at every shape of ``betas`` and the
         objective there, :func:`pb_objective` on the sample in units of
-        ``unit``; inf where lam2 is not positive and finite, which it is
-        not where lam2 in units times ``unit`` overflows."""
+        2^``e``; inf where lam2 is not positive and finite, which it is
+        not where lam2 in units times 2^e overflows."""
         lams, scores = [], []
         for weights in self._weights(betas):
             _, _, t8, t9 = self.sums(weights)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 lam_unit = t8 / t9
-                lam = lam_unit * self.unit
+                lam = np.ldexp(lam_unit, self.e)
             ok = np.isfinite(lam) & (lam > 0.0)
             model = lam_unit[ok, None] * weights.sqrt_prod[ok] / weights.one_minus[ok]
             score = np.full(lam.size, math.inf)
@@ -945,7 +947,7 @@ def pb_gradient(data: Dataset, p: Params) -> tuple[float, float]:
     """Analytic gradient of :func:`pb_objective`."""
     percentiles = _Percentiles(data.sorted_values)
     t6, t7, t8, t9 = percentiles.sums(_pb_weights(p.beta, percentiles.p, percentiles.log_p))
-    t7, t8 = t7 * percentiles.unit, t8 * percentiles.unit
+    t7, t8 = np.ldexp(t7, percentiles.e), np.ldexp(t8, percentiles.e)
     d_beta = 2.0 * p.lam / p.beta**2 * (t7 - p.lam * t6)
     d_lam = 2.0 * (t8 - p.lam * t9)
     return float(d_beta), float(d_lam)
@@ -971,11 +973,8 @@ def fit_pb(data: Dataset) -> FitResult:
     involve the data depend only on n, so they are memoized for the four
     most recent sample sizes with 241 n <= 2^17 (n <= 543, about 4 MB per
     size) and regenerated block by block above that; every other shape
-    gets fresh factors. The data sums, root values and objectives are
-    formed on the sample divided by a power of two above its maximum,
-    which changes no sign or comparison and keeps them in range at any
-    data scale; lam2 is scaled back at the end, and one that overflows
-    there is inadmissible.
+    gets fresh factors. A lam2 that overflows as it is scaled back from
+    the units of :func:`ecrlab.data.in_binade_units` is inadmissible.
 
     All sign-change brackets are bisected together, several levels per
     pass, each with its own stopping rule (see :func:`_bisect_brackets`).

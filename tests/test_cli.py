@@ -502,11 +502,12 @@ class TestComparisonFitContract:
     # 30-digit mpmath roots of the shape equations on the exact data, and
     # the scale each implies. The fixed brackets [1e-3, 100] and [1e-6, 1e6]
     # missed these shapes ("has no bracketed root", exit 3). The gamma
-    # equation's log p - psi(p) = 3.3e-9 is rounded by about 1e-15, so its
-    # root is good to about 1e-6 (2.1e-7 measured).
+    # equation's log p - psi(p) = 3.3e-9 is now its asymptotic series and
+    # the gap a mean of log1p, so neither cancels: its root is good to
+    # 4.8e-13 (measured), where log p - psi(p) gave 2.1e-7.
     @pytest.mark.parametrize("model, shape, scale, rel", [
         ("weibull", 13951.1739459456403878843485854, 1.00014055867149008211648193197, 1e-12),
-        ("gamma", 150030000.916699708773005039369, 6.66600009257668229981149303392e-9, 1e-6),
+        ("gamma", 150030000.916699708773005039369, 6.66600009257668229981149303392e-9, 5e-13),
     ], ids=["weibull", "gamma"])
     def test_near_constant_sample_fits(self, model, shape, scale, rel):
         code, out, err = run_on_stdin(self.NEAR_CONSTANT, "fit", "-", "--model", model)
@@ -549,6 +550,27 @@ class TestComparisonFitContract:
         code, out, err = run_on_stdin(text, "fit", "-", "--model", "cr")
         assert code == 0, err
         assert json.loads(out)["params"]["lambda"] == pytest.approx(lam, rel=1e-12)
+
+    # Data at the top of the float range. fit_pb's power of two 2^1024
+    # overflowed ("error: math range error", exit 3); log_likelihood's
+    # hypot, and the gamma and EE fits' sum of x, overflowed into a
+    # RuntimeWarning. On the sample in units of 2^e every fit runs.
+    TOP = "1.7e308\n1.75e308\n1.79e308\n1.6e308\n"
+    NEAR_TOP = "1e308\n1.5e308\n1.2e308\n1.1e308\n3e307\n"
+
+    @pytest.mark.parametrize("text, argv", [
+        (TOP, ("fit", "-", "--method", "pb")),
+        (TOP, ("gof", "-")),
+        (NEAR_TOP, ("fit", "-", "--model", "gamma")),
+        (NEAR_TOP, ("fit", "-", "--model", "ee")),
+        (NEAR_TOP, ("gof", "-")),
+    ], ids=["pb-top", "gof-top", "gamma-near-top", "ee-near-top", "gof-near-top"])
+    def test_top_of_the_float_range_fits(self, text, argv):
+        code, out, err = run_on_stdin(text, *argv)
+        assert (code, err) == (0, "")
+        payload = json.loads(out)
+        for report in payload.get("reports", [payload]):
+            assert "error" not in report and all(map(math.isfinite, report["params"].values())), report
 
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(text=contract_samples())

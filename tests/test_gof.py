@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ecrlab import gof
 from ecrlab.data import Dataset, InputError
 from ecrlab.ecr import Params, cdf, quantile, sample
 from ecrlab.gof import (
@@ -306,12 +307,21 @@ class TestShapeBrackets:
         root, gap = _gamma_shape_root(values, shape)
         assert shape == pytest.approx(root, rel=max(1e-12, 4e-15 / gap))
 
+    def test_log_minus_digamma_against_mpmath(self):
+        # the difference itself below p = 15, within 1e-14; the asymptotic
+        # series from 15 on, within about one rounding
+        with mpmath.workdps(40):
+            for p in np.geomspace(0.01, 1e12, 61).tolist() + [14.999999, 15.0]:
+                ref = mpmath.log(p) - mpmath.digamma(p)
+                bound = 1e-14 if p < 15.0 else 2.3e-16
+                assert abs(gof._log_minus_digamma(p) - ref) <= bound * ref, p
+
     def test_gamma_gap_rounding_to_zero_is_typed(self):
-        # log(mean x) - mean(log x) rounds to 0 here, so the bracket
+        # the gap of two adjacent floats rounds to 0, so the bracket
         # [1/(4 gap), 2/gap] does not exist; the error says so instead of
         # dividing by 0 or ending in a bare "math domain error"
         with pytest.raises(FitError, match="^gamma shape equation has no bracketed root: log"):
-            MODELS["gamma"].fit(Dataset(np.array([1e27, 1.0000002e27])))
+            MODELS["gamma"].fit(Dataset(np.array([1e27, np.nextafter(1e27, np.inf)])))
 
 
 # How each comparison fit's parameters follow the data scaled by c: shapes
@@ -340,3 +350,29 @@ class TestComparisonFitScaleEquivariance:
                 fit(data.scaled(c))
             return
         assert fit(data.scaled(c)) == pytest.approx(SCALED[model](base, c), rel=1e-10, abs=0)
+
+    # A sample in units of its largest value's power of two, times 2^+-1000
+    # with every value still a normal float, is fitted in those same units,
+    # so shapes keep their bits and scales move by exactly 2^k. The raw
+    # sums and logs moved them by rounding, or overflowed near 2^1024.
+    @pytest.mark.parametrize("k", [-1000, 1000])
+    @pytest.mark.parametrize("model", ["gamma", "ee"])
+    def test_power_of_two_scaling_is_exact(self, model, k):
+        for n, beta, seed in [(20, 3.0, 1), (50, 2.0, 2), (200, 1.5, 3)]:
+            x = sample(n, Params(beta, 1.0), seed=seed)
+            units = np.ldexp(x, -math.frexp(float(x.max()))[1])
+            scaled = np.ldexp(units, k)
+            assert scaled.min() >= 2.0**-1022 and scaled.max() < 2.0**1023
+            assert MODELS[model].fit(Dataset(scaled)) == SCALED[model](MODELS[model].fit(Dataset(units)), 2.0**k)
+
+    # Tight data below 2^-200 (largest values 1e-305 to 1e-250) are fitted
+    # in units of their largest value's power of two. On the raw data the
+    # EE score's terms x e^(-rate x) underflowed and its root was noise:
+    # on these samples, off the scale-1 fit by up to 100 %.
+    @pytest.mark.parametrize("k", [-1012, -950, -900, -830])
+    def test_ee_on_tight_tiny_data_is_the_unit_fit(self, k):
+        rng = np.random.default_rng(24)
+        for n, width in [(5, 0.1), (20, 0.2), (100, 0.5)]:
+            units = np.ldexp(1.0 + width * rng.random(n), -1)
+            alpha, rate = MODELS["ee"].fit(Dataset(units))
+            assert MODELS["ee"].fit(Dataset(np.ldexp(units, k))) == (alpha, math.ldexp(rate, -k))

@@ -108,6 +108,31 @@ class TestLogLikelihood:
         with pytest.raises(ValueError):
             Dataset(np.array([1.0, -2.0]))
 
+    # A sample in units of its largest value's power of two, and a scale
+    # below that, both times 2^k up to 2^1024. The log-likelihood moves by
+    # -n k log 2. Near 2^1024 hypot(lam, x) used to overflow.
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 200), beta=st.floats(0.3, 3.0),
+           lam=st.floats(0.01, 0.99), k=st.integers(-1000, 1024))
+    @example(seed=1, n=20, beta=1.0, lam=0.9, k=1024)
+    def test_power_of_two_scaling_property(self, seed, n, beta, lam, k):
+        x = sample(n, Params(beta, 1.0), seed=seed)
+        x = np.ldexp(x, -math.frexp(float(x.max()))[1])
+        scaled = np.ldexp(x, k)
+        assume(np.array_equal(np.ldexp(scaled, -k), x))  # no value left the normal floats
+        expected = log_likelihood(Dataset(x), Params(beta, lam)) - n * k * math.log(2.0)
+        assert log_likelihood(Dataset(scaled), Params(beta, math.ldexp(lam, k))) == pytest.approx(expected, rel=1e-13)
+
+    # fit_ml and log_likelihood evaluate the sample in the same units, so a
+    # fit's loglik is log_likelihood at its estimate, bit for bit; outside
+    # 2^+-200 the two used to differ by rounding.
+    @pytest.mark.parametrize("k", [-900, 201, 600, 996])
+    def test_fit_loglik_is_log_likelihood_outside_2_to_the_200(self, k):
+        for n, law, seed in [(20, (0.5, 1.0), 2), (100, (2.0, 1.0), 4), (500, (0.8, 1.0), 7)]:
+            data = Dataset(np.ldexp(sample(n, Params(*law), seed=seed), k))
+            fit = fit_ml(data)
+            assert fit.loglik == log_likelihood(data, fit.params)
+
 
 class TestScore:
     def test_matches_finite_differences(self, rng):
@@ -920,26 +945,28 @@ class TestBlockedPasses:
         assert values == [kernel.profile(lam) for lam in grid.tolist()]
         assert scores == [kernel.score(lam) for lam in grid.tolist()]
 
+    # The sample as drawn lies inside 2^+-200, where the sums are formed on
+    # it as it is; times 2^600 it lies outside, where they are formed in
+    # units of its largest value's power of two, which scales them exactly.
     @pytest.mark.parametrize("n", [20, 5000])
     def test_pb_grid_matches_scalar(self, n):
-        data = Dataset(sample(n, Params(0.8, 2.0), seed=n))
-        xs = data.sorted_values
+        drawn = Dataset(sample(n, Params(0.8, 2.0), seed=n)).sorted_values
         ps = np.arange(1, n + 1) / (n + 1.0)
         grid = np.logspace(-3.0, 3.0, 241)
-        percentiles = inference._Percentiles(xs)
-        unit = percentiles.unit
-        blocks = [percentiles.sums(weights) for weights in percentiles._weights(grid)]
-        pieces = [np.concatenate(t).tolist() for t in zip(*blocks)]
-        roots = percentiles.roots(grid).tolist()
-        lams = percentiles.scores(grid)[0].tolist()
-        for beta, t6, t7, t8, t9, root, lam in zip(grid.tolist(), *pieces, roots, lams):
-            # the data sums are formed on the sample in units of its power of
-            # two, which scales them exactly
-            assert (t6, t7, t8, t9) == reference_pb_pieces(beta, xs / unit, ps)
-            assert (t7 * unit, t8 * unit) == reference_pb_pieces(beta, xs, ps)[1:3]
-            assert percentiles.sums(scalar_weights(percentiles, beta)) == (t6, t7, t8, t9)
-            assert root == t6 * t8 - t7 * t9
-            assert lam == t8 / t9 * unit
+        for xs, e in [(drawn, 0), (np.ldexp(drawn, 600), 600 + math.frexp(float(drawn[-1]))[1])]:
+            percentiles = inference._Percentiles(xs)
+            assert percentiles.e == e
+            unit = math.ldexp(1.0, percentiles.e)
+            blocks = [percentiles.sums(weights) for weights in percentiles._weights(grid)]
+            pieces = [np.concatenate(t).tolist() for t in zip(*blocks)]
+            roots = percentiles.roots(grid).tolist()
+            lams = percentiles.scores(grid)[0].tolist()
+            for beta, t6, t7, t8, t9, root, lam in zip(grid.tolist(), *pieces, roots, lams):
+                assert (t6, t7, t8, t9) == reference_pb_pieces(beta, xs / unit, ps)
+                assert (t7 * unit, t8 * unit) == reference_pb_pieces(beta, xs, ps)[1:3]
+                assert percentiles.sums(scalar_weights(percentiles, beta)) == (t6, t7, t8, t9)
+                assert root == t6 * t8 - t7 * t9
+                assert lam == t8 / t9 * unit
 
     def test_joint_bisection_matches_one_at_a_time(self):
         data = Dataset(sample(20, Params(0.5, 1.0), seed=2))
@@ -1196,11 +1223,11 @@ class TestBisectionPassCount:
 
 
 class TestPbFallbackObjective:
+    # on the sample as drawn (inside 2^+-200, so in units of 1) and on the
+    # sample times 2^600, which is scored in units of its power of two
     @pytest.mark.parametrize("n", [20, 5000])
     def test_blocked_objectives_match_scalar(self, n, monkeypatch):
-        data = Dataset(sample(n, Params(0.8, 2.0), seed=n))
-        percentiles = inference._Percentiles(data.sorted_values)
-        unit = percentiles.unit
+        drawn = Dataset(sample(n, Params(0.8, 2.0), seed=n)).values
         grid = np.logspace(-3.0, 3.0, 241)
         # inadmissible scales score inf: lam2 = t8/t9 is made 1/-1 at every
         # 17th shape, NaN/1 at shape 5 and inf/1 at shape 9
@@ -1216,16 +1243,22 @@ class TestPbFallbackObjective:
             return t6, t7, t8, t9
 
         monkeypatch.setattr(inference._Percentiles, "sums", inadmissible)
-        lams, scores = percentiles.scores(grid)
-        # t8 is in units of ``unit``, so lam2 is -1 unit at every 17th shape
-        assert lams[::17].tolist() == [-unit] * 15
-        assert math.isnan(lams[5]) and lams[9] == math.inf
-        scaled = Dataset(data.values / unit)
-        expected = [
-            pb_objective(scaled, Params(beta, lam / unit)) if math.isfinite(lam) and lam > 0.0 else math.inf
-            for beta, lam in zip(grid.tolist(), lams.tolist())
-        ]
-        assert scores.tolist() == expected
+        for values, e in [(drawn, 0), (np.ldexp(drawn, 600), 600 + math.frexp(float(drawn.max()))[1])]:
+            data = Dataset(values)
+            percentiles = inference._Percentiles(data.sorted_values)
+            assert percentiles.e == e
+            unit = math.ldexp(1.0, percentiles.e)
+            seen.clear()
+            lams, scores = percentiles.scores(grid)
+            # t8 is in units of 2^e, so lam2 is -1 unit at every 17th shape
+            assert lams[::17].tolist() == [-unit] * 15
+            assert math.isnan(lams[5]) and lams[9] == math.inf
+            scaled = Dataset(data.values / unit)
+            expected = [
+                pb_objective(scaled, Params(beta, lam / unit)) if math.isfinite(lam) and lam > 0.0 else math.inf
+                for beta, lam in zip(grid.tolist(), lams.tolist())
+            ]
+            assert scores.tolist() == expected
 
     def test_fallback_sample_matches_recorded_outcome(self):
         # no sign change on the shape grid, so fit_pb raises at once;
@@ -1289,26 +1322,35 @@ class TestShapeGridMemo:
         with pytest.raises(ValueError):
             inference._SHAPE_GRID[0] = 1.0
 
-    @pytest.mark.parametrize("k", [-680, -500, -37, 37, 500, 530])
+    @pytest.mark.parametrize("k", [-680, -500, -37, 37, 500, 530, "top"])
     def test_power_of_two_scaling_is_exact(self, k):
         # dividing by a power of two is exact, so the scaled sample gives
         # the same shape and iterations and exactly the scaled lam; at
         # 2^530 (about 3e159) and 2^-680 (about 1e-205) the objective's
         # squares leave the floating-point range unless they are scored on
-        # the sample in units of its maximum
+        # the sample in units of its maximum. "top" shifts the larger of
+        # the largest value and the estimated scale into [2^1023, 2^1024),
+        # where that power of two itself overflows; a larger shift would
+        # make the estimate overflow.
         for n, beta, seed in [(15, 1.0, 3), (20, 0.5, 2), (20, 2.0, 11), (100, 0.5, 21),
                               (100, 2.0, 4), (500, 0.8, 5)]:
             data = Dataset(sample(n, Params(beta, 1.0), seed=seed))
-            scaled = Dataset(np.ldexp(data.values, k))
             try:
-                fit = fit_pb(data)
-            except FitError as error:
+                fit, error = fit_pb(data), None
+            except FitError as exc:
+                fit, error = None, exc
+            shift = k
+            if isinstance(k, str):
+                top = max(float(data.values.max()), fit.params.lam if fit else 0.0)
+                shift = 1024 - math.frexp(top)[1]
+            scaled = Dataset(np.ldexp(data.values, shift))
+            if error is not None:
                 with pytest.raises(FitError, match=str(error)):
                     fit_pb(scaled)
                 continue
             scaled_fit = fit_pb(scaled)
             assert scaled_fit.params.beta == fit.params.beta
-            assert scaled_fit.params.lam == math.ldexp(fit.params.lam, k)
+            assert scaled_fit.params.lam == math.ldexp(fit.params.lam, shift)
             assert scaled_fit.iterations == fit.iterations
 
 
