@@ -26,6 +26,7 @@ from .data import EMBEDDED_NAME, Dataset, InputError, describe, load_dataset, pa
 from .ecr import (
     MomentExistenceError,
     Params,
+    _incomplete_path,
     incomplete_moment,
     log_moment,
     order_stat_moment,
@@ -204,8 +205,9 @@ def cmd_moments(args) -> int:
         attempt("incomplete", lambda: incomplete_moment(args.r, args.x0, p, full_output=True), args.r)
         entry = results["incomplete"]
         if entry["exists"]:
-            # series_rows: Appell series rows summed, 0 on the quadrature path
+            # series_rows: the terms of the path's series, 0 on the quadrature path
             entry["value"], entry["series_rows"] = entry["value"]
+            entry["path"] = _incomplete_path(args.r, args.x0, p, entry["series_rows"])
         entry["x0"] = args.x0
     if args.order_stat is not None:
         i, n = args.order_stat

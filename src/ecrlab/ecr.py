@@ -29,6 +29,7 @@ import numpy as np
 from .specfun import (
     EULER_GAMMA,
     ConvergenceError,
+    _binomial_product_sum,
     _gauss_2f1_lanes,
     appell_f1,
     beta_fn,
@@ -465,48 +466,128 @@ def log_moment(p: Params) -> float:
     )
 
 
+# incomplete_moment sums its two series in v where v0 < 0.4, beta <= 5 and
+# r <= 10. Both series' coefficients alternate, losing about 3^(beta - 1)
+# (5/3)^(r/2) units of rounding, most near v0 = 1/2: within 5e-15 of
+# 50-digit references inside these limits, but 3.6e-14 at beta 8, r 0.2
+# and 1.1e-12 at beta 5, r 14 (tests/test_moment_references.py). The
+# series would serve up to v0 = 1/2; from 0.4 (x0 = 2.29 lam) on, the
+# Appell series keeps the evaluation at x0 = 2 lam, the benchmark's
+# traced reference point for specfun.appell_f1.
+_V_SERIES_MAX_V0 = 0.4
+_V_SERIES_MAX_BETA = 5.0
+_V_SERIES_MAX_ORDER = 10.0
+
+
+def _in_v_series(r: float, v0: float, beta: float) -> bool:
+    """Whether incomplete_moment takes its two series in v at these inputs."""
+    return v0 < _V_SERIES_MAX_V0 and beta <= _V_SERIES_MAX_BETA and r <= _V_SERIES_MAX_ORDER
+
+
+def _scalar_hypot(lam: float, x0: float) -> tuple[float, float, float]:
+    """(lam, x0, s0) with s0 = hypot(lam, x0), on Python floats, with lam
+    and x0 halved where that overflows, as in :func:`_hypot`."""
+    s0 = math.hypot(lam, x0)
+    if math.isinf(s0):
+        lam, x0 = lam / 2.0, x0 / 2.0
+        s0 = math.hypot(lam, x0)
+    return lam, x0, s0
+
+
+def _incomplete_path(r: float, x0: float, p: Params, terms: int) -> str:
+    """The evaluation behind ``incomplete_moment(r, x0, p, full_output=True)``
+    that reported ``terms``: "v_series", "appell_series" or "quadrature"."""
+    if not terms:
+        return "quadrature"
+    lam, _, s0 = _scalar_hypot(p.lam, x0)
+    return "v_series" if _in_v_series(r, lam / s0, p.beta) else "appell_series"
+
+
+def _incomplete_in_v(r: float, v0: float, beta: float) -> tuple[float, int]:
+    """W + V(v0) of :func:`incomplete_moment` and the two series' terms.
+
+    W = 2^-beta sum_k h_k 2^-k / (a + k), a = beta + r/2, with h_k the
+    coefficients of (1 - w)^-r (1 - w/2)^(r/2): the integral over
+    v = 1 - w in [1/2, 1]. V = sum_k g_k (2^-e - v0^e)/e, e = k + 1 - r,
+    with g_k the coefficients of (1 - v)^(beta - 1 + r/2) (1 + v)^(r/2):
+    the integral over [v0, 1/2]. Each V factor is taken as
+    max(2^-e, v0^e) (1 - (2 v0)^|e|)/|e|, by expm1 and with no
+    difference of powers, and as log(1/(2 v0)) at e = 0.
+    """
+    a = beta + r / 2.0
+    log_ratio = -math.log(2.0 * v0) if v0 > 0.0 else math.inf  # log(1/(2 v0)) > 0
+
+    def v_weights(k):
+        e = k + (1.0 - r)
+        size = np.abs(e)
+        out = np.maximum(np.exp2(-e), np.power(v0, e))
+        out *= np.expm1(-log_ratio * size)
+        out /= -size
+        out[e == 0.0] = log_ratio
+        return out
+
+    with np.errstate(all="ignore"):
+        w, w_terms = _binomial_product_sum(-r, r / 2.0, 0.5, lambda k: np.exp2(-k) / (a + k))
+        v, v_terms = _binomial_product_sum(beta - 1.0 + r / 2.0, r / 2.0, -1.0, v_weights)
+    return 2.0**-beta * w + v, w_terms + v_terms
+
+
 def incomplete_moment(r: float, x0: float, p: Params, *, full_output: bool = False):
     """Lower incomplete moment int_0^x0 x^r f(x) dx for r > -2 beta.
 
-    Closed form [beta 2^(r/2+1) lam^r u0^(beta+r/2) / (2 beta + r)]
-    F1(r/2+beta; r, -r/2; r/2+beta+1; u0, u0/2) with
-    u0 = 1 - lam/sqrt(x0^2+lam^2). Unlike the full moments, every order
-    above the lower window is finite because the domain is bounded.
-    ``full_output=True`` returns ``(value, rows)``, where ``rows`` is the
-    number of Appell series rows summed, 0 where F1 was integrated by
-    quadrature (see :func:`ecrlab.specfun.appell_f1`).
+    Unlike the full moments, every order above the lower window is finite
+    because the domain is bounded. In v = lam/s, s = hypot(lam, x), the
+    moment is
+
+        M(x0) = beta lam^r int_{v0}^1 v^-r (1-v)^(beta-1+r/2) (1+v)^(r/2) dv,
+
+    with v0 = lam/hypot(lam, x0), formed without cancellation. Where
+    v0 < 0.4 (x0 > 2.29 lam), beta <= 5 and r <= 10, M = beta lam^r
+    [W + V(v0)] from two convergent series, over [1/2, 1] and over
+    [v0, 1/2] (see :func:`_incomplete_in_v`), at every x0 up to the float
+    range.
+    Elsewhere it is the closed form [beta 2^(r/2+1) lam^r u0^(beta+r/2) /
+    (2 beta + r)] F1(r/2+beta; r, -r/2; r/2+beta+1; u0, u0/2) with
+    u0 = 1 - v0, whose F1 is integrated by quadrature above u0 = 0.95
+    (see :func:`ecrlab.specfun.appell_f1`). ``full_output=True`` returns
+    ``(value, terms)``: the Appell series rows summed, the two series'
+    terms, or 0 for quadrature.
     """
     if not 0.0 < x0 < math.inf:
         raise ValueError(f"x0 must be positive and finite, got {x0!r}")
     lower = -2.0 * p.beta
     if r <= lower:
         raise _window_error("incomplete moment", r, lower, math.inf)
-    # u0 as in _hypot and _u, on Python floats; it depends on x0/lam only
-    lam = p.lam
-    s0 = math.hypot(lam, x0)
-    if math.isinf(s0):
-        x0, lam = x0 / 2.0, lam / 2.0
-        s0 = math.hypot(lam, x0)
-    if math.isinf(s0 + lam):
-        u0 = (x0 / s0) * ((x0 / s0) / (1.0 + lam / s0))
+    # v0 and u0 as in _hypot and _u; they depend on x0/lam only
+    lam, x0, s0 = _scalar_hypot(p.lam, x0)
+    v0 = lam / s0
+    if _in_v_series(r, v0, p.beta):
+        total, terms = _incomplete_in_v(r, v0, p.beta)
+        try:
+            moment = p.beta * p.lam**r * total
+        except OverflowError:  # lam^r overflows
+            moment = math.inf
     else:
-        u0 = (x0 / s0) * (x0 / (s0 + lam))
-    if u0 == 1.0:
-        raise LossOfPrecisionError(
-            f"incomplete moment: u0 = 1 - lambda/hypot(lambda, x0) rounds to 1 at x0/lambda = {x0 / lam:g}"
-        )
-    value, rows = appell_f1(r / 2.0 + p.beta, r, -r / 2.0, r / 2.0 + p.beta + 1.0, u0, u0 / 2.0,
-                            full_output=True)
-    try:
-        moment = p.beta * 2.0 ** (r / 2.0 + 1.0) * p.lam**r * u0 ** (p.beta + r / 2.0) / (2.0 * p.beta + r) * value
-    except OverflowError:  # a power overflows
-        moment = math.inf
+        if math.isinf(s0 + lam):
+            u0 = (x0 / s0) * ((x0 / s0) / (1.0 + lam / s0))
+        else:
+            u0 = (x0 / s0) * (x0 / (s0 + lam))
+        if u0 == 1.0:
+            raise LossOfPrecisionError(
+                f"incomplete moment: u0 = 1 - lambda/hypot(lambda, x0) rounds to 1 at x0/lambda = {x0 / lam:g}"
+            )
+        value, terms = appell_f1(r / 2.0 + p.beta, r, -r / 2.0, r / 2.0 + p.beta + 1.0, u0, u0 / 2.0,
+                                 full_output=True)
+        try:
+            moment = p.beta * 2.0 ** (r / 2.0 + 1.0) * p.lam**r * u0 ** (p.beta + r / 2.0) / (2.0 * p.beta + r) * value
+        except OverflowError:  # a power overflows
+            moment = math.inf
     if not math.isfinite(moment):
         raise LossOfPrecisionError(
             f"incomplete moment: the closed form's factors leave the floating-point range at beta = {p.beta:g},"
             f" lambda = {p.lam:g}, r = {r:g}"
         )
-    return (moment, rows) if full_output else moment
+    return (moment, terms) if full_output else moment
 
 
 def order_stat_moment(i: int, n: int, r: float, p: Params) -> float:

@@ -235,13 +235,17 @@ def _fit_gamma(data: Dataset) -> tuple[float, float]:
     # log1p(mean d) - mean(log1p(d)) with d = (x - m)/m: x - m is exact,
     # the first term restores what rounding m took from log m, and the
     # difference of two logs near log m no longer cancels.
-    x, e = inference._exact_units(data.values)
-    mean = float(np.mean(x))
-    d = (x - mean) / mean
+    # The mean comes from the plain units of in_binade_units, whose sum
+    # cannot overflow, and the logs from the exact units, 2^(e - e_log)
+    # apart (1 unless the exact units fall back to the raw sample).
+    units, e = in_binade_units(data.values)
+    x, e_log = inference._exact_units(data.values)
+    mean = float(np.mean(units))
+    d = (units - mean) / mean
     if np.all(np.abs(d) < 0.5):
         gap = math.log1p(float(np.mean(d))) - float(np.mean(np.log1p(d)))
     else:
-        gap = math.log(mean) - float(np.mean(np.log(x)))
+        gap = _log_scaled(mean, e - e_log) - float(np.mean(np.log(x)))
 
     # Alzer's inequality 1/(2p) < log p - psi(p) < 1/p puts the root in
     # [1/(2 gap), 1/gap]; the bracket is twice as wide at each end.
@@ -250,6 +254,14 @@ def _fit_gamma(data: Dataset) -> tuple[float, float]:
     shape, _ = inference._falling_root(lambda p: _log_minus_digamma(p) - gap, 0.25 / gap, 2.0 / gap,
                                        "gamma shape equation")
     return shape, _scaled_back(mean / shape, e, "gamma scale estimate")
+
+
+def _log_scaled(value: float, e: int) -> float:
+    """log(value 2^e), also where value 2^e exceeds the floating-point range."""
+    try:
+        return math.log(math.ldexp(value, e))
+    except OverflowError:
+        return math.log(value) + e * math.log(2.0)
 
 
 def _scaled_back(value: float, e: int, what: str) -> float:
@@ -284,9 +296,17 @@ def _fit_ee(data: Dataset) -> tuple[float, float]:
     # n/rate - sum x + (alpha(rate) - 1) sum x e^(-rate x) / (1 - e^(-rate x)),
     # whose terms tend to 1/rate where rate x underflows to 0. It is solved
     # on the sample in units of 2^e, which moves the rate by 2^-e.
+    # Sum x from the plain units of in_binade_units, whose sum cannot
+    # overflow. Where the sum in the exact units does, they are the raw
+    # sample, and the fit runs in the plain units: only values below
+    # 2^-1022 of the largest lose bits there.
     x, e = inference._exact_units(data.values)
+    units, e_plain = in_binade_units(data.values)
+    try:
+        total = math.ldexp(float(np.sum(units)), e_plain - e)
+    except OverflowError:
+        x, e, total = units, e_plain, float(np.sum(units))
     n = data.n
-    total = float(np.sum(x))
 
     def shape(rate: float) -> float:
         return -n / float(np.sum(_log1mexp(rate * x)))

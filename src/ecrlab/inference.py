@@ -587,7 +587,9 @@ def cox_snell_bias(p: Params, n: int) -> tuple[float, float]:
 
     Rational functions of beta (the scale bias carries a lam prefactor);
     :func:`cox_snell_bias_generic` rebuilds the same numbers from the
-    inverse information, its derivatives, and the third cumulants.
+    inverse information, its derivatives, and the third cumulants. Near
+    the top of the floating-point range, where lam (...) overflows, the
+    scale bias is lam times its value at lam = 1 instead.
     """
     b, lam = p.beta, p.lam
     q = b**3 - 7.0 * b**2 + 10.0 * b + 72.0
@@ -603,20 +605,19 @@ def cox_snell_bias(p: Params, n: int) -> tuple[float, float]:
         * (70740551.0 * b**2 + 3809213278.0 * b - 35831044156.0)
         / (6974881.0 * q)
     ) / n
-    bias_l = (
-        lam
-        * (
-            8.0 * b
-            + 86.0
-            + 49.0 / (270.0 * b)
-            - 1679616.0 / (96605.0 * (b + 5.0))
-            + 80000.0 / (1083.0 * (b + 6.0))
-            - 8.0 * (84037561.0 * b**2 + 21509105.0 * b - 393761162.0) / (7923.0 * q**2)
-            + (356431397749.0 * b**2 - 158970444943.0 * b - 4636191041858.0)
-            / (376643574.0 * q)
-        )
-        / n
+    unit = (
+        8.0 * b
+        + 86.0
+        + 49.0 / (270.0 * b)
+        - 1679616.0 / (96605.0 * (b + 5.0))
+        + 80000.0 / (1083.0 * (b + 6.0))
+        - 8.0 * (84037561.0 * b**2 + 21509105.0 * b - 393761162.0) / (7923.0 * q**2)
+        + (356431397749.0 * b**2 - 158970444943.0 * b - 4636191041858.0)
+        / (376643574.0 * q)
     )
+    bias_l = lam * unit / n
+    if math.isinf(bias_l):
+        bias_l = lam * (unit / n)
     return bias_b, bias_l
 
 

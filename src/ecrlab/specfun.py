@@ -15,8 +15,13 @@ block, one lane per series, with every term and partial sum formed by
 sequential accumulation in the order of a term loop, so each lane equals
 that loop to the bit. It sums ``appell_f1``'s rows, a block at a time,
 and, through ``_gauss_2f1_lanes``, the 2F1 factors of the moments' wide
-binomial sums (``ecr._moment_sum`` from 8 terms on). Series evaluators
-can report how many terms they consumed via ``full_output=True``.
+binomial sums (``ecr._moment_sum`` from 8 terms on). A second helper,
+``_binomial_product_sum``, sums a power series of (1 - x)^p (1 - y x)^q
+against weights, its coefficients a convolution of two cumulative
+products in one numpy block; it carries the two series of
+``ecr.incomplete_moment`` in v = lam/s, under the same three-term rule.
+Series evaluators can report how many terms they consumed via
+``full_output=True``.
 """
 
 from __future__ import annotations
@@ -40,7 +45,8 @@ __all__ = [
 EULER_GAMMA = 0.5772156649015328606065120900824024
 
 # Above this x the Appell double series degrades and the integral
-# representation is integrated numerically instead.
+# representation is integrated numerically instead. ecr.incomplete_moment
+# reaches it only at shapes and orders its series in v do not cover.
 _F1_QUAD_SWITCH = 0.95
 
 # The series truncation policy (see the module docstring).
@@ -200,6 +206,47 @@ def _gauss_2f1_lanes(a: float, b: np.ndarray, c: np.ndarray, z: float) -> list:
         values, stops = _series_lanes(np.ones(b.size), a, b, c, z, 3)
     return [(value, stop) if stop else ConvergenceError("gauss_2f1 series did not converge", value, _MAX_TERMS)
             for value, stop in zip(values.tolist(), stops.tolist())]
+
+
+def _binomial_product_sum(p: float, q: float, y: float, weight) -> tuple[float, int]:
+    """sum_k c_k weight(k) and its term count, where c_k are the power-series
+    coefficients of (1 - x)^p (1 - y x)^q.
+
+    Each factor's coefficients are a cumulative product of its term ratios,
+    (k - 1 - p)/k and (k - 1 - q) y/k, and c_k is their convolution, in a
+    block of 64 terms; ``weight`` maps the block's k (0.0, 1.0, ...) to an
+    array of weights. The sum stops by the series bound's three-term rule.
+    A block that does not stop is recomputed twice as wide, up to
+    ``_MAX_TERMS`` terms, beyond which :class:`ConvergenceError` is raised.
+    The caller runs it under ``np.errstate(all="ignore")``.
+    """
+    width = 64
+    while True:
+        k = np.arange(width, dtype=float)
+        den = k.copy()
+        den[0] = 1.0
+        first = k - (1.0 + p)
+        first /= den
+        second = k - (1.0 + q)
+        second *= y
+        second /= den
+        first[0] = second[0] = 1.0
+        np.multiply.accumulate(first, out=first)
+        np.multiply.accumulate(second, out=second)
+        terms = np.convolve(first, second)[:width]
+        terms *= weight(k)
+        sums = np.add.accumulate(terms)
+        bound = np.abs(sums)
+        bound += _TINY
+        bound *= _REL_TOL
+        small = np.abs(terms) <= bound
+        run = small[:-2] & small[1:-1] & small[2:]
+        stop = int(run.argmax())
+        if run[stop]:
+            return float(sums[stop + 2]), stop + 3
+        if width > _MAX_TERMS:
+            raise ConvergenceError("binomial product series did not converge", float(sums[-1]), _MAX_TERMS)
+        width = min(2 * width, _MAX_TERMS + 1)
 
 
 def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float, *,

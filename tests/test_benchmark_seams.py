@@ -60,6 +60,21 @@ def test_series_report_their_terms(monkeypatch):
     assert specfun.appell_f1(0.5, 1.0, 0.5, 2.0, 0.97, 0.25, full_output=True) == (1.5, 0)
 
 
+def test_reference_incomplete_moment_reaches_appell_f1(monkeypatch):
+    # a traced run measures specfun.appell_f1 only where an incomplete
+    # moment reaches it, and exits 1 when a metric has no measurement; in
+    # the reference section that is the README example at x0 = 2, which
+    # the series in v leave to the Appell series (v0 = 0.45)
+    calls = []
+    appell_f1 = specfun.appell_f1
+    monkeypatch.setattr(ecr, "appell_f1", lambda *a, **k: calls.append(a) or appell_f1(*a, **k))
+    moment = Params(0.8, 1.0)
+    ecr.incomplete_moment(0.5, 100.0, moment)
+    assert calls == []
+    assert ecr.incomplete_moment(0.5, 2.0, moment, full_output=True)[1] == 47
+    assert len(calls) == 1
+
+
 @pytest.mark.parametrize("name", gof.MODEL_ORDER)
 def test_model_entries_take_a_replaced_fitter(name):
     entry = gof.MODELS[name]
@@ -110,3 +125,24 @@ def test_oracle_calls():
     assert np.isfinite(inference.pb_objective(heart, p))
     assert all(map(np.isfinite, inference.pb_gradient(heart, p)))
     assert inference.cox_snell_bias_generic(p, heart.n) == pytest.approx(inference.cox_snell_bias(p, heart.n))
+
+
+def test_traced_reference_calls_exit_zero(tmp_path, capsys):
+    # the calls the traced benchmark makes under its tracer after the
+    # workload, on the README's moments example ECR(0.8, 1) and a 50-draw
+    # ECR(0.5, 1) sample; a traced run that raises here exits 1
+    moment = Params(0.8, 1.0)
+    assert ecr.incomplete_moment(0.5, 100.0, moment) > 0.0
+    assert ecr.order_stat_moment(2, 4, 0.4, moment) > 0.0
+    assert ecr.pwm(1, 0.3, 2, moment) > 0.0
+    assert np.isfinite(ecr.log_moment(moment))
+    inference.lr_test_cr(data.crowley_hu())
+    path = tmp_path / "ref_sample.txt"
+    path.write_text("\n".join(repr(float(v)) for v in ecr.sample(50, Params(0.5, 1.0), 1756)) + "\n")
+    argvs = (["describe", str(path)], ["fit", data.EMBEDDED_NAME], ["gof", data.EMBEDDED_NAME],
+             ["ttt", str(path)], ["sample", "--beta", "0.5", "--lambda", "1", "--n", "100", "--seed", "1"],
+             ["moments", "--beta", "0.8", "--lambda", "1", "--r", "0.5", "--x0", "2",
+              "--pwm", "1", "2", "--order-stat", "1", "3"])
+    for argv in argvs:
+        assert cli.main(argv) == 0, argv
+    capsys.readouterr()

@@ -365,12 +365,19 @@ class TestMoments:
             return 1.0, 1e-3, {"last": 500}, "The maximum number of subdivisions has been achieved."
 
         monkeypatch.setattr(scipy.integrate, "quad", warned)
+        # beta 8 lies above the series in v's limit, so u0 = 0.9501 takes quadrature
         code, _, err = run_cli(
-            capsys, "moments", "--beta", "0.8", "--lambda", "1.0", "--r", "0.5", "--x0", "20",
+            capsys, "moments", "--beta", "8", "--lambda", "1.0", "--r", "0.5", "--x0", "20",
         )
         assert code == 3
         assert err.startswith("error: appell_f1 quadrature did not converge")
         assert err.count("\n") == 1
+        # at beta 0.8 the series in v never reach the quadrature
+        code, out, _ = run_cli(capsys, "moments", "--beta", "0.8", "--lambda", "1.0", "--r", "0.5", "--x0", "20")
+        assert code == 0
+        entry = json.loads(out)["results"]["incomplete"]
+        assert entry["path"] == "v_series"
+        assert entry["value"] == pytest.approx(1.299440251160156482, rel=1e-14)  # 50-digit reference
 
     def test_log_gamma_overflow_names_the_argument(self, capsys):
         code, _, err = run_cli(capsys, "moments", "--beta", "1e306", "--lambda", "1", "--r", "-0.5")
@@ -386,9 +393,15 @@ class TestMoments:
         assert value == pytest.approx(float(scale) ** 0.5 * 0.12889581438406248, rel=1e-14)
 
     def test_incomplete_moment_where_u0_rounds_to_one_exits_three(self, capsys):
-        code, _, err = run_cli(capsys, "moments", "--beta", "0.8", "--lambda", "1", "--r", "0.5", "--x0", "1e20")
+        # the closed form in u0 is taken only above the series in v's beta limit
+        code, _, err = run_cli(capsys, "moments", "--beta", "8", "--lambda", "1", "--r", "0.5", "--x0", "1e20")
         assert code == 3
         assert err == "error: incomplete moment: u0 = 1 - lambda/hypot(lambda, x0) rounds to 1 at x0/lambda = 1e+20\n"
+        # at beta 0.8 the moment is the full moment less its tail, 1.6e-10
+        code, out, _ = run_cli(capsys, "moments", "--beta", "0.8", "--lambda", "1", "--r", "0.5", "--x0", "1e20")
+        assert code == 0
+        results = json.loads(out)["results"]
+        assert results["incomplete"]["value"] == pytest.approx(results["raw"]["value"] - 1.6e-10, rel=1e-14)
 
     def test_incomplete_moment_prefactor_overflow_exits_three(self, capsys):
         # lambda^r = 1e308.7 overflowed as a bare OverflowError, printed as
@@ -399,13 +412,17 @@ class TestMoments:
         assert err == ("error: incomplete moment: the closed form's factors leave the floating-point range"
                        " at beta = 1000, lambda = 0.001, r = -102.9\n")
 
-    @pytest.mark.parametrize("x0, rows", [("2", 47), ("20", 0)])
-    def test_incomplete_moment_reports_its_path(self, capsys, x0, rows):
-        code, out, _ = run_cli(capsys, "moments", "--beta", "0.8", "--lambda", "1", "--r", "0.5", "--x0", x0)
+    @pytest.mark.parametrize("beta, x0, rows, path", [
+        ("0.8", "2", 47, "appell_series"),  # v0 = 0.45 >= 0.4
+        ("0.8", "4", 79, "v_series"),  # v0 = 0.24 < 0.4
+        ("8", "20", 0, "quadrature"),  # beta above the series in v's limit, u0 = 0.9501 > 0.95
+    ])
+    def test_incomplete_moment_reports_its_path(self, capsys, beta, x0, rows, path):
+        code, out, _ = run_cli(capsys, "moments", "--beta", beta, "--lambda", "1", "--r", "0.5", "--x0", x0)
         assert code == 0
         entry = json.loads(out)["results"]["incomplete"]
-        assert entry["series_rows"] == rows  # 0: the quadrature path
-        assert entry["value"] == incomplete_moment(0.5, float(x0), Params(0.8, 1.0))
+        assert (entry["series_rows"], entry["path"]) == (rows, path)
+        assert entry["value"] == incomplete_moment(0.5, float(x0), Params(float(beta), 1.0))
 
     def test_optional_quantities(self, capsys):
         code, out, _ = run_cli(
@@ -572,6 +589,20 @@ class TestComparisonFitContract:
         for report in payload.get("reports", [payload]):
             assert "error" not in report and all(map(math.isfinite, report["params"].values())), report
 
+    # Near-top data with one small value whose last bit is odd: it loses
+    # bits in units, so the exact units fall back to the raw sample, whose
+    # mean and sum overflowed into a RuntimeWarning (exit 1 under -W error).
+    ODD_BIT = "1.7e308\n1.75e308\n3.3000000000000003\n"
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (("fit", "-", "--model", "gamma"), 3, "error: gamma scale estimate leaves the floating-point range\n"),
+        (("fit", "-", "--model", "ee"), 0, ""),
+        (("gof", "-"), 0, ""),
+    ], ids=["gamma", "ee", "gof"])
+    def test_raw_sums_near_the_top_stay_in_range(self, argv, code, message):
+        # the gamma shape is 0.0041, so its scale, mean/shape, is 2.8e310
+        assert run_on_stdin(self.ODD_BIT, *argv)[0::2] == (code, message)
+
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(text=contract_samples())
     @example(text=NEAR_CONSTANT)
@@ -683,6 +714,16 @@ class TestStartUp:
         path.write_text("\n".join(repr(float(v)) for v in sample(30, Params(1.5, 2.0), 4)))
         result = run_python("-c", NO_SCIPY, str(path))
         assert (result.returncode, result.stdout, result.stderr) == (0, "[]\n", "")
+
+    def test_incomplete_moment_at_a_covered_shape_loads_no_quadrature(self):
+        # u0 = 0.95006 lies above the Appell quadrature switch, which the
+        # series in v replace at beta 0.8
+        code = ("import contextlib, io, sys\nfrom ecrlab import cli\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                "    assert cli.main(['moments', '--beta', '0.8', '--lambda', '1', '--r', '0.5', '--x0', '20']) == 0\n"
+                "print('scipy.integrate' in sys.modules)")
+        result = run_python("-c", code)
+        assert (result.returncode, result.stdout, result.stderr) == (0, "False\n", "")
 
     def test_python_dash_m(self):
         result = run_python("-m", "ecrlab", "describe", EMBEDDED_NAME)

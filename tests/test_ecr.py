@@ -530,8 +530,12 @@ class TestIncompleteMoments:
 
     def test_reports_the_series_rows(self):
         p = Params(0.8, 1.0)
+        # v0 = 1/sqrt 5 = 0.45 >= 0.4: the Appell series' rows
         assert incomplete_moment(0.5, 2.0, p, full_output=True) == (incomplete_moment(0.5, 2.0, p), 47)
-        assert incomplete_moment(0.5, 20.0, p, full_output=True)[1] == 0  # quadrature
+        # v0 = 1/sqrt 17 = 0.24 < 0.4: the two series in v, 41 and 38 terms
+        assert incomplete_moment(0.5, 4.0, p, full_output=True) == (incomplete_moment(0.5, 4.0, p), 79)
+        # beta 8 lies above the series' limit, and u0 = 0.9501 above the switch
+        assert incomplete_moment(0.5, 20.0, Params(8.0, 1.0), full_output=True)[1] == 0  # quadrature
 
     def test_high_order_allowed(self):
         # truncated moments are finite for any order above the lower window
@@ -552,10 +556,16 @@ class TestIncompleteMoments:
     @pytest.mark.parametrize("x0, lam", [(1e16, 1.0), (1e20, 1.0), (1e300, 1e-10)])
     def test_u0_rounding_to_one_is_a_numerical_failure(self, x0, lam):
         # appell_f1 rejected x = u0 = 1 as out of (-1, 1): a ValueError on
-        # valid arguments
+        # valid arguments. The closed form in u0 is taken only above the
+        # series' beta limit now.
         with pytest.raises(LossOfPrecisionError, match="^incomplete moment: u0 = 1 - lambda/hypot"):
-            incomplete_moment(0.5, x0, Params(0.8, lam))
-        assert incomplete_moment(0.5, 5e15, Params(0.8, 1.0)) == pytest.approx(raw_moment(0.5, Params(0.8, 1.0)))
+            incomplete_moment(0.5, x0, Params(8.0, lam))
+        assert incomplete_moment(0.5, 5e15, Params(8.0, 1.0)) == pytest.approx(raw_moment(0.5, Params(8.0, 1.0)))
+        # at a covered beta the series in v take every x0: the full moment
+        # less its tail, beta lam x0^(r-1)/(1-r) to O(lam/x0)
+        p = Params(0.8, lam)
+        tail = 0.8 * lam * x0**-0.5 / 0.5
+        assert incomplete_moment(0.5, x0, p) == pytest.approx(raw_moment(0.5, p) - tail, rel=1e-14)
 
 
 class TestOrderStatMoments:

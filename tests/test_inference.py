@@ -571,6 +571,12 @@ class TestCoxSnellBias:
         b9 = cox_snell_bias(Params(0.6, 9.0), 40)[1]
         assert b9 == pytest.approx(9.0 * b1, rel=1e-12)
 
+    def test_scale_bias_near_the_top_of_the_range(self):
+        # lam (...) / n overflowed to -inf at lam 4.25e307 and n 2, though
+        # the bias, lam times the bias at lam 1, is finite
+        unit = cox_snell_bias(Params(2.2, 1.0), 2)[1]
+        assert cox_snell_bias(Params(2.2, 4.25e307), 2)[1] == 4.25e307 * unit
+
     def test_known_scale_case(self):
         assert bias_known_lambda(2.0, 10) == pytest.approx(0.2, rel=1e-14)
 
@@ -609,6 +615,19 @@ class TestCsMl:
         # in it about 6,000 times; the 50-digit mpmath csml shape
         cs = fit_cs_ml(study_draw(45, (5, 18), 500, (2.0, 1.0)))
         assert cs.params.beta == pytest.approx(0.002200402980717395, rel=1e-12, abs=0)
+
+    def test_corrects_near_the_top_of_the_range(self):
+        # the scale bias overflowed, so the corrected scale was inf and
+        # Params raised "lam must be a positive finite real, got inf"
+        data = Dataset(np.array([
+            3.36e307, 1.08e308, 7.66e307, 1.45e308, 1.4e308, 5.28e307, 3.69e307, 1.19e307, 7.87e307,
+            7.93e307, 1.31e308, 1.33e308, 1.36e308, 1.25e308, 1.11e308, 7.68e307, 3.96e307, 1.33e308,
+            1.41e308, 3e307, 4.67e307, 9.79e307, 4.82e307, 8.81e307, 1.62e308, 5.85e307]))
+        ml = fit_ml(data)
+        cs = fit_cs_ml(data, ml=ml)
+        assert cs.method == "csml"
+        unit = cox_snell_bias(Params(ml.params.beta, 1.0), data.n)[1]
+        assert cs.params.lam == ml.params.lam - ml.params.lam * unit
 
     def test_uncorrectable_falls_back_to_ml(self):
         # large shape with few observations puts the correction outside

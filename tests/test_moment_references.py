@@ -16,8 +16,7 @@ rounded up. The binomial sums lose accuracy with their width: their
 errors measured up to about six units of rounding times the sum's
 cancellation (the ratio of its gross to its net), so the wide families
 have looser bounds. The incomplete moment asserts a bound per
-evaluation path, and its points where the package raises today are
-strict xfails.
+evaluation path.
 """
 
 import math
@@ -25,8 +24,7 @@ import math
 import mpmath as mp
 import pytest
 
-from ecrlab.ecr import LossOfPrecisionError, Params, incomplete_moment, log_moment, order_stat_moment, pwm, raw_moment
-from ecrlab.specfun import ConvergenceError
+from ecrlab.ecr import Params, _in_v_series, incomplete_moment, log_moment, order_stat_moment, pwm, raw_moment
 
 # family: largest relative error measured on its cases -> asserted bound
 BOUNDS = {
@@ -68,14 +66,22 @@ BETA_FN_ROUNDING = ("raw", (-0.5,), 997.3, 2.0, "1.98360043232242126283167040467
 # The incomplete moment by the path incomplete_moment takes: largest
 # relative error measured on its cases -> asserted bound
 INCOMPLETE_BOUNDS = {
-    "appell": 1e-12,  # 6.0e-13 at beta 5, r -9, x0/lambda 12
-    "quadrature": 1e-10,  # 4.1e-11 at r 3, x0/lambda 1e5
+    "v-series": 1e-14,  # 1.8e-15 here; 4.9e-15 at beta 5, r 8, x0/lambda 2.5 on a wider grid
+    "appell": 1e-13,  # 7.9e-14 at beta 5.5, x0/lambda 12
+    "quadrature": 1e-14,  # 5.5e-15 at beta 12
 }
 
 # (path, (r, x0, beta, lambda), 40-digit value). v0 = lambda/hypot(lambda, x0)
-# lies on both sides of 1/2 (x0/lambda = sqrt 3) and u0 = 1 - v0 on both
-# sides of the quadrature switch at 0.95 (x0/lambda = 19.97); three cases
-# are moments-sweep quadrature points (seed 3).
+# lies on both sides of the series' switch at 0.4 (x0/lambda = 2.29) and of
+# 1/2 (x0/lambda = sqrt 3), u0 = 1 - v0 on both sides of the quadrature
+# switch at 0.95 (x0/lambda = 19.97), and beta and r on both sides of the
+# series' limits 5 and 10; three cases are moments-sweep quadrature points
+# (seed 3). Before the series in v, the v-series cases with x0/lambda up
+# to 36 took the Appell series, with errors up to 6.0e-13 (beta 5, r -9,
+# x0/lambda 12); those above took quadrature, with errors up to 4.1e-11
+# (r 3, x0/lambda 1e5), or raised: a ConvergenceError from about
+# x0/lambda = 1e8 to 1e13, and a LossOfPrecisionError where u0 rounds to
+# 1, above about 9e15.
 INCOMPLETE_CASES = [
     ("appell", (0.5, 1.0, 0.8, 1.0), "2.66257084595864998613892402040922476369e-1"),
     ("appell", (-1.2, 1.5, 3.0, 2.0), "6.563961646240755136557827962092334425327e-3"),
@@ -84,33 +90,32 @@ INCOMPLETE_CASES = [
     ("appell", (1.5, 1.7, 5.0, 1.0), "4.824480579432313931218767940683482534697e-2"),
     ("appell", (0.5, 2.0, 0.8, 1.0), "5.615566875474983934627971107532417147286e-1"),
     ("appell", (1.5, 1.8, 5.0, 1.0), "6.419605751760937409147832397739862486726e-2"),
-    ("appell", (-0.5, 2.0, 0.3, 0.5), "6.920066632281879898015237638121868544892"),
-    ("appell", (1.8606040242170425, 5.951637406024191, 0.599311431964364, 0.5054655401929763),
+    ("v-series", (0.5, 2.4, 0.8, 1.0), "6.440667385120571551716871035025409933887e-1"),
+    ("v-series", (8.0, 2.4, 5.0, 1.0), "2.611736705794429133802977472305424273987e+1"),
+    ("v-series", (-0.5, 2.0, 0.3, 0.5), "6.920066632281879898015237638121868544892"),
+    ("v-series", (1.8606040242170425, 5.951637406024191, 0.599311431964364, 0.5054655401929763),
      "1.468993890855521265932411550839321635783"),
-    ("appell", (2.0, 19.0, 1.0, 1.0), "1.707885642356321173328061920386308355034e+1"),
-    ("appell", (-9.0, 36.0, 5.0, 3.0), "7.212009979719918987245282729859521923271e-6"),
-    ("quadrature", (0.5, 21.0, 0.8, 1.0), "1.308118085721884639404900395677787539632"),
-    ("quadrature", (0.43356683218235903, 19.854486060219614, 0.2950277900057235, 0.494736210131922),
+    ("v-series", (2.0, 19.0, 1.0, 1.0), "1.707885642356321173328061920386308355034e+1"),
+    ("v-series", (-9.0, 36.0, 5.0, 3.0), "7.212009979719918987245282729859521923271e-6"),
+    ("appell", (10.0, 2.0, 5.0, 1.0), "1.368971525083094510153912371374731568357e+1"),
+    ("v-series", (10.0, 4.0, 5.0, 1.0), "3.731221209558465549612999031377077778934e+4"),
+    ("v-series", (0.5, 21.0, 0.8, 1.0), "1.308118085721884639404900395677787539632"),
+    ("v-series", (0.43356683218235903, 19.854486060219614, 0.2950277900057235, 0.494736210131922),
      "6.246288823868201935346043861380238043761e-1"),
-    ("quadrature", (-2.755578449904854, 6062.264307437138, 1.6910431647894575, 20.07176022942337),
+    ("v-series", (-2.755578449904854, 6062.264307437138, 1.6910431647894575, 20.07176022942337),
      "3.464051630523450437218396687122796587601e-4"),
-    ("quadrature", (-3.57367610178054, 20.21542020129129, 2.942352050226193, 0.5005549986642701),
+    ("v-series", (-3.57367610178054, 20.21542020129129, 2.942352050226193, 0.5005549986642701),
      "1.970314837193048642343447673035030397128"),
-    ("quadrature", (0.5, 1e7, 0.8, 1.0), "1.657649289532828716362196918050300945468"),
-    ("quadrature", (3.0, 2e5, 1.0, 2.0), "3.999999986352712825288791524595747726144e+10"),
+    ("v-series", (0.5, 1e7, 0.8, 1.0), "1.657649289532828716362196918050300945468"),
+    ("v-series", (3.0, 2e5, 1.0, 2.0), "3.999999986352712825288791524595747726144e+10"),
+    ("v-series", (0.5, 1e10, 0.8, 1.0), "1.658139253961828645190233041283502464047"),
+    ("v-series", (5.0, 1e12, 2.0, 1.0), "4.999999999993333333333318333333333373333e+47"),
+    ("v-series", (0.5, 1e17, 0.8, 1.0), "1.65815524890218449558838062677184816359"),
+    ("v-series", (-1.5, 1e14, 3.0, 1e-3), "6.353778380438706945578961805030641381147e+3"),
+    ("appell", (0.8, 12.0, 5.5, 1.0), "2.422432787048137994954721498651896366148"),
     ("quadrature", (-0.6, 40.0, 12.0, 1.0), "1.774750901555465062493882553087502938454e-1"),
     ("appell", (0.2, 2.0, 8.0, 1.0), "9.693587944107553712358289678211265572846e-3"),
     ("appell", (14.0, 2.0, 1.0, 1.0), "4.28620906870709821698804427847559770269e+2"),
-]
-
-# Finite moments where incomplete_moment raises: quadrature's
-# ConvergenceError from about x0/lambda = 1e8 to 1e13, and
-# LossOfPrecisionError where u0 rounds to 1, above about 9e15.
-INCOMPLETE_RAISING = [
-    ("quadrature", (0.5, 1e10, 0.8, 1.0), "1.658139253961828645190233041283502464047"),
-    ("quadrature", (5.0, 1e12, 2.0, 1.0), "4.999999999993333333333318333333333373333e+47"),
-    ("quadrature", (0.5, 1e17, 0.8, 1.0), "1.65815524890218449558838062677184816359"),
-    ("quadrature", (-1.5, 1e14, 3.0, 1e-3), "6.353778380438706945578961805030641381147e+3"),
 ]
 
 # Off by 3.1e-7: at beta 12 the Appell series' terms cancel. Strict, so a
@@ -212,16 +217,16 @@ def incomplete_reference(r, x0, beta, lam):
 
 @pytest.mark.parametrize("path, args, value", [
     *INCOMPLETE_CASES,
-    *(pytest.param(*case, marks=pytest.mark.xfail(strict=True, raises=(ConvergenceError, LossOfPrecisionError),
-                                                  reason="the quadrature fails or u0 rounds to 1"))
-      for case in INCOMPLETE_RAISING),
     pytest.param(*INCOMPLETE_LARGE_BETA, marks=pytest.mark.xfail(
         strict=True, reason="the Appell series at beta 12, r -21.4 is off by 3.1e-7")),
 ])
 def test_incomplete_within_the_path_bound(path, args, value):
     r, x0, beta, lam = args
+    p = Params(beta, lam)
+    assert _in_v_series(r, lam / math.hypot(lam, x0), beta) == (path == "v-series")
+    assert (incomplete_moment(r, x0, p, full_output=True)[1] == 0) == (path == "quadrature")
     exact = float(value)
-    assert abs(incomplete_moment(r, x0, Params(beta, lam)) - exact) <= INCOMPLETE_BOUNDS[path] * abs(exact)
+    assert abs(incomplete_moment(r, x0, p) - exact) <= INCOMPLETE_BOUNDS[path] * abs(exact)
 
 
 @pytest.mark.parametrize("case", [INCOMPLETE_CASES[1], INCOMPLETE_CASES[3]], ids=["v0>1/2", "near-1/2"])
@@ -233,5 +238,5 @@ def test_incomplete_references_regenerate(case):
 if __name__ == "__main__":
     for *inputs, _ in [*CASES, BETA_FN_ROUNDING]:
         print((*inputs, reference(*inputs)))
-    for path, args, _ in [*INCOMPLETE_CASES, *INCOMPLETE_RAISING, INCOMPLETE_LARGE_BETA]:
+    for path, args, _ in [*INCOMPLETE_CASES, INCOMPLETE_LARGE_BETA]:
         print((path, args, incomplete_reference(*args)))
