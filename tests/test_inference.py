@@ -676,6 +676,17 @@ class TestCsMl:
         assert cs_bias < ml_bias
 
 
+# fit_pb's recorded outputs: (n, (beta, lam), seed) -> (beta, lam, iterations)
+PB_PINS = {
+    (15, (1.0, 1.0), 3): (0.6400029462219073, 0.6242787582604961, 277),
+    (15, (0.5, 2.0), 7): (0.44184513082825905, 1.730832993423182, 277),
+    (20, (0.5, 1.0), 2): (0.01831727613004188, 39.20852428682515, 313),
+    (20, (2.0, 1.0), 11): (5.7498361378381935, 0.34195502024837526, 273),
+    (500, (0.8, 2.0), 5): (0.00243393111248415, 1765.833622695686, 313),
+    (500, (0.5, 1.0), 1): (0.012771331462895906, 56.52418079738418, 277),
+}
+
+
 class TestFitPb:
     def test_recovers_exact_percentile_data(self):
         truth = Params(0.7, 3.0)
@@ -740,16 +751,9 @@ class TestFitPb:
             fit_pb(Dataset(sample(20, Params(1.0, 1.0), seed=1)))
 
     # (beta, lam, iterations), which a change to the bisection passes must
-    # leave unchanged to the bit; each pin lies within 2.4e-12 of a
-    # 50-digit root of the root function
-    @pytest.mark.parametrize("case, expected", [
-        ((15, (1.0, 1.0), 3), (0.6400029462219073, 0.6242787582604961, 277)),
-        ((15, (0.5, 2.0), 7), (0.44184513082825905, 1.730832993423182, 277)),
-        ((20, (0.5, 1.0), 2), (0.01831727613004188, 39.20852428682515, 313)),
-        ((20, (2.0, 1.0), 11), (5.7498361378381935, 0.34195502024837526, 273)),
-        ((500, (0.8, 2.0), 5), (0.00243393111248415, 1765.833622695686, 313)),
-        ((500, (0.5, 1.0), 1), (0.012771331462895906, 56.52418079738418, 277)),
-    ])
+    # leave unchanged to the bit; each pin lies within PB_REFERENCE_BOUND
+    # of its 50-digit root (TestPbReferences)
+    @pytest.mark.parametrize("case, expected", PB_PINS.items())
     def test_matches_recorded_outputs_exactly(self, case, expected):
         n, law, seed = case
         fit = fit_pb(Dataset(sample(n, Params(*law), seed=seed)))
@@ -765,6 +769,83 @@ class TestFitPb:
         finally:
             tracemalloc.stop()
         assert peak < 2_000_000
+
+
+def mp_pb_root_function(xs, beta):
+    """(t6 t8 - t7 t9, lam2 = t8/t9) at ``beta`` in the working precision,
+    on the sorted sample ``xs`` (mpf values) with the exact positions
+    i/(n+1)."""
+    n = len(xs)
+    inv = 1 / mpmath.mpf(beta)
+    t6 = t7 = t8 = t9 = 0
+    for i, x in enumerate(xs, 1):
+        log_p = mpmath.log(mpmath.mpf(i) / (n + 1))
+        w = mpmath.exp(log_p * inv)
+        q = 1 / (1 - w)
+        wq2 = w * q * q
+        r = mpmath.sqrt(w * (2 - w))
+        t6 += log_p * wq2 * q
+        t7 += x * log_p * wq2 / r
+        t8 -= x * r * q
+        t9 -= (2 - w) * wq2
+    return t6 * t8 - t7 * t9, t8 / t9
+
+
+def pb_reference_root(xs, lo, hi):
+    """The root of t6 t8 - t7 t9 on the bracket [lo, hi] and lam2 there,
+    as 50-digit strings, from 60-digit arithmetic on the float sample."""
+    with mpmath.workdps(60):
+        xs = [mpmath.mpf(x) for x in xs]
+        root = mpmath.findroot(lambda b: mp_pb_root_function(xs, b)[0], (mpmath.mpf(lo), mpmath.mpf(hi)),
+                               solver="anderson")
+        assert lo <= root <= hi
+        return mpmath.nstr(root, 50), mpmath.nstr(mp_pb_root_function(xs, root)[1], 50)
+
+
+# The roots of PB_PINS' samples, by pb_reference_root on the grid cell of
+# _SHAPE_GRID that holds the pinned shape: (beta, lam2) to 50 digits.
+PB_REFERENCES = {
+    (15, (1.0, 1.0), 3): ("0.64000294622201555517247087955005593493300774846883",
+                          "0.62427875826039544617859622105952079546741003377612"),
+    (15, (0.5, 2.0), 7): ("0.44184513082813550997096744189722967131030130682418",
+                          "1.7308329934236396563041428060665952712929195483136"),
+    (20, (0.5, 1.0), 2): ("0.018317276130036587809650098616299388680144086558668",
+                          "39.208524286842728985217356983130922894743151911929"),
+    (20, (2.0, 1.0), 11): ("5.7498361378241964154391911961365091307527000553786",
+                           "0.34195502024919863693102504720616364437238769285902"),
+    (500, (0.8, 2.0), 5): ("0.0024339311124847109870396389398215113515957343632555",
+                           "1765.8336226952227318950123050887434838526774757531"),
+    (500, (0.5, 1.0), 1): ("0.012771331462893115798547011070294441220479115345922",
+                           "56.524180797395425630644144430701155243294970680849"),
+}
+# Largest relative distance of a pin's shape or scale from its reference:
+# the pins of the geometric bisection measured 1.6e-13 to 2.43e-12.
+PB_REFERENCE_BOUND = 2.5e-12
+
+
+def pb_pin_cell(case):
+    """The sorted sample of a PB_PINS case and the grid cell that holds its pinned shape."""
+    n, law, seed = case
+    xs = Dataset(sample(n, Params(*law), seed=seed)).sorted_values.tolist()
+    grid = inference._SHAPE_GRID.tolist()
+    j = int(np.searchsorted(grid, PB_PINS[case][0]))
+    return xs, grid[j - 1], grid[j]
+
+
+class TestPbReferences:
+    @pytest.mark.parametrize("case", PB_PINS)
+    def test_pins_lie_near_their_roots(self, case):
+        beta, lam, _ = PB_PINS[case]
+        with mpmath.workdps(50):
+            for pinned, reference in zip((beta, lam), PB_REFERENCES[case]):
+                reference = mpmath.mpf(reference)
+                assert abs(pinned - reference) <= PB_REFERENCE_BOUND * reference
+
+    @pytest.mark.parametrize("case", [(15, (1.0, 1.0), 3), (20, (2.0, 1.0), 11)])
+    def test_references_recompute(self, case):
+        with mpmath.workdps(50):
+            for live, stored in zip(pb_reference_root(*pb_pin_cell(case)), PB_REFERENCES[case]):
+                assert abs(mpmath.mpf(live) - mpmath.mpf(stored)) <= mpmath.mpf("1e-48") * mpmath.mpf(stored)
 
 
 def mp_root_signs(samples, betas):
