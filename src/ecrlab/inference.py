@@ -11,27 +11,29 @@ s_i = sqrt(lam^2 + x_i^2):
 For fixed lam the shape score vanishes at beta(lam) = -n / sum log u_i,
 so fitting reduces to a one-dimensional search over the scale: one grid
 pass gives the profile log-likelihood and the profile score at every
-grid scale, and Brent's method (scipy's brentq) finds the score's root
-in every grid cell where it falls from + to -. Every pass of one fit
-goes through a per-sample kernel object that holds log x and its sum.
+grid scale, and Brent's method finds the score's root in every grid
+cell where it falls from + to -. Every pass of one fit goes through a
+per-sample kernel object that holds log x and its sum.
+
+Every scalar root in the package, here and in :mod:`ecrlab.gof`, goes
+through one finder, :func:`_brent_root`: Brent's method in plain Python
+floats, step for step scipy's brentq without importing it.
 
 The percentile estimator evaluates through a per-sample object too. It
 scans a fixed 241-point shape grid for sign changes of its root
-function and bisects each one; a grid without a sign change is a fit
-error, and its iteration count is the 241 grid points plus the
-bisection steps. The grid's data-free factors depend only on the sample
-size; they are memoized for up to four sizes of n <= 543 (about 4 MB
-each), so repeated fits at one size, as in a simulation cell, pay only
-for the two data sums. The bisection walks several levels per pass:
-along the path toward each bracket's secant estimate, as far as the
-sign tests confirm it, so it visits the points one-level bisection
-visits.
+function and runs Brent's method in each cell with one; a grid without
+a sign change is a fit error, and its iteration count is the 241 grid
+points plus Brent's calls. The grid's data-free factors depend only on
+the sample size; they are memoized for up to four sizes of n <= 543
+(about 4 MB each), so repeated fits at one size, as in a simulation
+cell, pay only for the two data sums.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -106,7 +108,7 @@ class FitResult:
     phases: for ML the grid points, the finer grids' points where they
     are used, and Brent's score evaluations over all its brackets (csml
     carries its ML fit's count); for the CR submodel Brent's evaluations;
-    for "pb" the shape grid's points and the bisection steps.
+    for "pb" the 241 grid points and Brent's calls.
     """
 
     params: Params
@@ -274,19 +276,69 @@ def profile_score(data: Dataset, lam: float) -> float:
 
 
 def _brent_root(f, lo: float, hi: float, log_scale: bool = False) -> tuple[float, int, bool]:
-    """Root of ``f`` on the sign bracket [lo, hi] by Brent's method.
+    """Root of ``f`` on the sign bracket [lo, hi] by Brent's method (Brent,
+    1973, *Algorithms for Minimization without Derivatives*, ch. 4), step
+    for step scipy's brentq: a secant or inverse quadratic step where it
+    falls well inside the bracket, else bisection.
 
     Stops once the bracket is within _STEP_TOL of the root, relatively:
     the absolute tolerance is scaled to the bracket so the result is
     scale-equivariant; on a bracket in log scale it is _STEP_TOL itself.
-    Returns (root, function calls, converged).
+    Returns (root, function calls, converged); after _MAX_ITER steps it
+    returns the best point so far, unconverged. Python floats throughout,
+    so no numpy warning can escape; a NaN value raises ValueError.
     """
-    from scipy.optimize import brentq
+    lo, hi = float(lo), float(hi)
+    xtol, rtol = (_STEP_TOL, 4.0 * sys.float_info.epsilon) if log_scale else (_STEP_TOL * lo, _STEP_TOL)
 
-    xtol, rtol = (_STEP_TOL, 4.0 * np.finfo(float).eps) if log_scale else (_STEP_TOL * lo, _STEP_TOL)
-    root, info = brentq(f, lo, hi, xtol=xtol, rtol=rtol, maxiter=_MAX_ITER,
-                        full_output=True, disp=False)
-    return root, info.function_calls, info.converged
+    def value(x: float) -> float:
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise ValueError(f"the function value at {x!r} is NaN")
+        return fx
+
+    # cur is the best point, blk the other end of the bracket, pre the
+    # previous best; scur and spre are the last two steps
+    xpre, xcur = lo, hi
+    fpre, fcur = value(xpre), value(xcur)
+    calls = 2
+    if fpre == 0.0 or fcur == 0.0:
+        return (xpre if fpre == 0.0 else xcur), calls, True
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(lo) and f(hi) must have different signs")
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(_MAX_ITER):
+        if fpre != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2.0
+        sbis = (xblk - xcur) / 2.0
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur, calls, True
+        # a division by zero, where C's brentq gets inf or NaN, bisects
+        stry = math.inf
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:  # secant
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)
+                else:  # inverse quadratic
+                    dpre = (fpre - fcur) / (xpre - xcur)
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                pass
+        if 2.0 * abs(stry) < min(abs(spre), 3.0 * abs(sbis) - delta):
+            spre, scur = scur, stry
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0.0 else -delta)
+        fcur = value(xcur)
+        calls += 1
+    return xcur, calls, False
 
 
 def _falling_root(f, lo: float, hi: float, what: str, log_scale: bool = False) -> tuple[float, int]:
@@ -331,6 +383,7 @@ def fit_ml(data: Dataset) -> FitResult:
     expected information divided by n.
 
     The grid is laid on the sample in the units of :func:`_exact_units`,
+    around a median taken in those of :func:`ecrlab.data.in_binade_units`,
     so the estimate is the scaled sample's times that power of two. Data
     that still put the grid, a profile value or the estimate outside the
     floating-point range raise :class:`FitError`.
@@ -349,7 +402,10 @@ def fit_ml(data: Dataset) -> FitResult:
 
     units, e = _exact_units(x)
     kernel = _Kernel(units)
-    center = float(np.median(units)) / math.sqrt(3.0)
+    # the median from the plain units, which no average of two values can
+    # overflow where the exact units fall back to the raw sample
+    plain, e_plain = in_binade_units(x)
+    center = math.ldexp(float(np.median(plain)), e_plain - e) / math.sqrt(3.0)
     with np.errstate(over="ignore", under="ignore"):
         grid = center * 4.0 ** np.arange(-20.0, 21.0)
     if not (np.all(np.isfinite(grid)) and grid[0] > 0.0):
@@ -840,99 +896,9 @@ class _Percentiles:
         return np.concatenate(lams), np.concatenate(scores)
 
 
-# Levels a secant path runs past the bracket's previous walk: secants
-# sharpen from pass to pass, so a walk rarely outgrows the last by more.
-_PATH_MARGIN = 4
-
-
 def _sign_changes(values: np.ndarray) -> np.ndarray:
     """Indices j where values j and j+1 have strictly opposite signs."""
     return np.nonzero(np.sign(values[:-1]) * np.sign(values[1:]) < 0)[0]
-
-
-def _bisect_brackets(root_values, lo: np.ndarray, hi: np.ndarray, f_lo: np.ndarray,
-                     f_hi: np.ndarray):
-    """Geometric bisection of the sign-change brackets [lo_j, hi_j]
-    together, several levels per pass, guided by secants.
-
-    ``root_values`` maps an array of points to root-function values;
-    ``f_lo`` and ``f_hi`` are its values at the bracket ends. Each
-    bracket stops on its own: at an exact zero, once its width is at
-    most _STEP_TOL * hi, or after _MAX_ITER steps. A pass sends the
-    points of every active bracket through one ``root_values`` call.
-
-    A bracket's pass evaluates the path one-level bisection would take
-    toward the secant estimate of the root in log beta, formed from the
-    values at the bracket's current ends (the midpoint when the secant
-    ratio is not finite). Each point is the sqrt(lo hi) of the
-    sub-bracket bisection holds there if every earlier turn goes the
-    predicted way. The bracket walks the path with the sign test
-    against its starting f_lo and stops after the first wrong turn: the
-    prefix up to it is verified, the rest lies in the wrong half and is
-    discarded. A path runs _PATH_MARGIN levels past the bracket's
-    previous walk, so a first path has _PATH_MARGIN levels. A root
-    function whose secants predict nothing still ends where bisection
-    does, one verified level per pass.
-
-    Every step is decided at the point, and by the test, of
-    one-level-per-pass bisection, so the points visited, and the
-    result, are bisection's. Returns the bracket midpoints sqrt(lo hi)
-    and the levels walked by all brackets.
-    """
-    lo, hi, f_lo, f_hi = lo.tolist(), hi.tolist(), f_lo.tolist(), f_hi.tolist()
-    count = len(lo)
-    # lo moves only on a step whose value tests like f_lo, so f_lo > 0
-    # never changes and the sign test needs only its starting value.
-    positive = [f > 0 for f in f_lo]
-    left = [_MAX_ITER] * count
-    path = [_PATH_MARGIN] * count  # levels of each bracket's next path
-    active = list(range(count))
-    steps = 0
-    while active:
-        points, plans = [], []
-        for j in active:
-            a, b = lo[j], hi[j]
-            ratio = f_lo[j] / (f_lo[j] - f_hi[j])
-            target = a * (b / a) ** (ratio if math.isfinite(ratio) else 0.5)
-            turns = []
-            for _ in range(min(path[j], left[j])):
-                mid = math.sqrt(a * b)
-                up = mid < target
-                points.append(mid)
-                turns.append(up)
-                if up:
-                    a = mid
-                else:
-                    b = mid
-            plans.append((j, len(points) - len(turns), turns))
-        values = root_values(np.array(points)).tolist()
-        still = []
-        for j, start, turns in plans:
-            a, b, fa, fb, up_sign = lo[j], hi[j], f_lo[j], f_hi[j], positive[j]
-            walked, done = 0, False
-            for turn in turns:
-                mid, f_mid = points[start + walked], values[start + walked]
-                walked += 1
-                if f_mid == 0.0:
-                    a = b = mid
-                    done = True
-                    break
-                up = (f_mid > 0) == up_sign
-                if up:
-                    a, fa = mid, f_mid
-                else:
-                    b, fb = mid, f_mid
-                done = b - a <= _STEP_TOL * b or walked == left[j]
-                if done or up != turn:
-                    break
-            if not done:
-                still.append(j)
-            path[j] = walked + _PATH_MARGIN
-            steps += walked
-            left[j] -= walked
-            lo[j], hi[j], f_lo[j], f_hi[j] = a, b, fa, fb
-        active = still
-    return np.sqrt(np.array(lo) * np.array(hi)), steps
 
 
 def pb_objective(data: Dataset, p: Params) -> float:
@@ -960,31 +926,29 @@ def fit_pb(data: Dataset) -> FitResult:
     Both stationarity conditions give a scale estimate that is closed
     in the shape: lam1 = t7/t6 and lam2 = t8/t9. The shape solves
     t6 t8 = t7 t9, located by sign change on a logarithmic grid over
-    [1e-3, 1e3] and bisection; with several candidate roots the one with
-    the smallest objective wins. A shape whose lam2 is not positive and
-    finite scores an infinite objective; if the chosen shape has no
-    admissible scale the fit raises :class:`FitError`. So does a grid
-    with no sign change: on every such sample checked (over 10,000, from
-    ECR and six other families at n = 5 to 500) the objective with lam2
-    substituted had its minimum at a grid end, with no root to find.
+    [1e-3, 1e3] and Brent's method (:func:`_brent_root`) in each grid
+    cell with a sign change, in the shape itself; with several candidate
+    roots the one with the smallest objective wins. A shape whose lam2 is
+    not positive and finite scores an infinite objective; if the chosen
+    shape has no admissible scale the fit raises :class:`FitError`. So
+    does a grid with no sign change: on every such sample checked (over
+    10,000, from ECR and six other families at n = 5 to 500) the objective
+    with lam2 substituted had its minimum at a grid end, with no root to
+    find. A chosen root whose search does not converge raises
+    :class:`FitError` carrying that fit.
 
-    Every evaluation goes through one :class:`_Percentiles`, one
-    broadcast pass per row block for the grid, each bisection pass and
-    the candidate roots. The factors of the 241-point grid that do not
-    involve the data depend only on n, so they are memoized for the four
-    most recent sample sizes with 241 n <= 2^17 (n <= 543, about 4 MB per
-    size) and regenerated block by block above that; every other shape
-    gets fresh factors. A lam2 that overflows as it is scaled back from
-    the units of :func:`ecrlab.data.in_binade_units` is inadmissible.
-
-    All sign-change brackets are bisected together, several levels per
-    pass, each with its own stopping rule (see :func:`_bisect_brackets`).
-    A bracket's pass evaluates the bisection path toward the secant
-    estimate of its root, from the grid values at its ends on the first
-    pass, and walks the prefix its sign tests confirm. Every step is
-    decided at bisection's point by bisection's sign test, so the roots
-    and step counts are exactly those of one-level bisection.
-    ``iterations`` counts the 241 grid points and the bisection steps.
+    Every evaluation goes through one :class:`_Percentiles`: one
+    broadcast pass per row block for the grid and for the candidate
+    roots, and one pass at one shape per Brent evaluation. The root
+    function there equals the grid's value at the same shape to the bit,
+    so Brent's method starts from the grid's signs. The factors of the
+    241-point grid that do not involve the data depend only on n, so they
+    are memoized for the four most recent sample sizes with 241 n <= 2^17
+    (n <= 543, about 4 MB per size) and regenerated block by block above
+    that; every other shape gets fresh factors. A lam2 that overflows as
+    it is scaled back from the units of
+    :func:`ecrlab.data.in_binade_units` is inadmissible. ``iterations``
+    counts the 241 grid points and Brent's calls over all brackets.
 
     Each of t6, t7, t8 and t9 is a sum of terms of one sign (t9 as
     written in :class:`_PbWeights`), so the root function cancels only
@@ -1004,27 +968,35 @@ def fit_pb(data: Dataset) -> FitResult:
     sign_change = _sign_changes(vals)
     if not sign_change.size:
         raise FitError("percentile objective has no interior minimum")
-    # Bisection rather than Brent's method: its points can be laid out
-    # levels ahead, so the brackets share one batched pass per few steps.
-    roots, steps = _bisect_brackets(
-        percentiles.roots, grid[sign_change], grid[sign_change + 1], vals[sign_change],
-        vals[sign_change + 1],
-    )
-    root_lams, scores = percentiles.scores(roots)
-    _, beta, lam = min(zip(scores.tolist(), roots.tolist(), root_lams.tolist()))
+    p, log_p = percentiles.p, percentiles.log_p
+
+    def root_at(beta: float) -> float:
+        t6, t7, t8, t9 = percentiles.sums(_pb_weights(beta, p, log_p))
+        return t6 * t8 - t7 * t9
+
+    roots, flags, iterations = [], [], grid.size
+    for j in sign_change.tolist():
+        beta, calls, converged = _brent_root(root_at, grid[j], grid[j + 1])
+        roots.append(beta)
+        flags.append(converged)
+        iterations += calls
+    root_lams, scores = percentiles.scores(np.array(roots))
+    _, beta, lam, converged = min(zip(scores.tolist(), roots, root_lams.tolist(), flags))
     if lam <= 0.0 or not math.isfinite(lam):
         raise FitError("percentile scale estimate left the parameter space")
     params = Params(beta, lam)
-    return FitResult(
+    result = FitResult(
         params=params,
         std_errors=None,
         loglik=log_likelihood(data, params),
         method="pb",
-        iterations=grid.size + steps,
-        converged=True,
+        iterations=iterations,
+        converged=converged,
         n=n,
     )
-
+    if not converged:
+        raise FitError("percentile root search did not converge", best=result)
+    return result
 
 # ---------------------------------------------------------------------------
 # Intervals and tests

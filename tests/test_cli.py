@@ -603,6 +603,23 @@ class TestComparisonFitContract:
         # the gamma shape is 0.0041, so its scale, mean/shape, is 2.8e310
         assert run_on_stdin(self.ODD_BIT, *argv)[0::2] == (code, message)
 
+    # The same kind at even n: the median of the raw sample averages two
+    # values near the top, which overflowed into a RuntimeWarning in ML
+    # and csml fits and in gof (exit 1 under -W error). Its median in
+    # plain units puts the ML grid past the top: the typed grid error.
+    ODD_BIT_EVEN_N = ("1.1230880362053665e308\n7.568206084215247e307\n4.650006681234988e307\n"
+                      "1.3685313117935789e308\n1.1169383139286681e308\n0.8279465973433803\n")
+    GRID_ERROR = ("error: the scale grid leaves the floating-point range: the data span too many orders "
+                  "of magnitude\n")
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (("fit", "-"), 3, GRID_ERROR),
+        (("fit", "-", "--method", "csml"), 3, GRID_ERROR),
+        (("gof", "-"), 0, ""),
+    ], ids=["ml", "csml", "gof"])
+    def test_raw_median_near_the_top_stays_in_range(self, argv, code, message):
+        assert run_on_stdin(self.ODD_BIT_EVEN_N, *argv)[0::2] == (code, message)
+
     @settings(derandomize=True, max_examples=100, deadline=None)
     @given(text=contract_samples())
     @example(text=NEAR_CONSTANT)
@@ -699,7 +716,9 @@ NO_SCIPY = """
 import contextlib, io, sys
 from ecrlab import cli
 path = sys.argv[1]
-for argv in (["describe", path], ["ttt", path], ["fit", path, "--method", "pb"],
+for argv in (["describe", path], ["ttt", path], ["fit", path], ["fit", path, "--method", "csml"],
+             ["fit", path, "--method", "pb"], ["fit", path, "--model", "cr"],
+             ["fit", path, "--model", "weibull"], ["fit", path, "--model", "ee"],
              ["sample", "--beta", "1.5", "--lambda", "2", "--n", "20", "--seed", "9"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv

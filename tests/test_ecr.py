@@ -42,14 +42,22 @@ def weighted_moment_oracle(r, s, t, p, upper=1.0, epsabs=1e-13):
     u = 1 - lam/sqrt(lam^2+x^2), which maps (0, inf) to (0, 1). Each half
     of (0, upper) holds at most one endpoint singularity, which quad's
     extrapolation handles to full precision; ``epsabs=0`` makes the
-    tolerance purely relative, for moments far from 1."""
+    tolerance purely relative, for moments far from 1. A half on which
+    quad reports a problem is taken by mpmath's tanh-sinh rule at 30
+    digits instead."""
 
-    def integrand(u):
-        x = p.lam * math.sqrt(u * (2.0 - u)) / (1.0 - u)
-        return x**r * (u**p.beta) ** s * (1.0 - u**p.beta) ** t * p.beta * u ** (p.beta - 1.0)
+    def integrand(u, m=math):
+        x = p.lam * m.sqrt(u * (2 - u)) / (1 - u)
+        return x**r * (u**p.beta) ** s * (1 - u**p.beta) ** t * p.beta * u ** (p.beta - 1)
 
-    halves = ((0.0, upper / 2.0), (upper / 2.0, upper))
-    return sum(quad(integrand, a, b, epsabs=epsabs, epsrel=1e-12, limit=400)[0] for a, b in halves)
+    def half(a, b):
+        value, _, _, *problem = quad(integrand, a, b, epsabs=epsabs, epsrel=1e-12, limit=400, full_output=1)
+        if not problem:
+            return value
+        with mpmath.workdps(30):
+            return float(mpmath.quad(lambda u: integrand(u, mpmath), [a, b]))
+
+    return sum(half(a, b) for a, b in ((0.0, upper / 2.0), (upper / 2.0, upper)))
 
 
 class TestParams:

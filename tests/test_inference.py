@@ -248,12 +248,7 @@ class TestFitMl:
 
     def test_unconverged_root_search_raises_with_best(self, heart_data, monkeypatch):
         fit = fit_ml(heart_data)
-        real_brentq = scipy.optimize.brentq
-
-        def one_step(f, a, b, **kwargs):
-            return real_brentq(f, a, b, **{**kwargs, "maxiter": 1})
-
-        monkeypatch.setattr(scipy.optimize, "brentq", one_step)
+        monkeypatch.setattr(inference, "_MAX_ITER", 1)
         with pytest.raises(FitError, match="did not converge") as info:
             fit_ml(heart_data)
         best = info.value.best
@@ -676,14 +671,15 @@ class TestCsMl:
         assert cs_bias < ml_bias
 
 
-# fit_pb's recorded outputs: (n, (beta, lam), seed) -> (beta, lam, iterations)
+# fit_pb's recorded outputs, from Brent's method in each sign-change cell:
+# (n, (beta, lam), seed) -> (beta, lam, iterations)
 PB_PINS = {
-    (15, (1.0, 1.0), 3): (0.6400029462219073, 0.6242787582604961, 277),
-    (15, (0.5, 2.0), 7): (0.44184513082825905, 1.730832993423182, 277),
-    (20, (0.5, 1.0), 2): (0.01831727613004188, 39.20852428682515, 313),
-    (20, (2.0, 1.0), 11): (5.7498361378381935, 0.34195502024837526, 273),
-    (500, (0.8, 2.0), 5): (0.00243393111248415, 1765.833622695686, 313),
-    (500, (0.5, 1.0), 1): (0.012771331462895906, 56.52418079738418, 277),
+    (15, (1.0, 1.0), 3): (0.6400029462222426, 0.624278758260185, 248),
+    (15, (0.5, 2.0), 7): (0.4418451308280201, 1.730832993424068, 248),
+    (20, (0.5, 1.0), 2): (0.018317276130036517, 39.20852428684303, 256),
+    (20, (2.0, 1.0), 11): (5.749836137832632, 0.3419550202487024, 252),
+    (500, (0.8, 2.0), 5): (0.002433931112484645, 1765.8336226953083, 257),
+    (500, (0.5, 1.0), 1): (0.012771331462893248, 56.524180797395466, 249),
 }
 
 
@@ -750,7 +746,21 @@ class TestFitPb:
         with pytest.raises(FitError, match="left the parameter space"):
             fit_pb(Dataset(sample(20, Params(1.0, 1.0), seed=1)))
 
-    # (beta, lam, iterations), which a change to the bisection passes must
+    def test_unconverged_root_search_raises_with_best(self, monkeypatch):
+        data = Dataset(sample(20, Params(2.0, 1.0), seed=11))
+        fit = fit_pb(data)
+        monkeypatch.setattr(inference, "_MAX_ITER", 1)
+        with pytest.raises(FitError, match="did not converge") as info:
+            fit_pb(data)
+        best = info.value.best
+        assert best is not None and not best.converged
+        # one Brent step stays inside the grid cell that holds the root
+        grid = inference._SHAPE_GRID
+        j = int(np.searchsorted(grid, fit.params.beta))
+        assert grid[j - 1] < best.params.beta < grid[j] and best.params.beta != fit.params.beta
+        assert best.iterations == grid.size + 3
+
+    # (beta, lam, iterations), which a change to the root search must
     # leave unchanged to the bit; each pin lies within PB_REFERENCE_BOUND
     # of its 50-digit root (TestPbReferences)
     @pytest.mark.parametrize("case, expected", PB_PINS.items())
@@ -818,9 +828,10 @@ PB_REFERENCES = {
     (500, (0.5, 1.0), 1): ("0.012771331462893115798547011070294441220479115345922",
                            "56.524180797395425630644144430701155243294970680849"),
 }
-# Largest relative distance of a pin's shape or scale from its reference:
-# the pins of the geometric bisection measured 1.6e-13 to 2.43e-12.
-PB_REFERENCE_BOUND = 2.5e-12
+# Largest relative distance of a pin's shape or scale from its reference.
+# Brent's roots measure 7.5e-16 to 1.47e-12; those of the geometric
+# bisection that preceded it measured 1.6e-13 to 2.43e-12.
+PB_REFERENCE_BOUND = 2.4e-12
 
 
 def pb_pin_cell(case):
@@ -993,25 +1004,6 @@ class TestKernel:
         assert fit.loglik == log_likelihood(heart_data, fit.params)
 
 
-def scalar_bisect(root_fn, lo, hi, f_lo, max_iter=200):
-    """The one-bracket-at-a-time geometric bisection the joint one replaces."""
-    steps = 0
-    for _ in range(max_iter):
-        steps += 1
-        mid = math.sqrt(lo * hi)
-        f_mid = root_fn(mid)
-        if f_mid == 0.0:
-            lo = hi = mid
-            break
-        if (f_mid > 0) == (f_lo > 0):
-            lo, f_lo = mid, f_mid
-        else:
-            hi = mid
-        if (hi - lo) <= 1e-12 * hi:
-            break
-    return math.sqrt(lo * hi), steps
-
-
 class TestBlockedPasses:
     """The broadcast passes must reproduce the point-by-point functions to
     the bit. n = 20 puts a whole grid in one row block; n = 5000 is above
@@ -1068,258 +1060,112 @@ class TestBlockedPasses:
                 assert root == t6 * t8 - t7 * t9
                 assert lam == t8 / t9 * unit
 
-    def test_joint_bisection_matches_one_at_a_time(self):
-        data = Dataset(sample(20, Params(0.5, 1.0), seed=2))
-        percentiles = inference._Percentiles(data.sorted_values)
-        grid = np.logspace(-3.0, 3.0, 241)
-        vals = percentiles.roots(grid)
-        k = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        assert k.size >= 2
-        roots, steps = inference._bisect_brackets(percentiles.roots, grid[k], grid[k + 1], vals[k],
-                                                  vals[k + 1])
-        expected = [scalar_bisect(lambda b: scalar_root(percentiles, b), grid[j], grid[j + 1], vals[j])
-                    for j in k]
-        assert roots.tolist() == [r for r, _ in expected]
-        assert steps == sum(s for _, s in expected)
 
-    def test_joint_bisection_stops_each_bracket_on_its_own(self):
-        # the first bracket's first midpoint is an exact root
-        lo, hi = np.array([0.5, 2.5]), np.array([2.0, 3.5])
-        roots, steps = inference._bisect_brackets(lambda b: b - np.round(b), lo, hi, lo - np.round(lo),
-                                                  hi - np.round(hi))
-        expected = [scalar_bisect(lambda b: b - round(b), a, b, a - round(a)) for a, b in zip(lo, hi)]
-        assert expected[0] == (1.0, 1)
-        assert roots.tolist() == [r for r, _ in expected]
-        assert steps == sum(s for _, s in expected)
+def brentq_oracle(f, lo, hi, log_scale, cap):
+    """scipy's brentq with _brent_root's tolerances and at most ``cap``
+    steps: (root, calls, converged)."""
+    xtol, rtol = (1e-12, 4.0 * np.finfo(float).eps) if log_scale else (1e-12 * lo, 1e-12)
+    root, info = scipy.optimize.brentq(f, lo, hi, xtol=xtol, rtol=rtol, maxiter=cap, full_output=True,
+                                       disp=False)
+    return root, info.function_calls, info.converged
 
 
-def recording(fn, sizes):
-    """``fn`` that also records the size of every array it is given."""
-    def wrapped(points):
-        sizes.append(points.size)
-        return fn(points)
-    return wrapped
+def brent_case(kind, c, scale):
+    """``scale`` times a function with a sign change at ``c``: smooth, flat
+    to third order at c, a step, or rounded to steps of 1e-6 (noise with
+    exact zeros). At a scale of 1e-170 the product of the slopes in the
+    inverse quadratic step underflows to 0."""
+    if kind == "smooth":
+        return lambda x: scale * (x - c) * (1.0 + x * x)
+    if kind == "flat":
+        return lambda x: scale * (x - c) ** 3
+    if kind == "step":
+        return lambda x: scale * (1.0 + abs(x)) * (1.0 if x > c else -3.0)
+    return lambda x: scale * round((x - c) * 1e6)
 
 
-def step_down(c):
-    """+1 below ``c`` and -1e9 above it: every secant predicts the root
-    next to the bracket's lower end, so with ``c`` near the upper end each
-    path breaks at its first level."""
-    return lambda b: 1.0 - 1e9 * (b >= c)
+def outcome(call):
+    """``call()``, or ValueError where it raises one."""
+    try:
+        return call()
+    except ValueError:
+        return ValueError
 
 
-class TestLevelBatchedBisection:
-    """Several bisection levels per pass, along secant paths, must visit
-    the points, and give the roots and step counts, of one level per
-    pass."""
+class TestBrentRoot:
+    """_brent_root is scipy's brentq step for step, in Python floats."""
+
+    @settings(derandomize=True, max_examples=400, deadline=None)
+    @given(kind=st.sampled_from(("smooth", "flat", "step", "noisy")), log_scale=st.booleans(),
+           lo=st.floats(1e-3, 1e2), log_width=st.floats(1e-6, 5.0), share=st.floats(0.0, 1.0),
+           scale=st.sampled_from((1.0, -1.0, 1e-170, -1e-170, 1e150)), cap=st.sampled_from((200, 3, 1)))
+    # divides by zero in an inverse quadratic step, where brentq's C code
+    # gets inf and bisects
+    @example(kind="step", log_scale=False, lo=1.0, log_width=math.log(2.0), share=0.3, scale=1e-170, cap=200)
+    def test_matches_brentq(self, kind, log_scale, lo, log_width, share, scale, cap):
+        hi = lo * math.exp(log_width)
+        if log_scale:
+            lo, hi = math.log(lo), math.log(hi)
+        f = brent_case(kind, lo + share * (hi - lo), scale)
+        with mock.patch.object(inference, "_MAX_ITER", cap):
+            found = outcome(lambda: inference._brent_root(f, lo, hi, log_scale))
+        assert found == outcome(lambda: brentq_oracle(f, lo, hi, log_scale, cap))
+
+    def test_returns_python_floats(self):
+        root, calls, converged = inference._brent_root(lambda b: np.float64(b) - 2.0, np.float64(1.0),
+                                                       np.float64(3.5))
+        assert (type(root), type(calls), converged) == (float, int, True)
+
+
+class TestPbBrent:
+    """fit_pb's Brent searches: one per sign change of the root function
+    on the shape grid, each brentq's to the bit."""
 
     @pytest.mark.parametrize("n", [15, 20, 100, 500, 5000])
-    def test_matches_one_at_a_time_on_samples(self, n):
+    def test_roots_match_brentq_on_samples(self, n, monkeypatch):
         data = Dataset(sample(n, Params(0.5, 1.0), seed=1))
         percentiles = inference._Percentiles(data.sorted_values)
-        grid = np.logspace(-3.0, 3.0, 241)
-        vals = percentiles.roots(grid)
-        k = np.nonzero(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)[0]
-        assert k.size
-        roots, steps = inference._bisect_brackets(percentiles.roots, grid[k], grid[k + 1], vals[k],
-                                                  vals[k + 1])
-        expected = [scalar_bisect(lambda b: scalar_root(percentiles, b), grid[j], grid[j + 1], vals[j])
-                    for j in k]
-        assert roots.tolist() == [r for r, _ in expected]
-        assert steps == sum(s for _, s in expected)
+        grid = inference._SHAPE_GRID
+        brackets = inference._sign_changes(percentiles.roots(grid)).tolist()
+        assert brackets
+        brent, found = inference._brent_root, []
 
-    def test_path_runs_the_margin_past_the_last_walk(self):
-        # the first path breaks at its third level; after that the secant
-        # is verified to the end of every path, so each pass is the last
-        # walk plus the margin
-        f = lambda b: b * b - 2.0
-        lo, hi = np.array([1.0]), np.array([2.0])
-        sizes = []
-        roots, steps = inference._bisect_brackets(recording(f, sizes), lo, hi, f(lo), f(hi))
-        root, expected_steps = scalar_bisect(f, 1.0, 2.0, f(1.0))
-        assert inference._PATH_MARGIN == 4
-        assert sizes == [4, 3 + 4, 7 + 4, 11 + 4, 15 + 4]
-        assert roots.tolist() == [root] and steps == expected_steps == 40
+        def recorded(*args):
+            found.append(brent(*args))
+            return found[-1]
 
-    def test_paths_that_break_at_once_walk_one_level_per_pass(self):
-        # every path breaks at its first level until the bracket nears c,
-        # and each next path runs the margin past that one level
-        f = step_down(2.0 * (1.0 - 1e-9))
-        lo, hi = np.array([1.0]), np.array([2.0])
-        sizes = []
-        roots, steps = inference._bisect_brackets(recording(f, sizes), lo, hi, f(lo), f(hi))
-        root, expected_steps = scalar_bisect(f, 1.0, 2.0, f(1.0))
-        assert sizes[:30] == [4] + [1 + 4] * 29
-        assert roots.tolist() == [root] and steps == expected_steps
+        monkeypatch.setattr(inference, "_brent_root", recorded)
+        fit = fit_pb(data)
+        assert found == [brentq_oracle(lambda b: scalar_root(percentiles, b), grid[j], grid[j + 1], False, 200)
+                         for j in brackets]
+        assert fit.params.beta in [root for root, _, _ in found]
 
-    @pytest.mark.parametrize("n, depth", [(15, 6), (20, 5), (50, 4), (100, 3), (200, 2), (500, 1)])
-    def test_depth_fits_the_element_budget(self, n, depth, monkeypatch):
-        # with a budget of `depth` rows of n, paths deeper than that are
-        # evaluated in several row blocks, none past the budget, and the
-        # roots and steps stay bisection's
-        data = Dataset(sample(n, Params(0.5, 1.0), seed=1))
-        percentiles = inference._Percentiles(data.sorted_values)
-        grid = np.logspace(-3.0, 3.0, 241)
-        vals = percentiles.roots(grid)
-        k = inference._sign_changes(vals)
-        assert k.size
-        expected = [scalar_bisect(lambda b: scalar_root(percentiles, b), grid[j], grid[j + 1], vals[j])
-                    for j in k]
-        blocks, sizes = [], []
-        pb_weights = inference._pb_weights
+    # Root-function calls per fit that makes any, on the simulation
+    # study's seed-0 samples (40 per cell). A count repeats exactly, so
+    # this cannot flake; it fails if the searches fall back to
+    # bisection's 40-odd calls per bracket.
+    def test_mean_calls_per_fit(self, monkeypatch):
+        brent = inference._brent_root
+        counts = []
 
-        def recording_weights(col, p, log_p):
-            blocks.append(col.size)
-            return pb_weights(col, p, log_p)
+        def counting(f, lo, hi, log_scale=False):
+            found = brent(f, lo, hi, log_scale)
+            counts[-1] += found[1]
+            return found
 
-        monkeypatch.setattr(inference, "_BLOCK_ELEMENTS", depth * n)
-        monkeypatch.setattr(inference, "_pb_weights", recording_weights)
-        roots, steps = inference._bisect_brackets(recording(percentiles.roots, sizes), grid[k],
-                                                  grid[k + 1], vals[k], vals[k + 1])
-        assert max(sizes) > depth and max(blocks) == depth
-        assert sum(blocks) == sum(sizes)
-        assert roots.tolist() == [r for r, _ in expected]
-        assert steps == sum(s for _, s in expected)
-
-    def test_exact_zero_inside_a_pass(self):
-        # the root c is the first bracket's third-level tree point and lies
-        # on its first path, so its walk stops there while the second
-        # bracket goes on
-        m1 = math.sqrt(0.5 * 3.0)
-        c = math.sqrt(math.sqrt(0.5 * m1) * m1)
-        f = lambda b: (b - c) * (b - 6.2)
-        lo, hi = np.array([0.5, 4.0]), np.array([3.0, 9.0])
-        sizes = []
-        roots, steps = inference._bisect_brackets(recording(f, sizes), lo, hi, f(lo), f(hi))
-        expected = [scalar_bisect(f, a, b, f(a)) for a, b in zip(lo.tolist(), hi.tolist())]
-        assert sizes[0] == 2 * 4
-        assert expected[0][1] == 3
-        assert roots.tolist() == [r for r, _ in expected]
-        assert steps == sum(s for _, s in expected)
-
-    def test_iteration_cap_inside_a_pass(self, monkeypatch):
-        # the cap is tracked per bracket: after walking 3 and 4 levels the
-        # second paths are 7 and 6 levels, the latter cut from 8 by the cap
-        monkeypatch.setattr(inference, "_MAX_ITER", 10)
-        f = lambda b: b * b - 2.0
-        lo, hi = np.array([1.0, 1.2]), np.array([2.0, 1.5])
-        sizes = []
-        roots, steps = inference._bisect_brackets(recording(f, sizes), lo, hi, f(lo), f(hi))
-        expected = [scalar_bisect(f, a, b, f(a), max_iter=10) for a, b in zip(lo.tolist(), hi.tolist())]
-        assert sizes == [2 * 4, 7 + 6]
-        assert roots.tolist() == [r for r, _ in expected]
-        assert steps == 20 == sum(s for _, s in expected)
-
-    def test_iteration_cap_on_paths_that_break_at_once(self, monkeypatch):
-        # one level walked per pass: paths of the margin past it until the
-        # cap of 10 levels cuts each to the levels left
-        monkeypatch.setattr(inference, "_MAX_ITER", 10)
-        f = step_down(2.0 * (1.0 - 1e-9))
-        lo, hi = np.array([1.0]), np.array([2.0])
-        sizes = []
-        roots, steps = inference._bisect_brackets(recording(f, sizes), lo, hi, f(lo), f(hi))
-        root, expected_steps = scalar_bisect(f, 1.0, 2.0, f(1.0), max_iter=10)
-        assert sizes == [4, 5, 5, 5, 5, 5, 4, 3, 2, 1]
-        assert roots.tolist() == [root] and steps == expected_steps == 10
-
-
-def bisection_case(kind, lo, hi, shares, k, special):
-    """A root function of the given kind on [lo, hi], written with
-    correctly rounded operations only, so one point gives the same value
-    alone or inside an array."""
-    marks = sorted(lo * (hi / lo) ** s for s in shares)
-    if kind == "monotone":
-        r = marks[0]
-        return lambda b: (b - r) * (1.0 + b * b)
-    if kind == "several":
-        def several(b):
-            out = b - marks[0]
-            for r in marks[1:]:
-                out = out * (b - r)
-            return out
-        return several
-    if kind == "noisy":
-        return lambda b: b - np.round(b, k)
-    if kind == "nonfinite":
-        r, end = marks[0], marks[-1]
-        return lambda b: np.where((b > r) & (b < end), special, (b - r) * 3.0)
-    # "zero": the tree point reached by the turns of k's bits, an exact root
-    x, y = lo, hi
-    for level in range(1 + k % 12):
-        mid = math.sqrt(x * y)
-        if (k >> level) & 1:
-            x = mid
-        else:
-            y = mid
-    c = math.sqrt(x * y)
-    return lambda b: b - c
-
-
-class TestGuidedBisectionProperty:
-    @settings(derandomize=True, max_examples=150, deadline=None)
-    @given(kind=st.sampled_from(("monotone", "several", "noisy", "nonfinite", "zero")),
-           lo=st.floats(1e-3, 1e2), log_width=st.floats(0.01, 5.0),
-           shares=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=4),
-           k=st.integers(0, 4095), special=st.sampled_from((math.nan, math.inf, -math.inf)),
-           grid_size=st.integers(2, 33), cap=st.sampled_from((200, 37, 10, 1)))
-    def test_same_points_roots_and_steps_as_one_level_bisection(
-            self, kind, lo, log_width, shares, k, special, grid_size, cap):
-        hi = lo * math.exp(log_width)
-        f = bisection_case(kind, lo, hi, shares, k % 8 if kind == "noisy" else k, special)
-        grid = np.geomspace(lo, hi, grid_size)
-        vals = f(grid)
-        j = inference._sign_changes(vals)
-        assume(j.size)
-        evaluated = set()
-
-        def root_values(points):
-            evaluated.update(points.tolist())
-            return f(points)
-
-        with mock.patch.object(inference, "_MAX_ITER", cap):
-            roots, steps = inference._bisect_brackets(root_values, grid[j], grid[j + 1], vals[j],
-                                                      vals[j + 1])
-        visited = []
-
-        def scalar(x):
-            visited.append(x)
-            return f(np.array([x]))[0]
-
-        expected = [scalar_bisect(scalar, grid[i], grid[i + 1], vals[i], max_iter=cap) for i in j]
-        assert set(visited) <= evaluated
-        assert roots.tolist() == [r for r, _ in expected]
-        assert steps == sum(s for _, s in expected)
-
-
-class TestBisectionPassCount:
-    """Root-function calls of fit_pb's bisection, per fit, on the
-    simulation study's seed-0 samples (40 per cell). A count repeats
-    exactly, so this cannot flake; it fails if the bisection falls back to
-    few levels per pass."""
-
-    def test_mean_passes_per_fit(self, monkeypatch):
-        bisect = inference._bisect_brackets
-        passes = []
-
-        def counting(root_values, *args):
-            passes.append(0)
-
-            def counted(points):
-                passes[-1] += 1
-                return root_values(points)
-
-            return bisect(counted, *args)
-
-        monkeypatch.setattr(inference, "_bisect_brackets", counting)
+        monkeypatch.setattr(inference, "_brent_root", counting)
         per_size = {}
         for cell, (beta, n) in enumerate([(0.5, 20), (0.5, 100), (0.5, 500), (2.0, 20), (2.0, 100), (2.0, 500)]):
             for rep in range(40):
-                start = len(passes)
+                counts.append(0)
                 with contextlib.suppress(FitError):
-                    fit_pb(study_draw(0, (cell, rep), n, (beta, 1.0)))
-                per_size.setdefault(n, []).extend(passes[start:])
-        means = {n: sum(counts) / len(counts) for n, counts in per_size.items()}
-        assert means[20] <= 8.0 and means[100] <= 8.0 and means[500] <= 8.0
+                    fit = fit_pb(study_draw(0, (cell, rep), n, (beta, 1.0)))
+                    assert fit.iterations == inference._SHAPE_GRID.size + counts[-1]
+                if counts[-1]:
+                    per_size.setdefault(n, []).append(counts[-1])
+        means = {n: sum(calls) / len(calls) for n, calls in per_size.items()}
+        assert sorted(means) == [20, 100, 500]
+        assert max(means.values()) <= 14.0
 
 
 class TestPbFallbackObjective:
