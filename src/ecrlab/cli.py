@@ -4,7 +4,10 @@ Subcommands: describe, fit, sample, moments, gof, ttt, simulate. Every
 command is a pure function of its arguments and input files. Exit codes:
 0 on success, 2 for input problems, 3 for numerical non-convergence or
 a requested moment that does not exist. ECR_LAB_THREADS caps the
-simulation engine's process parallelism.
+simulation engine's process parallelism. ``simulate`` runs one study, so
+it forks the engine's process pool once either way; the pool outlives
+the study only for library callers that run more studies in the same
+process (see :mod:`ecrlab.sim`).
 
 :func:`main` builds its parser on the first call and reuses it for every
 later call in the process. If stdout closes early, as in
@@ -36,7 +39,7 @@ from .ecr import (
 )
 from .gof import MODELS, fit_comparison_models, ttt_transform
 from .inference import FitError, fit_cr, fit_cs_ml, fit_ml, fit_pb
-from .sim import StudyConfig, run_convergence_study, run_grid_study, summaries_to_csv
+from .sim import ESTIMATORS, StudyConfig, run_convergence_study, run_grid_study, summaries_to_csv
 
 SCHEMA = "ecr-lab/1"
 
@@ -275,7 +278,7 @@ def cmd_simulate(args) -> int:
             truth=Params(float(truth["beta"]), float(truth["lambda"])),
             sample_sizes=tuple(int(n) for n in raw["sample_sizes"]),
             replications=int(raw["replications"]),
-            estimators=tuple(raw.get("estimators", ["ml", "csml", "pb"])),
+            estimators=raw.get("estimators", ESTIMATORS),
             master_seed=int(raw.get("master_seed", 0)),
             grid=(
                 (tuple(float(b) for b in raw["grid"]["beta"]),

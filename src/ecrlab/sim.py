@@ -9,6 +9,17 @@ same public fitting entry points a caller would use directly, bit for
 bit; a replication fits ML once and hands that fit to ``fit_cs_ml``
 rather than refitting. Fit failures and uncorrectable Cox-Snell outcomes
 are counted per cell and excluded from the bias/SSD averages.
+
+Parallel studies share one process pool per process. The first study
+with more than one worker forks it, and every later study that asks for
+the same worker count reuses its workers, which keep their warm caches
+(such as ``fit_pb``'s grid weights per sample size). A study asking for
+another count shuts the old pool down, joining its workers, before it
+forks the new one, and a study that finds the pool broken raises
+``BrokenProcessPool`` and leaves the next study to fork fresh workers.
+The workers exit with the interpreter. They keep the module state they
+had when they were forked: a patch made after the first parallel study
+does not reach them.
 """
 
 from __future__ import annotations
@@ -17,7 +28,9 @@ import csv
 import io
 import math
 import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,13 +66,23 @@ class StudyConfig:
     grid: tuple[tuple[float, ...], tuple[float, ...]] | None = None
 
     def __post_init__(self) -> None:
+        # Every check runs here, so a bad config fails before a worker forks.
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if not self.sample_sizes or min(self.sample_sizes) < 5:
-            raise ValueError("sample sizes must all be >= 5")
+            raise ValueError("sample_sizes must be non-empty and all >= 5")
+        if isinstance(self.estimators, str):
+            raise ValueError(f"estimators must be a list of names, not the string {self.estimators!r}")
+        object.__setattr__(self, "estimators", tuple(self.estimators))
+        if not self.estimators:
+            raise ValueError("estimators must name at least one estimator")
         unknown = set(self.estimators) - set(ESTIMATORS)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
+        if self.master_seed < 0:
+            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+        if self.grid is not None and not all(self.grid):
+            raise ValueError("grid beta and lambda lists must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -170,6 +193,28 @@ def _summarize(cell: _Cell, estimator: str,
     return rows
 
 
+# The process's one pool, keyed by its worker count; _pool_lock is held
+# while a study looks it up and runs on it.
+_shared_pool: dict[int, ProcessPoolExecutor] = {}
+_pool_lock = threading.Lock()
+
+
+def _pool(workers: int) -> ProcessPoolExecutor:
+    """The process's pool of ``workers`` workers, forked on first use. A
+    pool of another size is shut down first, so nothing forks while its
+    threads are alive."""
+    if workers not in _shared_pool:
+        _close_pool()
+        _shared_pool[workers] = ProcessPoolExecutor(max_workers=workers)
+    return _shared_pool[workers]
+
+
+def _close_pool() -> None:
+    """Shut the process's pool down, if there is one, and join its workers."""
+    while _shared_pool:
+        _shared_pool.popitem()[1].shutdown(wait=True)
+
+
 def _run_cells(cells: list[_Cell], cfg: StudyConfig, workers: int) -> list[CellSummary]:
     tasks = [
         (cell.truth.beta, cell.truth.lam, cell.n, cfg.estimators,
@@ -182,8 +227,12 @@ def _run_cells(cells: list[_Cell], cfg: StudyConfig, workers: int) -> list[CellS
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
         chunk = max(1, len(tasks) // (8 * workers))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_replicate, tasks, chunksize=chunk))
+        with _pool_lock:
+            try:
+                results = list(_pool(workers).map(_replicate, tasks, chunksize=chunk))
+            except BrokenProcessPool:
+                _close_pool()
+                raise
     else:
         results = [_replicate(t) for t in tasks]
 

@@ -14,7 +14,7 @@ import scipy.integrate
 from hypothesis import HealthCheck, assume, example, given, note, settings
 from hypothesis import strategies as st
 
-from ecrlab import cli
+from ecrlab import cli, sim
 from ecrlab.cli import build_parser, main
 from ecrlab.data import EMBEDDED_NAME, Dataset
 from ecrlab.ecr import Params, incomplete_moment, sample
@@ -688,6 +688,41 @@ class TestSimulate:
     def test_missing_config(self, capsys):
         code, _, _ = run_cli(capsys, "simulate", "--config", "/nope.json")
         assert code == 2
+
+    # a negative seed failed inside the first replication with numpy's
+    # message, and the others ran: an empty list printed only the header,
+    # and the string "ml" was read as the estimators m and l
+    @pytest.mark.parametrize("field, change", [
+        ("master_seed", {"master_seed": -1}),
+        ("estimators", {"estimators": []}),
+        ("estimators", {"estimators": "ml"}),
+        ("grid", {"grid": {"beta": [], "lambda": [1.0]}}),
+    ])
+    def test_config_rejected_before_the_study(self, capsys, tmp_path, monkeypatch, field, change):
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({"truth": {"beta": 0.5, "lambda": 0.6},
+                                    "sample_sizes": [20], "replications": 2, **change}))
+        monkeypatch.setenv("ECR_LAB_THREADS", "2")
+        monkeypatch.setattr(sim, "_run_cells", lambda *args: pytest.fail("the study ran"))
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("error: invalid config: ") and field in err
+
+    def test_pool_workers_exit_with_the_interpreter(self):
+        # the process keeps its pool after the study; concurrent.futures'
+        # exit hook must still join its workers, without a warning
+        code = ("import multiprocessing, os\n"
+                "from ecrlab import sim\nfrom ecrlab.ecr import Params\n"
+                "os.cpu_count = lambda: 2\n"
+                "sim.run_convergence_study(sim.StudyConfig(Params(0.5, 0.6), (20,), 4, ('ml',)), workers=2)\n"
+                "print(*sorted(p.pid for p in multiprocessing.active_children()))")
+        result = run_python("-W", "error", "-c", code)
+        assert (result.returncode, result.stderr) == (0, "")
+        pids = [int(pid) for pid in result.stdout.split()]
+        assert len(pids) == 2
+        for pid in pids:
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
 
 
 class TestExitCodes:

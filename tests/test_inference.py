@@ -13,7 +13,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from ecrlab import inference
-from ecrlab.data import Dataset
+from ecrlab.data import Dataset, crowley_hu
 from ecrlab.ecr import Params, _log_kernel, _log_u, quantile, sample, sample_from
 from ecrlab.inference import (
     FitError,
@@ -345,26 +345,33 @@ def study_draw(master_seed, spawn_key, n, law):
     return Dataset(sample_from(rng, n, Params(*law)))
 
 
+def mp_profile_score_root(x, lam0):
+    """(beta, lam, loglik) at the root of the profile score next to
+    ``lam0``, with beta(lam) = -n / sum log u substituted, in the working
+    precision."""
+    xs = [mpmath.mpf(v) for v in x.tolist()]
+    n = len(xs)
+
+    def sum_log_u(lam):
+        return mpmath.fsum(mpmath.log(1 - lam / mpmath.hypot(lam, v)) for v in xs)
+
+    def profile_score(lam):
+        ratio = n / sum_log_u(lam)
+        return (n / lam + (1 + ratio) * mpmath.fsum(1 / mpmath.hypot(lam, v) for v in xs)
+                - (2 - ratio) * lam * mpmath.fsum(1 / (lam**2 + v**2) for v in xs))
+
+    lam = mpmath.findroot(profile_score, mpmath.mpf(lam0))
+    beta = -n / sum_log_u(lam)
+    loglik = (n * mpmath.log(beta * lam) + mpmath.fsum(mpmath.log(v) for v in xs)
+              - 3 * mpmath.fsum(mpmath.log(mpmath.hypot(lam, v)) for v in xs) + (beta - 1) * sum_log_u(lam))
+    return beta, lam, loglik
+
+
 def profile_score_root_40(x, lam0):
     """(beta, lam, loglik) at the 40-digit root of the profile score next
     to ``lam0``."""
     with mpmath.workdps(40):
-        xs = [mpmath.mpf(v) for v in x.tolist()]
-        n = len(xs)
-
-        def sum_log_u(lam):
-            return mpmath.fsum(mpmath.log(1 - lam / mpmath.hypot(lam, v)) for v in xs)
-
-        def profile_score(lam):
-            ratio = n / sum_log_u(lam)
-            return (n / lam + (1 + ratio) * mpmath.fsum(1 / mpmath.hypot(lam, v) for v in xs)
-                    - (2 - ratio) * lam * mpmath.fsum(1 / (lam**2 + v**2) for v in xs))
-
-        lam = mpmath.findroot(profile_score, mpmath.mpf(lam0))
-        beta = -n / sum_log_u(lam)
-        loglik = (n * mpmath.log(beta * lam) + mpmath.fsum(mpmath.log(v) for v in xs)
-                  - 3 * mpmath.fsum(mpmath.log(mpmath.hypot(lam, v)) for v in xs) + (beta - 1) * sum_log_u(lam))
-        return float(beta), float(lam), float(loglik)
+        return tuple(map(float, mp_profile_score_root(x, lam0)))
 
 
 class TestFitMlScoreBracket:
@@ -439,6 +446,60 @@ class TestFitMlScoreBracket:
         scaled = fit_ml(data.scaled(c))
         assert scaled.params.beta == pytest.approx(base.params.beta, rel=1e-9, abs=0)
         assert scaled.params.lam == pytest.approx(c * base.params.lam, rel=1e-9, abs=0)
+
+
+def ml_reference_data(case):
+    return crowley_hu() if case == "crowley-hu" else study_draw(*case)
+
+
+def ml_reference_root(case):
+    """(beta, lam) at the profile-score root next to fit_ml's scale, as
+    40-digit strings from 50-digit arithmetic on the float sample."""
+    data = ml_reference_data(case)
+    with mpmath.workdps(50):
+        beta, lam, _ = mp_profile_score_root(data.values, fit_ml(data).params.lam)
+        return mpmath.nstr(beta, 40), mpmath.nstr(lam, 40)
+
+
+# Crowley-Hu, and for each mc-study cell at master seed 0 the first
+# replication whose ML fit succeeds (cell 1's rep 0 has no interior
+# maximum): (beta, lam) by ml_reference_root.
+ML_REFERENCES = {
+    "crowley-hu": ("0.3866917016995659661894618771068529842992",
+                   "80.68304611698763352782394893693952625761"),
+    (0, (0, 0), 20, (0.5, 1.0)): ("0.5256959526898097980378219350497923822164",
+                                  "1.187495575165658818237438951557596832848"),
+    (0, (1, 1), 100, (0.5, 1.0)): ("0.42845539283966317623027799841089644733",
+                                   "1.406407114753925194612288025432867727019"),
+    (0, (2, 0), 500, (0.5, 1.0)): ("0.5075108274034114869669026589916400486058",
+                                   "0.9640572362974116522771803818863739974598"),
+    (0, (3, 0), 20, (2.0, 1.0)): ("1.205297037899778965469361287557565986154",
+                                  "1.190924456741549533965178887258073421663"),
+    (0, (4, 0), 100, (2.0, 1.0)): ("5.034525092003046983237179048230006510317",
+                                   "0.3837884754997498564682953924593929791696"),
+    (0, (5, 0), 500, (2.0, 1.0)): ("1.653398115616223583937014152835543377547",
+                                   "1.191969893941778537655889136784499807769"),
+}
+# Largest relative distance of fit_ml's shape or scale from its reference.
+# These fits measure 4.0e-16 to 4.8e-13, and ML's scale measured at most
+# 9.8e-12 from a 40-digit score root on 72 mc samples.
+ML_REFERENCE_BOUND = 1e-10
+
+
+class TestMlReferences:
+    @pytest.mark.parametrize("case", ML_REFERENCES)
+    def test_fits_lie_near_their_roots(self, case):
+        fit = fit_ml(ml_reference_data(case))
+        with mpmath.workdps(50):
+            for estimate, reference in zip((fit.params.beta, fit.params.lam), ML_REFERENCES[case]):
+                reference = mpmath.mpf(reference)
+                assert abs(estimate - reference) <= ML_REFERENCE_BOUND * reference
+
+    @pytest.mark.parametrize("case", ["crowley-hu", (0, (3, 0), 20, (2.0, 1.0))])
+    def test_references_recompute(self, case):
+        with mpmath.workdps(50):
+            for live, stored in zip(ml_reference_root(case), ML_REFERENCES[case]):
+                assert abs(mpmath.mpf(live) - mpmath.mpf(stored)) <= mpmath.mpf("1e-38") * mpmath.mpf(stored)
 
 
 class TestFisherInformation:

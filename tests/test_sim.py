@@ -1,4 +1,7 @@
+import multiprocessing
+import os
 import warnings
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import replace
 
 import numpy as np
@@ -34,6 +37,22 @@ class TestConfig:
             StudyConfig(Params(1, 1), (4,), 10)
         with pytest.raises(ValueError):
             StudyConfig(Params(1, 1), (20,), 10, estimators=("ml", "bogus"))
+
+    # each of these ran before: a negative seed failed inside the first
+    # replication, and the others ran a study of the wrong shape
+    @pytest.mark.parametrize("field, change", [
+        ("master_seed", {"master_seed": -1}),
+        ("estimators", {"estimators": ()}),
+        ("estimators", {"estimators": "ml"}),
+        ("grid", {"grid": ((), (1.0,))}),
+        ("grid", {"grid": ((1.0,), ())}),
+    ])
+    def test_rejected_fields_are_named(self, field, change):
+        with pytest.raises(ValueError, match=field):
+            StudyConfig(Params(1, 1), (20,), 10, **change)
+
+    def test_estimators_stored_as_a_tuple(self):
+        assert StudyConfig(Params(1, 1), (20,), 10, estimators=["pb", "ml"]).estimators == ("pb", "ml")
 
 
 class TestDeterminism:
@@ -282,17 +301,18 @@ class TestPoolSize:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def map(self, fn, tasks, chunksize=1):
                 return map(fn, tasks)
 
+            def shutdown(self, wait=True):
+                pass
+
+        # the process keeps its pool, so neither a real pool from an
+        # earlier test nor this fake may stay cached across the test
+        sim._close_pool()
         monkeypatch.setattr(sim, "ProcessPoolExecutor", SerialPool)
-        return sizes
+        yield sizes
+        sim._close_pool()
 
     @pytest.mark.parametrize("cores, sizes", [(8, [3]), (2, [2]), (1, []), (None, [])])
     def test_clamped_to_tasks_and_cores(self, pool_sizes, monkeypatch, cores, sizes):
@@ -300,3 +320,64 @@ class TestPoolSize:
         monkeypatch.setattr(sim.os, "cpu_count", lambda: cores)
         assert summaries_to_csv(run_convergence_study(self.CFG, workers=1000)) == serial
         assert pool_sizes == sizes
+
+
+class TestSharedPool:
+    """Parallel studies share one pool per process: the same worker count
+    reuses its workers, another count or a broken pool forks fresh ones,
+    and every study's CSV equals the serial one."""
+
+    CFG = StudyConfig(truth=Params(0.5, 0.6), sample_sizes=(20,), replications=6,
+                      estimators=("ml", "pb"), master_seed=8)
+
+    @pytest.fixture
+    def serial(self, monkeypatch):
+        # enough cores for a pool of three, whatever the machine has
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+        return summaries_to_csv(run_convergence_study(self.CFG))
+
+    def study(self, workers):
+        """The study's CSV and the pids of the workers alive after it."""
+        csv = summaries_to_csv(run_convergence_study(self.CFG, workers=workers))
+        return csv, {p.pid for p in multiprocessing.active_children()}
+
+    def test_same_count_reuses_the_workers(self, serial):
+        first, pids = self.study(2)
+        second, again = self.study(2)
+        assert first == second == serial
+        assert len(pids) == 2 and again == pids
+
+    def test_other_count_replaces_the_workers(self, serial):
+        csv, two = self.study(2)
+        assert csv == serial and len(two) == 2
+        # held here, the old pool would keep its workers if it were only
+        # dropped from the cache rather than shut down
+        held = sim._pool(2)
+        # a one-worker study runs serially and leaves the pool as it is
+        assert self.study(1) == (serial, two)
+        csv, three = self.study(3)
+        assert csv == serial and len(three) == 3
+        csv, two_again = self.study(2)
+        assert csv == serial and len(two_again) == 2
+        gone = two | three
+        assert not gone & two_again
+        assert not any(alive(pid) for pid in gone)
+        assert held is not sim._pool(2)
+
+    def test_broken_pool_is_not_reused(self, serial):
+        _, before = self.study(2)
+        with pytest.raises(BrokenProcessPool):
+            sim._pool(2).submit(os._exit, 1).result(timeout=60)
+        with pytest.raises(BrokenProcessPool):
+            run_convergence_study(self.CFG, workers=2)
+        csv, after = self.study(2)
+        assert csv == serial
+        assert len(after) == 2 and not after & before
+
+
+def alive(pid):
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return False
+    return True
