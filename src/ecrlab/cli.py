@@ -316,7 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fit", help="fit a model by maximum likelihood or variants")
     _add_input(p)
-    p.add_argument("--method", choices=("ml", "csml", "pb"), default="ml")
+    p.add_argument("--method", choices=ESTIMATORS, default="ml")
     p.add_argument("--model", choices=tuple(MODELS), default="ecr")
     p.set_defaults(func=cmd_fit)
 

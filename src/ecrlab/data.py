@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import NoReturn
 
@@ -50,6 +51,11 @@ class Dataset:
     ``values`` is a read-only copy of the input, and the sorted view is
     read-only too, so later changes to the caller's array cannot bypass
     validation or leave the sorted view stale.
+
+    The sample in power-of-two units, the one range rule every fit and
+    :func:`describe` work in, is owned here too: :attr:`units`,
+    :attr:`exact_units` and :attr:`sorted_units` are computed on first
+    use, once per dataset, and are read-only like the arrays above.
     """
 
     values: np.ndarray
@@ -77,6 +83,28 @@ class Dataset:
     @property
     def sorted_values(self) -> np.ndarray:
         return self._sorted
+
+    @cached_property
+    def units(self) -> tuple[np.ndarray, int]:
+        """:func:`in_binade_units` of the values."""
+        units, e = in_binade_units(self.values)
+        units.flags.writeable = False
+        return units, e
+
+    @cached_property
+    def exact_units(self) -> tuple[np.ndarray, int]:
+        """:attr:`units` where dividing every value by 2^e is exact, else
+        ``(values, 0)``."""
+        units, e = self.units
+        return (units, e) if not e or np.array_equal(np.ldexp(units, e), self.values) else (self.values, 0)
+
+    @cached_property
+    def sorted_units(self) -> tuple[np.ndarray, int]:
+        """The sorted values in the units of :attr:`units`."""
+        e = self.units[1]
+        ordered = np.ldexp(self._sorted, -e) if e else self._sorted
+        ordered.flags.writeable = False
+        return ordered, e
 
     def scaled(self, c: float) -> "Dataset":
         return Dataset(self.values * c, source=f"{self.source} (x{c:g})")
@@ -176,11 +204,11 @@ def in_binade_units(x: np.ndarray) -> tuple[np.ndarray, int]:
 
 
 def describe(data: Dataset) -> DescriptiveStats:
-    """Descriptive statistics of ``data``, computed in the units of
-    :func:`in_binade_units`: a variance beyond the floating-point range
+    """Descriptive statistics of ``data``, computed in its
+    :attr:`Dataset.units`: a variance beyond the floating-point range
     raises :class:`OverflowError`, and one below it rounds to 0."""
     n = data.n
-    x, e = in_binade_units(data.values)
+    x, e = data.units
     mean = float(np.mean(x))
     centered = x - mean
     m2 = float(np.mean(centered**2))

@@ -27,7 +27,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import inference, specfun
-from .data import Dataset, InputError, in_binade_units
+from .data import Dataset, InputError
 from .ecr import Params, cdf as ecr_cdf
 
 __all__ = [
@@ -235,11 +235,11 @@ def _fit_gamma(data: Dataset) -> tuple[float, float]:
     # log1p(mean d) - mean(log1p(d)) with d = (x - m)/m: x - m is exact,
     # the first term restores what rounding m took from log m, and the
     # difference of two logs near log m no longer cancels.
-    # The mean comes from the plain units of in_binade_units, whose sum
-    # cannot overflow, and the logs from the exact units, 2^(e - e_log)
-    # apart (1 unless the exact units fall back to the raw sample).
-    units, e = in_binade_units(data.values)
-    x, e_log = inference._exact_units(data.values)
+    # The mean comes from the dataset's plain units, whose sum cannot
+    # overflow, and the logs from its exact units, 2^(e - e_log) apart (1
+    # unless the exact units fall back to the raw sample).
+    units, e = data.units
+    x, e_log = data.exact_units
     mean = float(np.mean(units))
     d = (units - mean) / mean
     if np.all(np.abs(d) < 0.5):
@@ -296,12 +296,12 @@ def _fit_ee(data: Dataset) -> tuple[float, float]:
     # n/rate - sum x + (alpha(rate) - 1) sum x e^(-rate x) / (1 - e^(-rate x)),
     # whose terms tend to 1/rate where rate x underflows to 0. It is solved
     # on the sample in units of 2^e, which moves the rate by 2^-e.
-    # Sum x from the plain units of in_binade_units, whose sum cannot
-    # overflow. Where the sum in the exact units does, they are the raw
-    # sample, and the fit runs in the plain units: only values below
-    # 2^-1022 of the largest lose bits there.
-    x, e = inference._exact_units(data.values)
-    units, e_plain = in_binade_units(data.values)
+    # Sum x from the dataset's plain units, whose sum cannot overflow.
+    # Where the sum in its exact units does, they are the raw sample, and
+    # the fit runs in the plain units: only values below 2^-1022 of the
+    # largest lose bits there.
+    x, e = data.exact_units
+    units, e_plain = data.units
     try:
         total = math.ldexp(float(np.sum(units)), e_plain - e)
     except OverflowError:
@@ -397,7 +397,7 @@ def _ee_cdf(x, theta):
 
 def _ee_loglik(data: Dataset, theta) -> float:
     alpha, rate = theta
-    units, e = in_binade_units(data.values)
+    units, e = data.units
     log_g = _log1mexp(rate * data.values)
     return float(data.n * math.log(alpha * rate) - math.ldexp(rate, e) * np.sum(units)
                  + (alpha - 1.0) * np.sum(log_g))

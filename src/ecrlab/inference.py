@@ -39,8 +39,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .data import Dataset, in_binade_units
-from .ecr import Params, _log_u
+from .data import Dataset
+from .ecr import Params, _hypot, _log_u
 
 __all__ = [
     "FitResult",
@@ -83,6 +83,8 @@ _STEP_TOL = 1e-12  # relative bracket width below which iteration stops
 # small as a scalar evaluation's instead of growing to (grid, n) arrays of
 # tens of MB, which would also run slower.
 _BLOCK_ELEMENTS = 2**13
+# hypot(lam, x) <= sqrt(2) max(lam, x), so it cannot overflow below 2^1023
+_HYPOT_SAFE = math.ldexp(1.0, 1023)
 
 
 class FitError(RuntimeError):
@@ -135,25 +137,42 @@ class _Kernel:
     in :func:`ecrlab.ecr._log_kernel`) and returns only the sums its
     caller needs. Values equal the point-by-point public functions to the
     bit: the same numpy operations run in the same order.
+
+    Where hypot(lam, x) overflows, near the top of the floating-point
+    range, every pass takes lam and x halved at those elements only, as
+    :func:`ecrlab.ecr._hypot` does, adds log 2 back to their log s and
+    returns their s halved with k = 2, so that k s is the true s;
+    elsewhere nothing changes.
     """
 
     def __init__(self, x: np.ndarray):
         log_x = np.log(x)
         self.x = x
+        self.x_max = float(x.max())
         self.n = x.size
         self.two_log_x = 2.0 * log_x
         self.sum_log_x = float(log_x.sum())
 
-    def scan(self, lam: float):
-        """s, log s and the checked sum log u at ``lam``."""
-        s = np.hypot(lam, self.x)
+    def _pass(self, lam, top: float):
+        """s, k, log s and log u at ``lam``, a scale or a column of scales
+        none larger than ``top``; k is 1.0, or :func:`ecrlab.ecr._hypot`'s
+        array of 1s and 2s where hypot(lam, x) can overflow."""
+        if max(top, self.x_max) < _HYPOT_SAFE:
+            s = np.hypot(lam, self.x)
+            log_s = np.log(s)
+            return s, 1.0, log_s, _log_u(self.x, self.two_log_x, lam, s, log_s)
+        lam_k, x, s, k = _hypot(lam, self.x)
         log_s = np.log(s)
-        log_u = _log_u(self.x, self.two_log_x, lam, s, log_s)
-        return s, log_s, _checked_sum_log_u(lam, float(log_u.sum()))
+        return s, k, log_s + np.log(k), _log_u(x, 2.0 * np.log(x), lam_k, s, log_s)
+
+    def scan(self, lam: float):
+        """s, k, log s and the checked sum log u at ``lam``."""
+        s, k, log_s, log_u = self._pass(lam, lam)
+        return s, k, log_s, _checked_sum_log_u(lam, float(log_u.sum()))
 
     def log_sums(self, lam: float) -> tuple[float, float]:
         """(sum log s, sum log u) at ``lam``."""
-        _, log_s, sum_log_u = self.scan(lam)
+        _, _, log_s, sum_log_u = self.scan(lam)
         return float(log_s.sum()), sum_log_u
 
     def profile(self, lam: float) -> float:
@@ -165,20 +184,19 @@ class _Kernel:
         the bit, from one broadcast pass per row block."""
         values, scores = [], []
         for col in _row_blocks(grid, self.n):
-            s = np.hypot(col, self.x)
-            log_s = np.log(s)
+            s, k, log_s, log_u = self._pass(col, float(col.max()))
             sums_log_s = log_s.sum(axis=1).tolist()
-            sums_log_u = _log_u(self.x, self.two_log_x, col, s, log_s).sum(axis=1)
+            sums_log_u = log_u.sum(axis=1)
             for lam, sum_log_s, sum_log_u in zip(col[:, 0].tolist(), sums_log_s, sums_log_u.tolist()):
                 sum_log_u = _checked_sum_log_u(lam, sum_log_u)
                 values.append(_profile_from_sums(self.n, lam, self.sum_log_x, sum_log_s, sum_log_u))
-            scores += _scale_score(self.n, col[:, 0], -self.n / sums_log_u, *_inverse_sums(col, s)).tolist()
+            scores += _scale_score(self.n, col[:, 0], -self.n / sums_log_u, *_inverse_sums(col, s, k)).tolist()
         return values, scores
 
     def score(self, lam: float) -> float:
         """:func:`profile_score` at ``lam``."""
-        s, _, sum_log_u = self.scan(lam)
-        return _scale_score(self.n, lam, -self.n / sum_log_u, *map(float, _inverse_sums(lam, s)))
+        s, k, _, sum_log_u = self.scan(lam)
+        return _scale_score(self.n, lam, -self.n / sum_log_u, *map(float, _inverse_sums(lam, s, k)))
 
 
 def _scale_score(n: int, lam, beta, sum_inv_s, lam_sum_inv_s2):
@@ -187,11 +205,12 @@ def _scale_score(n: int, lam, beta, sum_inv_s, lam_sum_inv_s2):
     return n / lam + (1.0 - beta) * sum_inv_s - (beta + 2.0) * lam_sum_inv_s2
 
 
-def _inverse_sums(lam, s: np.ndarray):
-    """(sum 1/s, lam * sum 1/s^2) over the last axis of ``s``, the latter
-    as sum (lam/s)(1/s) so that s^2 is never formed: it would overflow for
-    data near 1e160 and underflow to zero near 1e-200."""
-    inv_s = 1.0 / s
+def _inverse_sums(lam, s: np.ndarray, k=1.0):
+    """(sum 1/t, lam * sum 1/t^2) over the last axis of t = k s, the true
+    s of a kernel pass, the latter as sum (lam/t)(1/t) so that t^2 is
+    never formed: it would overflow for data near 1e160 and underflow to
+    zero near 1e-200."""
+    inv_s = 1.0 / s / k if isinstance(k, np.ndarray) else 1.0 / s
     return inv_s.sum(axis=-1), (lam * inv_s * inv_s).sum(axis=-1)
 
 
@@ -204,16 +223,9 @@ def _checked_sum_log_u(lam: float, sum_log_u: float) -> float:
     return sum_log_u
 
 
-def _exact_units(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """:func:`ecrlab.data.in_binade_units` of ``x`` where dividing every
-    value by 2^e is exact, else ``(x, 0)``."""
-    units, e = in_binade_units(x)
-    return (units, e) if not e or np.array_equal(np.ldexp(units, e), x) else (x, 0)
-
-
 def log_likelihood(data: Dataset, p: Params) -> float:
-    """The log-likelihood, on the sample in the units of :func:`_exact_units`."""
-    units, e = _exact_units(data.values)
+    """The log-likelihood, on the sample in its :attr:`Dataset.exact_units`."""
+    units, e = data.exact_units
     kernel = _Kernel(units)
     lam = math.ldexp(p.lam, -e)
     sum_log_s, sum_log_u = kernel.log_sums(lam)
@@ -235,8 +247,8 @@ def _log_likelihood_from_sums(kernel: _Kernel, beta: float, lam: float, e: int, 
 def score(data: Dataset, p: Params) -> tuple[float, float]:
     """Analytic gradient of the log-likelihood, (d/dbeta, d/dlam)."""
     n = data.n
-    s, _, sum_log_u = _Kernel(data.values).scan(p.lam)
-    return n / p.beta + sum_log_u, _scale_score(n, p.lam, p.beta, *map(float, _inverse_sums(p.lam, s)))
+    s, k, _, sum_log_u = _Kernel(data.values).scan(p.lam)
+    return n / p.beta + sum_log_u, _scale_score(n, p.lam, p.beta, *map(float, _inverse_sums(p.lam, s, k)))
 
 
 def profile_beta(data: Dataset, lam: float) -> float:
@@ -382,11 +394,11 @@ def fit_ml(data: Dataset) -> FitResult:
     Standard errors are the square roots of the diagonal of the inverse
     expected information divided by n.
 
-    The grid is laid on the sample in the units of :func:`_exact_units`,
-    around a median taken in those of :func:`ecrlab.data.in_binade_units`,
-    so the estimate is the scaled sample's times that power of two. Data
-    that still put the grid, a profile value or the estimate outside the
-    floating-point range raise :class:`FitError`.
+    The grid is laid on the sample in its :attr:`Dataset.exact_units`,
+    around a median taken in its :attr:`Dataset.units`, so the estimate
+    is the scaled sample's times that power of two. Data that still put
+    the grid, a profile value or the estimate outside the floating-point
+    range raise :class:`FitError`.
 
     Where the profile is flat to double precision (a shape estimate near
     1e4 or more, as the scale approaches the scale -> 0 boundary), the
@@ -400,11 +412,11 @@ def fit_ml(data: Dataset) -> FitResult:
     if n < 2 or float(np.min(x)) == float(np.max(x)):
         raise FitError("need at least two distinct observations to fit")
 
-    units, e = _exact_units(x)
+    units, e = data.exact_units
     kernel = _Kernel(units)
     # the median from the plain units, which no average of two values can
     # overflow where the exact units fall back to the raw sample
-    plain, e_plain = in_binade_units(x)
+    plain, e_plain = data.units
     center = math.ldexp(float(np.median(plain)), e_plain - e) / math.sqrt(3.0)
     with np.errstate(over="ignore", under="ignore"):
         grid = center * 4.0 ** np.arange(-20.0, 21.0)
@@ -840,22 +852,23 @@ def _memoized_grid_weights(n: int) -> tuple[_PbWeights, ...]:
 
 class _Percentiles:
     """Per-sample pieces of the percentile objective, built once per fit:
-    the sorted sample, p_i, log p_i and x_(i) log p_i. Each method takes
-    a 1-D array of shapes, one broadcast pass per row block, and gives
-    per shape the point-by-point formulas' values to the bit."""
+    p_i, log p_i and x_(i) log p_i over the dataset's
+    :attr:`Dataset.sorted_units`. Each method takes a 1-D array of
+    shapes, one broadcast pass per row block, and gives per shape the
+    point-by-point formulas' values to the bit."""
 
-    def __init__(self, xs: np.ndarray):
-        self.xs = xs
-        self.p = _plotting_positions(xs.size)
+    def __init__(self, data: Dataset):
+        self.n = data.n
+        self.p = _plotting_positions(data.n)
         self.log_p = np.log(self.p)
-        self.xs_unit, self.e = in_binade_units(xs)
+        self.xs_unit, self.e = data.sorted_units
         self.xs_log_p = self.xs_unit * self.log_p
 
     def _weights(self, betas: np.ndarray):
         """The weights of ``betas`` per row block: memoized for _SHAPE_GRID
         itself up to _MEMO_ELEMENTS per array, else fresh block by block,
         so no call holds more than a block's temporaries."""
-        n = self.xs.size
+        n = self.n
         if betas is _SHAPE_GRID and _SHAPE_GRID.size * n <= _MEMO_ELEMENTS:
             return _memoized_grid_weights(n)
         return (_pb_weights(col, self.p, self.log_p) for col in _row_blocks(betas, n))
@@ -912,7 +925,7 @@ def pb_objective(data: Dataset, p: Params) -> float:
 
 def pb_gradient(data: Dataset, p: Params) -> tuple[float, float]:
     """Analytic gradient of :func:`pb_objective`."""
-    percentiles = _Percentiles(data.sorted_values)
+    percentiles = _Percentiles(data)
     t6, t7, t8, t9 = percentiles.sums(_pb_weights(p.beta, percentiles.p, percentiles.log_p))
     t7, t8 = np.ldexp(t7, percentiles.e), np.ldexp(t8, percentiles.e)
     d_beta = 2.0 * p.lam / p.beta**2 * (t7 - p.lam * t6)
@@ -946,9 +959,9 @@ def fit_pb(data: Dataset) -> FitResult:
     are memoized for the four most recent sample sizes with 241 n <= 2^17
     (n <= 543, about 4 MB per size) and regenerated block by block above
     that; every other shape gets fresh factors. A lam2 that overflows as
-    it is scaled back from the units of
-    :func:`ecrlab.data.in_binade_units` is inadmissible. ``iterations``
-    counts the 241 grid points and Brent's calls over all brackets.
+    it is scaled back from the dataset's :attr:`Dataset.sorted_units` is
+    inadmissible. ``iterations`` counts the 241 grid points and Brent's
+    calls over all brackets.
 
     Each of t6, t7, t8 and t9 is a sum of terms of one sign (t9 as
     written in :class:`_PbWeights`), so the root function cancels only
@@ -962,7 +975,7 @@ def fit_pb(data: Dataset) -> FitResult:
     n = data.n
     if n < 2 or xs[0] == xs[-1]:
         raise FitError("need at least two distinct observations to fit")
-    percentiles = _Percentiles(xs)
+    percentiles = _Percentiles(data)
     grid = _SHAPE_GRID
     vals = percentiles.roots(grid)
     sign_change = _sign_changes(vals)

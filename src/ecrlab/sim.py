@@ -79,6 +79,8 @@ class StudyConfig:
         unknown = set(self.estimators) - set(ESTIMATORS)
         if unknown:
             raise ValueError(f"unknown estimators: {sorted(unknown)}")
+        if len(set(self.estimators)) < len(self.estimators):
+            raise ValueError(f"estimators must not repeat a name: {list(self.estimators)}")
         if self.master_seed < 0:
             raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.grid is not None and not all(self.grid):

@@ -691,12 +691,14 @@ class TestSimulate:
 
     # a negative seed failed inside the first replication with numpy's
     # message, and the others ran: an empty list printed only the header,
-    # and the string "ml" was read as the estimators m and l
+    # the string "ml" was read as the estimators m and l, and a repeated
+    # name printed its rows twice
     @pytest.mark.parametrize("field, change", [
         ("master_seed", {"master_seed": -1}),
         ("estimators", {"estimators": []}),
         ("estimators", {"estimators": "ml"}),
         ("grid", {"grid": {"beta": [], "lambda": [1.0]}}),
+        ("estimators", {"estimators": ["ml", "ml"]}),
     ])
     def test_config_rejected_before_the_study(self, capsys, tmp_path, monkeypatch, field, change):
         path = tmp_path / "study.json"

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ecrlab.data import Dataset, InputError, describe, parse_values
+from ecrlab import data as data_module
+from ecrlab import sim
+from ecrlab.data import Dataset, InputError, crowley_hu, describe, parse_values
+from ecrlab.gof import fit_comparison_models
 
 
 class TestDatasetOwnership:
@@ -22,6 +25,49 @@ class TestDatasetOwnership:
             d.values[0] = -5.0
         with pytest.raises(ValueError):
             d.sorted_values[0] = -5.0
+
+    # inside 2^+-200 the units are the values themselves; 1e300 and 1e-300
+    # are scaled, and 1e-300 next to 1e300 is not scaled exactly, so the
+    # exact units fall back to the values
+    @pytest.mark.parametrize("caller, e, exact", [([3.0, 1.0, 2.0], 0, True), ([3e300, 1e300, 2e300], 999, True),
+                                                  ([3e-300, 1e-300, 2e-300], -994, True),
+                                                  ([1e-300, 2e300, 1e300], 998, False)])
+    def test_unit_views(self, caller, e, exact):
+        a = np.array(caller)
+        d = Dataset(a)
+        units, plain_e = d.units
+        assert plain_e == e and units.tobytes() == np.ldexp(a, -e).tobytes()
+        assert d.sorted_units[1] == e and d.sorted_units[0].tobytes() == np.sort(units).tobytes()
+        assert d.exact_units[0] is (units if exact else d.values) and d.exact_units[1] == (e if exact else 0)
+        for view, _ in (d.units, d.exact_units, d.sorted_units):
+            assert not view.flags.writeable and not np.shares_memory(view, a)
+
+
+class TestUnitsComputedOnce:
+    """Every fit and statistic of one sample reads its units from the
+    dataset, so the range rule runs at most once per dataset."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen, rule = [], data_module.in_binade_units
+
+        def counting(x):
+            seen.append(x)
+            return rule(x)
+
+        monkeypatch.setattr(data_module, "in_binade_units", counting)
+        return seen
+
+    def test_one_replication(self, calls):
+        outcomes = sim._replicate((0.5, 1.0, 100, ("ml", "csml", "pb"), 0, 1, 3))
+        assert [beta is not None for _, beta, _ in outcomes] == [True, True, True]
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("k", [0, 600])
+    def test_comparison_fits(self, calls, k):
+        heart = Dataset(np.ldexp(crowley_hu().values, k))
+        assert all(fit.error is None for fit in fit_comparison_models(heart))
+        assert len(calls) == 1 and calls[0] is heart.values
 
 
 def parse_by_lines(text, source="<text>"):

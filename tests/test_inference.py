@@ -133,8 +133,64 @@ class TestLogLikelihood:
             fit = fit_ml(data)
             assert fit.loglik == log_likelihood(data, fit.params)
 
+    # Near-top data plus one value near 1 with an odd last bit, which
+    # dividing by the top value's power of two would round, so these
+    # samples are evaluated as they are. There hypot(lam, x) overflowed at
+    # the CR and PB estimates, and the log-likelihood leaked "overflow
+    # encountered in hypot".
+    def test_near_top_fits_without_hypot_overflow(self):
+        rng = np.random.default_rng(7)
+        for _ in range(100):
+            n = int(rng.integers(2, 60))
+            data = Dataset(np.append(rng.uniform(1e306, 1.79e308, n - 1), np.nextafter(1.0, 2.0)))
+            for fit in (fit_cr, fit_pb):
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    result = fit(data)
+                assert result.loglik == pytest.approx(mp_log_likelihood(data.values, result.params), rel=1e-12)
+        # fit_ml's scale grid reaches 1.59e308 on this sample
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FitError, match="no interior likelihood maximum"):
+                fit_ml(Dataset(np.array([np.nextafter(1.0, 2.0), 2.5e296, 2.5e296, 1.7e308])))
+
+
+def mp_log_likelihood(x, p):
+    """The ECR log-likelihood at ``p`` in 30-digit mpmath, with u = 1 - lam/s
+    as x^2 / (s (s + lam)), which does not cancel."""
+    with mpmath.workdps(30):
+        beta, lam = mpmath.mpf(p.beta), mpmath.mpf(p.lam)
+        xs = [mpmath.mpf(v) for v in x.tolist()]
+        s = [mpmath.hypot(lam, v) for v in xs]
+        return float(len(xs) * mpmath.log(beta * lam) + mpmath.fsum(mpmath.log(v) for v in xs)
+                     - 3 * mpmath.fsum(mpmath.log(si) for si in s)
+                     + (beta - 1) * mpmath.fsum(mpmath.log(v**2 / (si * (si + lam))) for v, si in zip(xs, s)))
+
+
+def mp_score(x, p):
+    """The gradient of the ECR log-likelihood, (d/dbeta, d/dlam), at ``p``
+    in 30-digit mpmath."""
+    with mpmath.workdps(30):
+        beta, lam = mpmath.mpf(p.beta), mpmath.mpf(p.lam)
+        xs = [mpmath.mpf(v) for v in x.tolist()]
+        s = [mpmath.hypot(lam, v) for v in xs]
+        sum_log_u = mpmath.fsum(mpmath.log(v**2 / (si * (si + lam))) for v, si in zip(xs, s))
+        d_lam = (len(xs) / lam + (1 - beta) * mpmath.fsum(1 / si for si in s)
+                 - (beta + 2) * lam * mpmath.fsum(1 / si**2 for si in s))
+        return float(len(xs) / beta + sum_log_u), float(d_lam)
+
 
 class TestScore:
+    # hypot(lam, x) overflows at the largest value, where the kernel
+    # halves lam and x
+    def test_near_top_matches_30_digits(self):
+        x = np.array([np.nextafter(1.0, 2.0), 3e307, 1.2e308, 1.7e308])
+        p = Params(0.8, 1e308)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = score(Dataset(x), p)
+        assert got == pytest.approx(mp_score(x, p), rel=1e-12, abs=0)
+
     def test_matches_finite_differences(self, rng):
         for _ in range(20):
             data = Dataset(rng.uniform(0.1, 50.0, size=25))
@@ -243,8 +299,12 @@ class TestFitMl:
     def test_exact_units_only(self):
         # dividing 1e-300 by 2^997 would underflow, so this sample is not
         # scaled and its grid still leaves the floating-point range
+        data = Dataset(np.array([1e-300, 1e300, 1e300]))
+        assert data.units[1] == 997
+        units, e = data.exact_units
+        assert units is data.values and e == 0
         with pytest.raises(FitError, match="scale grid leaves the floating-point range"):
-            fit_ml(Dataset(np.array([1e-300, 1e300, 1e300])))
+            fit_ml(data)
 
     def test_unconverged_root_search_raises_with_best(self, heart_data, monkeypatch):
         fit = fit_ml(heart_data)
@@ -781,7 +841,7 @@ class TestFitPb:
         # lam2 undefined; the one-signed -sum w(2-w)/(1-w)^2 stays negative
         # and accurate
         data = Dataset(sample(15, Params(1.0, 1.0), seed=3))
-        percentiles = inference._Percentiles(data.sorted_values)
+        percentiles = inference._Percentiles(data)
         t9 = percentiles.sums(scalar_weights(percentiles, 1e-3))[3]
         with mpmath.workdps(50):
             ws = [mpmath.mpf(p) ** (1 / mpmath.mpf(1e-3)) for p in percentiles.p.tolist()]
@@ -958,11 +1018,11 @@ class TestRootFunctionSigns:
     @pytest.mark.parametrize("n, draws", [(15, [((1.0, 1.0), 3), ((0.5, 2.0), 7)]),
                                           (20, [((0.5, 1.0), 2), ((2.0, 1.0), 11)])])
     def test_grid_sign_changes_match_40_digits(self, n, draws):
-        samples = [Dataset(sample(n, Params(*law), seed=seed)).sorted_values for law, seed in draws]
+        samples = [Dataset(sample(n, Params(*law), seed=seed)) for law, seed in draws]
         grid = inference._SHAPE_GRID
-        for xs, signs in zip(samples, mp_root_signs(samples, grid.tolist())):
+        for data, signs in zip(samples, mp_root_signs([data.sorted_values for data in samples], grid.tolist())):
             expected = inference._sign_changes(np.array(signs, dtype=float))
-            assert inference._sign_changes(inference._Percentiles(xs).roots(grid)).tolist() == expected.tolist()
+            assert inference._sign_changes(inference._Percentiles(data).roots(grid)).tolist() == expected.tolist()
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(n=st.integers(2, 543))
@@ -1107,9 +1167,11 @@ class TestBlockedPasses:
         ps = np.arange(1, n + 1) / (n + 1.0)
         grid = np.logspace(-3.0, 3.0, 241)
         for xs, e in [(drawn, 0), (np.ldexp(drawn, 600), 600 + math.frexp(float(drawn[-1]))[1])]:
-            percentiles = inference._Percentiles(xs)
-            assert percentiles.e == e
-            unit = math.ldexp(1.0, percentiles.e)
+            data = Dataset(xs)
+            assert data.sorted_units[1] == e
+            percentiles = inference._Percentiles(data)
+            assert percentiles.xs_unit is data.sorted_units[0]
+            unit = math.ldexp(1.0, e)
             blocks = [percentiles.sums(weights) for weights in percentiles._weights(grid)]
             pieces = [np.concatenate(t).tolist() for t in zip(*blocks)]
             roots = percentiles.roots(grid).tolist()
@@ -1185,7 +1247,7 @@ class TestPbBrent:
     @pytest.mark.parametrize("n", [15, 20, 100, 500, 5000])
     def test_roots_match_brentq_on_samples(self, n, monkeypatch):
         data = Dataset(sample(n, Params(0.5, 1.0), seed=1))
-        percentiles = inference._Percentiles(data.sorted_values)
+        percentiles = inference._Percentiles(data)
         grid = inference._SHAPE_GRID
         brackets = inference._sign_changes(percentiles.roots(grid)).tolist()
         assert brackets
@@ -1252,9 +1314,9 @@ class TestPbFallbackObjective:
         monkeypatch.setattr(inference._Percentiles, "sums", inadmissible)
         for values, e in [(drawn, 0), (np.ldexp(drawn, 600), 600 + math.frexp(float(drawn.max()))[1])]:
             data = Dataset(values)
-            percentiles = inference._Percentiles(data.sorted_values)
-            assert percentiles.e == e
-            unit = math.ldexp(1.0, percentiles.e)
+            assert data.sorted_units[1] == e
+            percentiles = inference._Percentiles(data)
+            unit = math.ldexp(1.0, e)
             seen.clear()
             lams, scores = percentiles.scores(grid)
             # t8 is in units of 2^e, so lam2 is -1 unit at every 17th shape
@@ -1272,7 +1334,7 @@ class TestPbFallbackObjective:
         # recorded with the scalar objective: its minimum is at the grid's
         # last shape (index 240), so there is no interior minimum to miss
         data = Dataset(sample(100, Params(0.5, 1.0), seed=21))
-        percentiles = inference._Percentiles(data.sorted_values)
+        percentiles = inference._Percentiles(data)
         grid = np.logspace(-3.0, 3.0, 241)
         vals = percentiles.roots(grid)
         assert not np.any(np.sign(vals[:-1]) * np.sign(vals[1:]) < 0)
@@ -1299,8 +1361,7 @@ class TestShapeGridMemo:
 
     @pytest.mark.parametrize("n", [2, 15, 543, 544, 5000])
     def test_memoized_grid_matches_fresh_grid(self, n):
-        xs = Dataset(sample(n, Params(0.8, 2.0), seed=n)).sorted_values
-        percentiles = inference._Percentiles(xs)
+        percentiles = inference._Percentiles(Dataset(sample(n, Params(0.8, 2.0), seed=n)))
         fresh_grid = inference._SHAPE_GRID.copy()
         memo = (percentiles.roots(inference._SHAPE_GRID), *percentiles.scores(inference._SHAPE_GRID))
         fresh = (percentiles.roots(fresh_grid), *percentiles.scores(fresh_grid))

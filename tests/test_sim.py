@@ -39,13 +39,15 @@ class TestConfig:
             StudyConfig(Params(1, 1), (20,), 10, estimators=("ml", "bogus"))
 
     # each of these ran before: a negative seed failed inside the first
-    # replication, and the others ran a study of the wrong shape
+    # replication, and the others ran a study of the wrong shape (a
+    # repeated estimator printed its rows twice)
     @pytest.mark.parametrize("field, change", [
         ("master_seed", {"master_seed": -1}),
         ("estimators", {"estimators": ()}),
         ("estimators", {"estimators": "ml"}),
         ("grid", {"grid": ((), (1.0,))}),
         ("grid", {"grid": ((1.0,), ())}),
+        ("estimators", {"estimators": ("ml", "pb", "ml")}),
     ])
     def test_rejected_fields_are_named(self, field, change):
         with pytest.raises(ValueError, match=field):
