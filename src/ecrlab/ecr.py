@@ -145,12 +145,13 @@ def _hypot(lam, x):
     is the true sqrt(lam^2 + x^2), and every ratio of lam, x and s is
     unchanged. Elsewhere nothing changes.
     """
+    with np.errstate(over="raise"):
+        try:
+            return lam, x, np.hypot(lam, x), 1.0
+        except FloatingPointError:
+            pass
     with np.errstate(over="ignore"):
-        s = np.hypot(lam, x)
-    big = np.isinf(s)
-    if not big.any():
-        return lam, x, s, 1.0
-    k = np.where(big, 2.0, 1.0)
+        k = np.where(np.isinf(np.hypot(lam, x)), 2.0, 1.0)
     lam, x = lam / k, x / k
     return lam, x, np.hypot(lam, x), k
 

@@ -83,8 +83,6 @@ _STEP_TOL = 1e-12  # relative bracket width below which iteration stops
 # small as a scalar evaluation's instead of growing to (grid, n) arrays of
 # tens of MB, which would also run slower.
 _BLOCK_ELEMENTS = 2**13
-# hypot(lam, x) <= sqrt(2) max(lam, x), so it cannot overflow below 2^1023
-_HYPOT_SAFE = math.ldexp(1.0, 1023)
 
 
 class FitError(RuntimeError):
@@ -139,35 +137,32 @@ class _Kernel:
     bit: the same numpy operations run in the same order.
 
     Where hypot(lam, x) overflows, near the top of the floating-point
-    range, every pass takes lam and x halved at those elements only, as
-    :func:`ecrlab.ecr._hypot` does, adds log 2 back to their log s and
-    returns their s halved with k = 2, so that k s is the true s;
-    elsewhere nothing changes.
+    range, every pass takes lam and x halved at those elements only from
+    :func:`ecrlab.ecr._hypot`, adds log 2 back to their log s and returns
+    their s halved with k = 2, so that k s is the true s; elsewhere
+    nothing changes.
     """
 
     def __init__(self, x: np.ndarray):
         log_x = np.log(x)
         self.x = x
-        self.x_max = float(x.max())
         self.n = x.size
         self.two_log_x = 2.0 * log_x
         self.sum_log_x = float(log_x.sum())
 
-    def _pass(self, lam, top: float):
-        """s, k, log s and log u at ``lam``, a scale or a column of scales
-        none larger than ``top``; k is 1.0, or :func:`ecrlab.ecr._hypot`'s
-        array of 1s and 2s where hypot(lam, x) can overflow."""
-        if max(top, self.x_max) < _HYPOT_SAFE:
-            s = np.hypot(lam, self.x)
-            log_s = np.log(s)
-            return s, 1.0, log_s, _log_u(self.x, self.two_log_x, lam, s, log_s)
+    def _pass(self, lam):
+        """s, k, log s and log u at ``lam``, a scale or a column of scales;
+        k is :func:`ecrlab.ecr._hypot`'s 1.0, or its array of 1s and 2s
+        where hypot(lam, x) overflows."""
         lam_k, x, s, k = _hypot(lam, self.x)
         log_s = np.log(s)
+        if x is self.x:
+            return s, k, log_s, _log_u(x, self.two_log_x, lam, s, log_s)
         return s, k, log_s + np.log(k), _log_u(x, 2.0 * np.log(x), lam_k, s, log_s)
 
     def scan(self, lam: float):
         """s, k, log s and the checked sum log u at ``lam``."""
-        s, k, log_s, log_u = self._pass(lam, lam)
+        s, k, log_s, log_u = self._pass(lam)
         return s, k, log_s, _checked_sum_log_u(lam, float(log_u.sum()))
 
     def log_sums(self, lam: float) -> tuple[float, float]:
@@ -184,7 +179,7 @@ class _Kernel:
         the bit, from one broadcast pass per row block."""
         values, scores = [], []
         for col in _row_blocks(grid, self.n):
-            s, k, log_s, log_u = self._pass(col, float(col.max()))
+            s, k, log_s, log_u = self._pass(col)
             sums_log_s = log_s.sum(axis=1).tolist()
             sums_log_u = log_u.sum(axis=1)
             for lam, sum_log_s, sum_log_u in zip(col[:, 0].tolist(), sums_log_s, sums_log_u.tolist()):
@@ -205,12 +200,12 @@ def _scale_score(n: int, lam, beta, sum_inv_s, lam_sum_inv_s2):
     return n / lam + (1.0 - beta) * sum_inv_s - (beta + 2.0) * lam_sum_inv_s2
 
 
-def _inverse_sums(lam, s: np.ndarray, k=1.0):
+def _inverse_sums(lam, s: np.ndarray, k):
     """(sum 1/t, lam * sum 1/t^2) over the last axis of t = k s, the true
     s of a kernel pass, the latter as sum (lam/t)(1/t) so that t^2 is
     never formed: it would overflow for data near 1e160 and underflow to
     zero near 1e-200."""
-    inv_s = 1.0 / s / k if isinstance(k, np.ndarray) else 1.0 / s
+    inv_s = 1.0 / k / s
     return inv_s.sum(axis=-1), (lam * inv_s * inv_s).sum(axis=-1)
 
 
