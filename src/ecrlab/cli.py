@@ -2,8 +2,8 @@
 
 Subcommands: describe, fit, sample, moments, gof, ttt, simulate. Every
 command is a pure function of its arguments and input files. Exit codes:
-0 on success, 2 for input problems, 3 for numerical non-convergence or
-a requested moment that does not exist. ECR_LAB_THREADS caps the
+0 on success, else the ``exit_code`` of the :mod:`ecrlab.errors` class
+raised: 2 for bad input, 3 for a numerical failure. ECR_LAB_THREADS caps the
 simulation engine's process parallelism. ``simulate`` runs one study, so
 it forks the engine's process pool once either way; the pool outlives
 the study only for library callers that run more studies in the same
@@ -25,7 +25,7 @@ import os
 import sys
 
 from . import __version__
-from .data import EMBEDDED_NAME, Dataset, InputError, describe, load_dataset, parse_values
+from .data import EMBEDDED_NAME, Dataset, describe, load_dataset, parse_values
 from .ecr import (
     MomentExistenceError,
     Params,
@@ -37,8 +37,9 @@ from .ecr import (
     raw_moment,
     sample,
 )
+from .errors import EcrlabError, InputError
 from .gof import MODELS, fit_comparison_models, ttt_transform
-from .inference import FitError, fit_cr, fit_cs_ml, fit_ml, fit_pb
+from .inference import fit_cr, fit_cs_ml, fit_ml, fit_pb
 from .sim import ESTIMATORS, StudyConfig, run_convergence_study, run_grid_study, summaries_to_csv
 
 SCHEMA = "ecr-lab/1"
@@ -70,9 +71,12 @@ def _emit_json(payload) -> None:
 
 
 def _read_dataset(source: str) -> Dataset:
-    if source == "-":
+    if source != "-":
+        return load_dataset(source)
+    try:
         return parse_values(sys.stdin.read(), source="<stdin>")
-    return load_dataset(source)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read <stdin>: {exc}") from None
 
 
 def _add_input(parser: argparse.ArgumentParser) -> None:
@@ -182,6 +186,8 @@ def cmd_fit(args) -> int:
 
 
 def cmd_sample(args) -> int:
+    if args.seed < 0:  # numpy's own check raises a bare ValueError
+        raise InputError(f"seed must be >= 0, got {args.seed}")
     draws = sample(args.n, Params(args.beta, args.lam), args.seed)
     print(f"# ecrlab sample beta={args.beta:g} lambda={args.lam:g} n={args.n} seed={args.seed}")
     _write_rows("%.17g\n", draws)
@@ -270,8 +276,10 @@ def cmd_simulate(args) -> int:
             raw = json.load(f)
     except OSError as exc:
         raise InputError(f"cannot read {args.config}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InputError(f"invalid config JSON: {exc}") from None
+    if not isinstance(raw, dict):
+        raise InputError(f"invalid config: expected a JSON object, got {type(raw).__name__}")
     try:
         truth = raw.get("truth", {})
         cfg = StudyConfig(
@@ -287,7 +295,7 @@ def cmd_simulate(args) -> int:
                 else None
             ),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"invalid config: {exc}") from None
     threads = os.environ.get("ECR_LAB_THREADS", "1")
     try:
@@ -367,13 +375,9 @@ def _run(argv: list[str] | None) -> int:
         return int(exc.code or 0)
     try:
         return args.func(args)
-    except (FitError, ArithmeticError, MomentExistenceError) as exc:
-        # ConvergenceError and LossOfPrecisionError are ArithmeticErrors
+    except EcrlabError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:  # InputError included
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return exc.exit_code
 
 
 def main(argv: list[str] | None = None) -> int:

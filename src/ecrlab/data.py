@@ -10,6 +10,8 @@ from typing import NoReturn
 
 import numpy as np
 
+from .errors import FloatRangeError, InputError
+
 __all__ = [
     "Dataset",
     "DescriptiveStats",
@@ -34,14 +36,6 @@ CROWLEY_HU = (
     84, 89, 95, 99, 101, 109, 148, 152, 187, 206, 218,
     262, 284, 284, 307, 333, 339, 674, 732, 851, 1031, 1386,
 )
-
-
-class InputError(ValueError):
-    """Malformed or out-of-domain input data; carries a 1-based line number."""
-
-    def __init__(self, message: str, line: int | None = None):
-        self.line = line
-        super().__init__(message if line is None else f"line {line}: {message}")
 
 
 @dataclass(frozen=True)
@@ -160,6 +154,8 @@ def load_dataset(path: str | Path) -> Dataset:
         text = Path(path).read_text()
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc.strerror or exc}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"cannot read {path}: {exc}") from None
     return parse_values(text, source=str(path))
 
 
@@ -206,7 +202,7 @@ def in_binade_units(x: np.ndarray) -> tuple[np.ndarray, int]:
 def describe(data: Dataset) -> DescriptiveStats:
     """Descriptive statistics of ``data``, computed in its
     :attr:`Dataset.units`: a variance beyond the floating-point range
-    raises :class:`OverflowError`, and one below it rounds to 0."""
+    raises :class:`FloatRangeError`, and one below it rounds to 0."""
     n = data.n
     x, e = data.units
     mean = float(np.mean(x))
@@ -217,7 +213,7 @@ def describe(data: Dataset) -> DescriptiveStats:
         try:
             variance = math.ldexp(float(np.var(x, ddof=1)), 2 * e)
         except OverflowError:
-            raise OverflowError("the sample variance exceeds the floating-point range") from None
+            raise FloatRangeError("the sample variance exceeds the floating-point range") from None
 
     skew_m = kurt_m = skew_a = kurt_a = None
     if n >= 2 and m2 > 0.0:

@@ -26,6 +26,7 @@ from enum import Enum
 
 import numpy as np
 
+from .errors import EcrlabError, FloatRangeError, InputError
 from .specfun import (
     EULER_GAMMA,
     ConvergenceError,
@@ -86,11 +87,11 @@ class Params:
                 and math.isfinite(value)
                 and value > 0
             ):
-                raise ValueError(f"{name} must be a positive finite real, got {value!r}")
+                raise InputError(f"{name} must be a positive finite real, got {value!r}")
             object.__setattr__(self, name, float(value))
 
 
-class MomentExistenceError(ValueError):
+class MomentExistenceError(EcrlabError, ValueError):
     """The requested moment is infinite or undefined for these parameters."""
 
     def __init__(self, message: str, lower: float, upper: float):
@@ -98,7 +99,7 @@ class MomentExistenceError(ValueError):
         self.window = (lower, upper)
 
 
-class LossOfPrecisionError(ArithmeticError):
+class LossOfPrecisionError(EcrlabError, ArithmeticError):
     """An alternating closed-form sum cancelled away its precision.
 
     The binomial sums behind the probability weighted and
@@ -111,7 +112,7 @@ class LossOfPrecisionError(ArithmeticError):
     scale factor or value leaves the floating-point range."""
 
 
-class QuantileUnderflowError(ArithmeticError):
+class QuantileUnderflowError(EcrlabError, ArithmeticError):
     """The quantile is positive but below the smallest positive float."""
 
 
@@ -133,7 +134,7 @@ def _as_positive_array(name: str, x, allow_zero: bool = False):
     bad = ~np.isfinite(arr) | ((arr < 0.0) if allow_zero else (arr <= 0.0))
     if np.any(bad):
         bound = "non-negative" if allow_zero else "positive"
-        raise ValueError(f"{name} must be {bound} and finite")
+        raise InputError(f"{name} must be {bound} and finite")
     return arr
 
 
@@ -258,13 +259,13 @@ def quantile(q, p: Params):
 
     Where w underflows to 0, Q = lam sqrt(2 w) to double precision and is
     formed in log space, exp((log w + log 2)/2 + log lam). Raises
-    OverflowError where the quantile lies beyond the floating-point range
+    FloatRangeError where the quantile lies beyond the floating-point range
     and QuantileUnderflowError where it lies below the smallest positive
     float.
     """
     arr = np.asarray(q, dtype=float)
     if np.any((arr <= 0.0) | (arr >= 1.0) | ~np.isfinite(arr)):
-        raise ValueError("quantile level must lie strictly inside (0, 1)")
+        raise InputError("quantile level must lie strictly inside (0, 1)")
     log_w = np.log(arr) / p.beta
     w = np.exp(log_w)
     one_minus_w = -np.expm1(log_w)
@@ -275,7 +276,7 @@ def quantile(q, p: Params):
         # log w < -745 there, so the exponent below cannot overflow
         log_out = np.where(tiny, 0.5 * (log_w + math.log(2.0)) + math.log(p.lam), 0.0)
         out = np.where(tiny, np.exp(log_out), out)
-    for bad, error, where in ((np.isinf(out), OverflowError, "exceeds the floating-point range"),
+    for bad, error, where in ((np.isinf(out), FloatRangeError, "exceeds the floating-point range"),
                               (out == 0.0, QuantileUnderflowError, "lies below the smallest positive float")):
         if np.any(bad):
             level = float(arr[bad][0])
@@ -292,7 +293,7 @@ def median(p: Params) -> float:
 def sample_from(rng: np.random.Generator, count: int, p: Params) -> np.ndarray:
     """Inverse-transform draws using an existing generator."""
     if count < 1:
-        raise ValueError(f"count must be >= 1, got {count!r}")
+        raise InputError(f"count must be >= 1, got {count!r}")
     u = rng.random(count)
     np.clip(u, UNIFORM_CLIP, 1.0 - UNIFORM_CLIP, out=u)
     return quantile(u, p)
@@ -344,7 +345,7 @@ def mode(p: Params) -> float | None:
 def tail_ratio(c: float, x: float, p: Params) -> float:
     """sf(c x) / sf(x); tends to 1/c as x grows (regular variation, index 1)."""
     if c <= 0 or x <= 0:
-        raise ValueError("c and x must be positive")
+        raise InputError("c and x must be positive")
     return sf(c * x, p) / sf(x, p)
 
 
@@ -420,9 +421,9 @@ def pwm(s: int, r: float, t: int, p: Params) -> float:
     closed form requires integer t).
     """
     if not (isinstance(s, (int, np.integer)) and s >= 0):
-        raise ValueError(f"s must be a non-negative integer, got {s!r}")
+        raise InputError(f"s must be a non-negative integer, got {s!r}")
     if not (isinstance(t, (int, np.integer)) and t >= 0):
-        raise ValueError(f"t must be a non-negative integer, got {t!r}")
+        raise InputError(f"t must be a non-negative integer, got {t!r}")
     lower = -2.0 * (s + 1.0) * p.beta
     if not lower < r < 1.0:
         raise _window_error("probability weighted moment", r, lower, 1.0)
@@ -448,7 +449,7 @@ def raw_moment(r: float, p: Params) -> float:
 def cr_moment(r: float, lam: float) -> float:
     """CR (beta = 1) moment: lam^r Gamma((1-r)/2) Gamma(1+r/2) / sqrt(pi), -2 < r < 1."""
     if lam <= 0:
-        raise ValueError("lam must be positive")
+        raise InputError("lam must be positive")
     if not -2.0 < r < 1.0:
         raise _window_error("CR moment", r, -2.0, 1.0)
     return lam**r * math.exp(
@@ -555,7 +556,7 @@ def incomplete_moment(r: float, x0: float, p: Params, *, full_output: bool = Fal
     terms, or 0 for quadrature.
     """
     if not 0.0 < x0 < math.inf:
-        raise ValueError(f"x0 must be positive and finite, got {x0!r}")
+        raise InputError(f"x0 must be positive and finite, got {x0!r}")
     lower = -2.0 * p.beta
     if r <= lower:
         raise _window_error("incomplete moment", r, lower, math.inf)
@@ -600,7 +601,7 @@ def order_stat_moment(i: int, n: int, r: float, p: Params) -> float:
     Its normalizer 1/B(i, n-i+1) is the exact integer i C(n, i).
     """
     if not (isinstance(i, (int, np.integer)) and isinstance(n, (int, np.integer)) and 1 <= i <= n):
-        raise ValueError(f"rank out of range: need 1 <= i <= n, got i={i!r}, n={n!r}")
+        raise InputError(f"rank out of range: need 1 <= i <= n, got i={i!r}, n={n!r}")
     lower = -2.0 * i * p.beta
     if not lower < r < 1.0:
         raise _window_error("order statistic moment", r, lower, 1.0)

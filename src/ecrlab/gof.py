@@ -266,11 +266,11 @@ def _log_scaled(value: float, e: int) -> float:
 
 def _scaled_back(value: float, e: int, what: str) -> float:
     """``value`` 2^e, or a :class:`inference.FitError` naming ``what``
-    where that leaves the floating-point range."""
-    try:
-        return math.ldexp(value, e)
-    except OverflowError:
-        raise inference.FitError(f"{what} leaves the floating-point range") from None
+    where that overflows or rounds to 0."""
+    scaled = math.ldexp(value, e) if math.frexp(value)[1] + e <= 1024 else math.inf  # else ldexp overflows
+    if not 0.0 < scaled < math.inf:
+        raise inference.FitError(f"{what} leaves the floating-point range")
+    return scaled
 
 
 def _fit_lognormal(data: Dataset) -> tuple[float, float]:
@@ -297,15 +297,17 @@ def _fit_ee(data: Dataset) -> tuple[float, float]:
     # whose terms tend to 1/rate where rate x underflows to 0. It is solved
     # on the sample in units of 2^e, which moves the rate by 2^-e.
     # Sum x from the dataset's plain units, whose sum cannot overflow.
-    # Where the sum in its exact units does, they are the raw sample, and
-    # the fit runs in the plain units: only values below 2^-1022 of the
-    # largest lose bits there.
+    # The score's n/rate is 1e4 sum x at the bracket's low end. Where that
+    # overflows in the exact units, they are the raw sample, and the fit
+    # runs in the plain units: only values below 2^-1022 of the largest
+    # lose bits there, and a value that rounds to 0 leaves no root.
     x, e = data.exact_units
     units, e_plain = data.units
-    try:
-        total = math.ldexp(float(np.sum(units)), e_plain - e)
-    except OverflowError:
-        x, e, total = units, e_plain, float(np.sum(units))
+    total = float(np.sum(units))
+    if math.frexp(1e4 * total)[1] + e_plain - e > 1024:
+        x, e = units, e_plain
+    else:
+        total = math.ldexp(total, e_plain - e)
     n = data.n
 
     def shape(rate: float) -> float:
@@ -328,6 +330,8 @@ def _fit_ee(data: Dataset) -> tuple[float, float]:
     low, high = float(x.min()), float(x.max())
     if not (high > low and total < math.inf):
         raise inference.FitError("EE profile score has no bracketed root: the data are all equal or their sum overflows")
+    if not low > 0.0:
+        raise inference.FitError("EE profile score has no bracketed root: the smallest value rounds to 0 in units")
     log_rate, _ = inference._falling_root(lambda v: score(math.exp(v)), math.log(1e-4 * n / total),
                                           math.log(min(2.0 * n / (high - low), 700.0 / low)),
                                           "EE profile score", log_scale=True)
@@ -450,12 +454,11 @@ def gof_report(data: Dataset, entry: ModelEntry, theta: tuple[float, ...]) -> Go
 def fit_comparison_models(data: Dataset) -> list[ComparisonFit]:
     """Fit all registered models and report them sorted by W*.
 
-    A model whose fit fails with a fit error (``RuntimeError``, which
-    covers :class:`inference.FitError`, ``ValueError`` or
-    ``ArithmeticError``) is kept in the output with its
-    error message and sorts last; any other exception is a defect and
-    propagates. Data with fewer than two distinct observations raise
-    :class:`InputError` before any model is fitted.
+    A model whose fit fails with an :class:`inference.FitError` is kept
+    in the output with its error message and sorts last; any other
+    exception is a defect and propagates. Data with fewer than two
+    distinct observations raise :class:`InputError` before any model is
+    fitted.
     """
     xs = data.sorted_values
     if xs[0] == xs[-1]:
@@ -465,6 +468,6 @@ def fit_comparison_models(data: Dataset) -> list[ComparisonFit]:
         try:
             theta = entry.fit(data)
             fits.append(ComparisonFit(entry, theta, gof_report(data, entry, theta)))
-        except (RuntimeError, ValueError, ArithmeticError) as exc:
+        except inference.FitError as exc:
             fits.append(ComparisonFit(entry, (), None, error=str(exc)))
     return sorted(fits, key=lambda f: math.inf if f.report is None else f.report.wstar)

@@ -41,6 +41,7 @@ import numpy as np
 
 from .data import Dataset
 from .ecr import Params, _hypot, _log_u
+from .errors import EcrlabError, InputError
 
 __all__ = [
     "FitResult",
@@ -83,9 +84,12 @@ _STEP_TOL = 1e-12  # relative bracket width below which iteration stops
 # small as a scalar evaluation's instead of growing to (grid, n) arrays of
 # tens of MB, which would also run slower.
 _BLOCK_ELEMENTS = 2**13
+# Above this shape fisher_info_inverse's beta^7 leaves the floating-point
+# range (and above 5.6e102 its beta^3 raises OverflowError).
+_MAX_SHAPE = 1e44
 
 
-class FitError(RuntimeError):
+class FitError(EcrlabError, RuntimeError):
     """Estimation failed; ``best`` carries the best fit seen, if any."""
 
     def __init__(self, message: str, best: "FitResult | None" = None):
@@ -99,7 +103,8 @@ class FitResult:
 
     ``method`` is one of "ml", "csml", "pb". ``std_errors`` comes from
     the inverse expected information (None for the percentile method,
-    which has no published asymptotic covariance). For "csml",
+    which has no published asymptotic covariance, and for an ML fit whose
+    errors leave the floating-point range). For "csml",
     ``bias_applied`` holds the subtracted second-order bias and
     ``params`` equals the ML estimate minus that bias. ``correctable``
     is False only when a requested Cox-Snell correction would have left
@@ -185,7 +190,9 @@ class _Kernel:
             for lam, sum_log_s, sum_log_u in zip(col[:, 0].tolist(), sums_log_s, sums_log_u.tolist()):
                 sum_log_u = _checked_sum_log_u(lam, sum_log_u)
                 values.append(_profile_from_sums(self.n, lam, self.sum_log_x, sum_log_s, sum_log_u))
-            scores += _scale_score(self.n, col[:, 0], -self.n / sums_log_u, *_inverse_sums(col, s, k)).tolist()
+            # where lam nears 1e-308, n/lam overflows: the score is inf or NaN there, as in :meth:`score`
+            with np.errstate(over="ignore", invalid="ignore"):
+                scores += _scale_score(self.n, col[:, 0], -self.n / sums_log_u, *_inverse_sums(col, s, k)).tolist()
         return values, scores
 
     def score(self, lam: float) -> float:
@@ -214,7 +221,7 @@ def _checked_sum_log_u(lam: float, sum_log_u: float) -> float:
     to zero only when lam is many orders of magnitude below every
     observation, which the fitters never probe."""
     if sum_log_u >= 0.0:
-        raise ValueError(f"scale {lam!r} is too small relative to the data")
+        raise FitError(f"scale {lam!r} is too small relative to the data")
     return sum_log_u
 
 
@@ -292,8 +299,8 @@ def _brent_root(f, lo: float, hi: float, log_scale: bool = False) -> tuple[float
     the absolute tolerance is scaled to the bracket so the result is
     scale-equivariant; on a bracket in log scale it is _STEP_TOL itself.
     Returns (root, function calls, converged); after _MAX_ITER steps it
-    returns the best point so far, unconverged. Python floats throughout,
-    so no numpy warning can escape; a NaN value raises ValueError.
+    returns the best point so far, unconverged. Python floats throughout, so
+    no numpy warning escapes; a NaN raises FitError, ends of one sign InputError.
     """
     lo, hi = float(lo), float(hi)
     xtol, rtol = (_STEP_TOL, 4.0 * sys.float_info.epsilon) if log_scale else (_STEP_TOL * lo, _STEP_TOL)
@@ -301,7 +308,7 @@ def _brent_root(f, lo: float, hi: float, log_scale: bool = False) -> tuple[float
     def value(x: float) -> float:
         fx = float(f(x))
         if math.isnan(fx):
-            raise ValueError(f"the function value at {x!r} is NaN")
+            raise FitError(f"the function value at {x!r} is NaN")
         return fx
 
     # cur is the best point, blk the other end of the bracket, pre the
@@ -312,7 +319,7 @@ def _brent_root(f, lo: float, hi: float, log_scale: bool = False) -> tuple[float
     if fpre == 0.0 or fcur == 0.0:
         return (xpre if fpre == 0.0 else xcur), calls, True
     if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(lo) and f(hi) must have different signs")
+        raise InputError("f(lo) and f(hi) must have different signs")
     xblk = fblk = spre = scur = 0.0
     for _ in range(_MAX_ITER):
         if fpre != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
@@ -454,18 +461,20 @@ def _ml_result(kernel: _Kernel, lam: float, iterations: int, converged: bool,
                e: int = 0) -> FitResult | None:
     """The ML fit at scale ``lam`` of a kernel on the sample in units of
     2^``e``, bit-equal to :func:`profile_beta` where e is 0 and to
-    :func:`log_likelihood` at every e; None where that scale admits no
-    valid parameters or they or their standard errors overflow."""
-    try:
-        sum_log_s, sum_log_u = kernel.log_sums(lam)
-        beta = -kernel.n / sum_log_u
-        params = Params(beta, math.ldexp(lam, e))
-        std_errors = asymptotic_std_errors(params, kernel.n)
-    except (ValueError, OverflowError):
+    :func:`log_likelihood` at every e. None where that scale admits no
+    valid parameters in the floating-point range or the shape exceeds
+    _MAX_SHAPE; its ``std_errors`` are None where one is not finite."""
+    _, _, log_s, log_u = kernel._pass(lam)
+    sum_log_s, sum_log_u = float(log_s.sum()), float(log_u.sum())
+    beta = -kernel.n / sum_log_u if sum_log_u < 0.0 else math.nan
+    scale = math.ldexp(lam, e) if math.frexp(lam)[1] + e <= 1024 else math.inf  # else ldexp overflows
+    if not (0.0 < beta < _MAX_SHAPE and 0.0 < scale < math.inf):
         return None
+    params = Params(beta, scale)
+    std_errors = asymptotic_std_errors(params, kernel.n)
     return FitResult(
         params=params,
-        std_errors=std_errors,
+        std_errors=std_errors if all(map(math.isfinite, std_errors)) else None,
         loglik=_log_likelihood_from_sums(kernel, beta, lam, e, sum_log_s, sum_log_u),
         method="ml",
         iterations=iterations,
@@ -715,7 +724,7 @@ def cox_snell_bias_generic(p: Params, n: int) -> tuple[float, float]:
 def bias_known_lambda(beta_hat: float, n: int) -> float:
     """Second-order shape bias when the scale is known: beta_hat / n."""
     if beta_hat <= 0:
-        raise ValueError("beta_hat must be positive")
+        raise InputError("beta_hat must be positive")
     return beta_hat / n
 
 
@@ -726,7 +735,7 @@ def bias_known_beta(lambda_hat: float, beta0: float, n: int) -> float:
             * [(b^4 + 24 b^3 + 216 b^2 + 761 b + 294) / (b^2 + 11 b + 36)^2].
     """
     if lambda_hat <= 0 or beta0 <= 0:
-        raise ValueError("lambda_hat and beta0 must be positive")
+        raise InputError("lambda_hat and beta0 must be positive")
     b = beta0
     factor = (b + 2.0) * (b + 3.0) * (b + 4.0) / (b * (b + 5.0) * (b + 6.0))
     ratio = (b**4 + 24.0 * b**3 + 216.0 * b**2 + 761.0 * b + 294.0) / (
@@ -738,7 +747,7 @@ def bias_known_beta(lambda_hat: float, beta0: float, n: int) -> float:
 def cr_bias(lambda_hat: float, n: int) -> float:
     """Second-order scale bias of the CR (beta = 1) ML estimator: 45 lam / (56 n)."""
     if lambda_hat <= 0:
-        raise ValueError("lambda_hat must be positive")
+        raise InputError("lambda_hat must be positive")
     return 45.0 * lambda_hat / (56.0 * n)
 
 
@@ -1015,9 +1024,9 @@ def confidence_intervals(
 ) -> tuple[tuple[float, float], tuple[float, float]]:
     """Wald intervals theta_i +/- z_(1+level)/2 * se_i, floored at 0."""
     if not 0.0 < level < 1.0:
-        raise ValueError(f"level must lie in (0, 1), got {level!r}")
+        raise InputError(f"level must lie in (0, 1), got {level!r}")
     if fit.std_errors is None:
-        raise ValueError("fit carries no standard errors")
+        raise InputError("fit carries no standard errors")
     from scipy.special import ndtri
 
     z = float(ndtri(0.5 * (1.0 + level)))

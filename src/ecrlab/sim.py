@@ -38,6 +38,7 @@ import numpy as np
 from . import inference
 from .data import Dataset, in_binade_units
 from .ecr import Params, sample_from
+from .errors import InputError
 
 __all__ = [
     "ESTIMATORS",
@@ -68,23 +69,23 @@ class StudyConfig:
     def __post_init__(self) -> None:
         # Every check runs here, so a bad config fails before a worker forks.
         if self.replications < 1:
-            raise ValueError("replications must be >= 1")
+            raise InputError("replications must be >= 1")
         if not self.sample_sizes or min(self.sample_sizes) < 5:
-            raise ValueError("sample_sizes must be non-empty and all >= 5")
+            raise InputError("sample_sizes must be non-empty and all >= 5")
         if isinstance(self.estimators, str):
-            raise ValueError(f"estimators must be a list of names, not the string {self.estimators!r}")
+            raise InputError(f"estimators must be a list of names, not the string {self.estimators!r}")
         object.__setattr__(self, "estimators", tuple(self.estimators))
         if not self.estimators:
-            raise ValueError("estimators must name at least one estimator")
+            raise InputError("estimators must name at least one estimator")
         unknown = set(self.estimators) - set(ESTIMATORS)
         if unknown:
-            raise ValueError(f"unknown estimators: {sorted(unknown)}")
+            raise InputError(f"unknown estimators: {sorted(unknown)}")
         if len(set(self.estimators)) < len(self.estimators):
-            raise ValueError(f"estimators must not repeat a name: {list(self.estimators)}")
+            raise InputError(f"estimators must not repeat a name: {list(self.estimators)}")
         if self.master_seed < 0:
-            raise ValueError(f"master_seed must be >= 0, got {self.master_seed}")
+            raise InputError(f"master_seed must be >= 0, got {self.master_seed}")
         if self.grid is not None and not all(self.grid):
-            raise ValueError("grid beta and lambda lists must be non-empty")
+            raise InputError("grid beta and lambda lists must be non-empty")
 
 
 @dataclass(frozen=True)
@@ -123,8 +124,8 @@ def _replicate(args) -> list[tuple[str, float, float] | tuple[str, None, None]]:
     """Run one replication; returns (estimator, beta, lam) per estimator,
     in ``estimators`` order, with (estimator, None, None) marking a
     failed fit and a NaN pair marking an uncorrectable Cox-Snell outcome.
-    FitError and ValueError are the recognized per-replication numerical
-    failure modes; anything else is a bug and propagates.
+    A :class:`~ecrlab.inference.FitError` is a failed fit; anything else
+    is a defect and propagates.
 
     ML is fitted at most once: csml corrects that same fit through
     ``fit_cs_ml(data, ml=...)``, and when the ML fit failed csml records
@@ -137,7 +138,7 @@ def _replicate(args) -> list[tuple[str, float, float] | tuple[str, None, None]]:
     if "ml" in estimators or "csml" in estimators:
         try:
             ml = inference.fit_ml(data)
-        except (inference.FitError, ValueError):
+        except inference.FitError:
             pass
     out = []
     for est in estimators:
@@ -148,7 +149,7 @@ def _replicate(args) -> list[tuple[str, float, float] | tuple[str, None, None]]:
                 fit = ml
             else:
                 fit = inference.fit_cs_ml(data, ml=ml)
-        except (inference.FitError, ValueError):
+        except inference.FitError:
             fit = None
         if fit is None:
             out.append((est, None, None))
@@ -256,7 +257,7 @@ def run_convergence_study(cfg: StudyConfig, workers: int = 1) -> list[CellSummar
 def run_grid_study(cfg: StudyConfig, workers: int = 1) -> list[CellSummary]:
     """One cell per (beta, lambda, n) combination of the configured grid."""
     if cfg.grid is None:
-        raise ValueError("grid study requires StudyConfig.grid")
+        raise InputError("grid study requires StudyConfig.grid")
     betas, lams = cfg.grid
     cells = []
     index = 0

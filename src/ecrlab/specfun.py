@@ -30,6 +30,8 @@ import math
 
 import numpy as np
 
+from .errors import EcrlabError, FloatRangeError, InputError
+
 __all__ = [
     "EULER_GAMMA",
     "ConvergenceError",
@@ -59,7 +61,7 @@ _MAX_TERMS = 10_000
 _BLOCK_ELEMENTS = 2**13
 
 
-class ConvergenceError(ArithmeticError):
+class ConvergenceError(EcrlabError, ArithmeticError):
     """A series failed to settle within its term budget."""
 
     def __init__(self, message: str, partial: float, terms: int):
@@ -71,18 +73,18 @@ class ConvergenceError(ArithmeticError):
 def _require_positive(name: str, x: float) -> float:
     x = float(x)
     if not math.isfinite(x) or x <= 0.0:
-        raise ValueError(f"{name} must be a positive finite real, got {x!r}")
+        raise InputError(f"{name} must be a positive finite real, got {x!r}")
     return x
 
 
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0, by ``math.lgamma``. Above about 2.5e305 the
-    value leaves the floating-point range and an OverflowError names x."""
+    value leaves the float range, and a :class:`FloatRangeError` names x."""
     x = _require_positive("x", x)
     try:
         return math.lgamma(x)
     except OverflowError:
-        raise OverflowError(f"log_gamma({x!r}) overflows the floating-point range") from None
+        raise FloatRangeError(f"log_gamma({x!r}) overflows the floating-point range") from None
 
 
 def gamma_fn(x: float) -> float:
@@ -112,9 +114,9 @@ def gauss_2f1(a: float, b: float, c: float, z: float, *, full_output: bool = Fal
     formulas is supported; there is no analytic continuation.
     """
     if c <= 0.0 and c == math.floor(c):
-        raise ValueError(f"c must not be a non-positive integer, got {c!r}")
+        raise InputError(f"c must not be a non-positive integer, got {c!r}")
     if not 0.0 <= z < 1.0:
-        raise ValueError(f"z must lie in [0, 1), got {z!r}")
+        raise InputError(f"z must lie in [0, 1), got {z!r}")
     total = 1.0
     term = 1.0
     settled = 0
@@ -273,11 +275,11 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float, *,
     """
     a = float(a)
     if a <= 0.0:
-        raise ValueError(f"a must be positive, got {a!r}")
+        raise InputError(f"a must be positive, got {a!r}")
     if c - a <= 0.0:
-        raise ValueError(f"c - a must be positive, got c={c!r}, a={a!r}")
+        raise InputError(f"c - a must be positive, got c={c!r}, a={a!r}")
     if abs(x) >= 1.0 or abs(y) >= 1.0:
-        raise ValueError(f"x and y must lie in (-1, 1), got x={x!r}, y={y!r}")
+        raise InputError(f"x and y must lie in (-1, 1), got x={x!r}, y={y!r}")
     if x > _F1_QUAD_SWITCH:
         value = _appell_f1_quad(a, b1, b2, c, x, y)
         return (value, 0) if full_output else value

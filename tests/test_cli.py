@@ -479,17 +479,21 @@ class TestGofAndTtt:
 
 
 COMPARISON_COMMANDS = [("fit", "-", "--model", m) for m in ("ecr", "cr", "weibull", "gamma", "lognormal", "ee")]
-COMPARISON_COMMANDS.append(("gof", "-"))
+COMPARISON_COMMANDS += [("fit", "-", "--method", "pb"), ("fit", "-", "--method", "csml"), ("gof", "-")]
 
 
 @st.composite
 def contract_samples(draw):
     """n = 2-40 positive values, log10 in [-300, 300], with at least two
     distinct values (gof rejects fewer as bad input): spread out, tied
-    onto two or three values, or near-constant."""
+    onto two or three values, or near-constant; or near the top, n - 1
+    values in [1e306, 1.79e308] and one from the smallest subnormal to 2."""
     n = draw(st.integers(2, 40))
-    kind = draw(st.sampled_from(("spread", "ties", "near")))
-    if kind == "near":
+    kind = draw(st.sampled_from(("spread", "ties", "near", "top")))
+    if kind == "top":
+        tiny = max(10.0 ** draw(st.floats(-323.3, 0.3)), 5e-324)
+        values = draw(st.lists(st.floats(1e306, 1.79e308), min_size=n - 1, max_size=n - 1)) + [tiny]
+    elif kind == "near":
         base = 10.0 ** draw(st.floats(-300.0, 300.0))
         rel = 10.0 ** draw(st.floats(-15.0, -1.0))
         values = [base * (1.0 + rel * k) for k in draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))]
@@ -625,12 +629,19 @@ class TestComparisonFitContract:
     @example(text=NEAR_CONSTANT)
     @example(text="1e-20\n1\n2\n3\n5\n")
     @example(text="1e-300\n1e-100\n1\n1e100\n1e300\n")
+    # the EE bracket divided by a smallest value of 0 in units ("float
+    # division by zero", exit 3), or its score overflowed in the raw sample
+    @example(text="1e-320\n1.4e308\n1.2e308\n")
+    @example(text="5e-324\n8.6e307\n3e307\n")
+    # the gamma scale, mean/shape, rounds to 0 here; its log-likelihood then
+    # divided by it ("math domain error", exit 2)
+    @example(text="1.170633e-317\n1.170633e-317\n1.1706787e-317\n1.170656e-317\n1.1706787e-317\n")
     def test_exit_contract_property(self, text):
         for argv in COMPARISON_COMMANDS:
             code, out, err = run_on_stdin(text, *argv)
             assert code in (0, 3), (argv, err)
             assert err == "" if code == 0 else err.startswith("error: ") and err.count("\n") == 1
-            for bare in ("must have different signs", "math domain error"):
+            for bare in ("must have different signs", "math domain error", "division by zero"):
                 assert bare not in out + err, (argv, out, err)
 
 
@@ -738,6 +749,37 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "sample", "--beta", "-1", "--lambda", "1",
                                "--n", "5", "--seed", "1")
         assert code == 2
+
+    # Each of these escaped as a bare ValueError or OverflowError, which
+    # the exit code was once guessed from (2, or 3 for the config's seed),
+    # or as an AttributeError (exit 1 with a traceback).
+    def test_negative_seed(self, capsys):
+        code, out, err = run_cli(capsys, "sample", "--beta", "1", "--lambda", "1", "--n", "5", "--seed", "-1")
+        assert (code, out, err) == (2, "", "error: seed must be >= 0, got -1\n")
+
+    def test_undecodable_input(self, capsys, monkeypatch, tmp_path):
+        path = tmp_path / "binary.txt"
+        path.write_bytes(b"\xff\xfe1\n")
+        monkeypatch.setattr("sys.stdin", io.TextIOWrapper(io.BytesIO(path.read_bytes()), encoding="utf-8"))
+        for source in (str(path), "-"):
+            code, out, err = run_cli(capsys, "describe", source)
+            assert (code, out) == (2, "")
+            name = "<stdin>" if source == "-" else path
+            assert err.startswith(f"error: cannot read {name}: ") and "codec can't decode byte 0xff" in err
+            assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("text, message", [
+        (b"[1, 2]", "invalid config: expected a JSON object, got list"),
+        (b'{"truth": {"beta": 1, "lambda": 1}, "sample_sizes": [20], "replications": 2, "master_seed": 1e400}',
+         "invalid config: cannot convert float infinity to integer"),
+        (b"\xff\xfe", "invalid config JSON: "),
+    ], ids=["list", "infinite-seed", "undecodable"])
+    def test_unreadable_config(self, capsys, tmp_path, text, message):
+        path = tmp_path / "study.json"
+        path.write_bytes(text)
+        code, out, err = run_cli(capsys, "simulate", "--config", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1
 
 
 def run_python(*args):

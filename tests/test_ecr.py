@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from ecrlab import ecr, specfun
+from ecrlab.errors import InputError
 from ecrlab.ecr import (
     LossOfPrecisionError,
     MomentExistenceError,
@@ -706,7 +707,7 @@ class TestMomentSumBlock:
     # negative, which beta_fn rejects. Whichever lane fails first in term
     # order raises, as in the loop.
     @pytest.mark.parametrize("shapes, error", [
-        ([0.3, 0.3, 0.3, 0.2, 100.0, 100.0, 100.0, 100.0], ValueError),
+        ([0.3, 0.3, 0.3, 0.2, 100.0, 100.0, 100.0, 100.0], InputError),
         ([0.3, 0.3, 0.3, 100.0, 0.2, 0.3, 0.3, 0.3], ConvergenceError),
     ])
     def test_errors_come_in_term_order(self, monkeypatch, shapes, error):

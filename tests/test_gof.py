@@ -208,9 +208,7 @@ class TestComparisonModels:
         with pytest.raises(InputError):
             fit_comparison_models(Dataset(np.array(values)))
 
-    @pytest.mark.parametrize("error", [FitError("no bracket"), RuntimeError("solver did not converge"),
-                                       ValueError("f(a) and f(b) must have different signs"),
-                                       OverflowError("math range error")])
+    @pytest.mark.parametrize("error", [FitError("no bracket")])
     def test_fit_error_is_recorded(self, heart_data, monkeypatch, error):
         def failing(data):
             raise error
@@ -222,13 +220,18 @@ class TestComparisonModels:
         assert all(f.report is not None for f in fits[:-1])
 
     def test_other_exceptions_propagate(self, heart_data, monkeypatch):
-        # anything but a fit error is a defect, not a model that failed to fit
-        def broken(data):
-            raise TypeError("unsupported operand")
+        # anything but a fit error is a defect, not a model that failed to
+        # fit: a built-in error, and a package error of another branch
+        for error in (TypeError("unsupported operand"), RuntimeError("solver did not converge"),
+                      ValueError("f(a) and f(b) must have different signs"), OverflowError("math range error"),
+                      InputError("dataset contains non-positive values")):
+            def broken(data):
+                raise error
 
-        monkeypatch.setitem(MODELS, "gamma", dataclasses.replace(MODELS["gamma"], fit=broken))
-        with pytest.raises(TypeError, match="unsupported operand"):
-            fit_comparison_models(heart_data)
+            monkeypatch.setitem(MODELS, "gamma", dataclasses.replace(MODELS["gamma"], fit=broken))
+            with pytest.raises(type(error)) as info:
+                fit_comparison_models(heart_data)
+            assert info.value is error
 
     def test_weibull_scale_matches_raw_data_formula(self, heart_data):
         # the scale comes from the geometric-mean-normalized data; on data

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from ecrlab import inference
 from ecrlab.data import Dataset, crowley_hu
 from ecrlab.ecr import Params, _log_kernel, _log_u, quantile, sample, sample_from
+from ecrlab.errors import InputError
 from ecrlab.inference import (
     FitError,
     asymptotic_std_errors,
@@ -263,6 +264,21 @@ class TestFitMl:
         with pytest.raises(FitError) as info:
             fit_ml(Dataset(np.array([1e-300, 1e300])))
         assert info.value.best is None
+
+    def test_boundary_best_whose_scale_error_overflows(self):
+        # lam sqrt((K^-1)_ll / n) exceeds the floating-point range here, so
+        # the best fit carries no standard errors; they were (0.00131..., inf)
+        x = np.array([math.nextafter(1.0, 2.0), 2.5e296, 2.5e296, 1.7e308])
+        with pytest.raises(FitError, match=r"^no interior likelihood maximum: .* \(scale -> inf\) boundary") as info:
+            fit_ml(Dataset(x))
+        best = info.value.best
+        assert (best.params.beta, best.params.lam) == (0.002612246882183087, 1.5870083356839932e308)
+        assert (best.std_errors, best.loglik) == (None, -2100.262454686223)
+
+    def test_scale_too_small_for_the_data_is_a_fit_error(self):
+        # log u rounds to -0 at every observation, so the profile shape is inf
+        with pytest.raises(FitError, match=r"^scale 1e-320 is too small relative to the data$"):
+            profile_beta(Dataset(np.array([1e10, 2e10])), 1e-320)
 
     @pytest.mark.parametrize("lam", [1e-300, 1e-250])
     def test_boundary_without_valid_best(self, lam):
@@ -1238,6 +1254,13 @@ class TestBrentRoot:
         root, calls, converged = inference._brent_root(lambda b: np.float64(b) - 2.0, np.float64(1.0),
                                                        np.float64(3.5))
         assert (type(root), type(calls), converged) == (float, int, True)
+
+    def test_typed_errors(self):
+        # a NaN value fails the fit; ends of one sign are the caller's mistake
+        with pytest.raises(FitError, match=r"^the function value at 2.0 is NaN$"):
+            inference._brent_root(lambda x: math.nan if x == 2.0 else x - 1.5, 1.0, 2.0)
+        with pytest.raises(InputError, match=r"^f\(lo\) and f\(hi\) must have different signs$"):
+            inference._brent_root(lambda x: x, 1.0, 2.0)
 
 
 class TestPbBrent:

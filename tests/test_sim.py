@@ -7,7 +7,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ecrlab.data import Dataset
+from ecrlab.data import Dataset, InputError
 from ecrlab.ecr import Params, sample_from
 from ecrlab.inference import FitError, fit_cs_ml, fit_ml, fit_pb
 from ecrlab import inference, sim
@@ -285,6 +285,19 @@ class TestOneMlFitPerReplication:
         assert len(calls) == 1
         assert out[:2] == [("ml", None, None), ("csml", None, None)]
         assert out[2][0] == "pb" and out[2][1] is not None
+
+    @pytest.mark.parametrize("error", [ValueError("a defect"), InputError("a defect")],
+                             ids=lambda error: type(error).__name__)
+    @pytest.mark.parametrize("fitter", ["fit_ml", "fit_pb"])
+    def test_only_a_fit_error_is_a_failed_fit(self, monkeypatch, fitter, error):
+        # any other exception is a defect, and ends the study
+        def broken(data):
+            raise error
+
+        monkeypatch.setattr(inference, fitter, broken)
+        with pytest.raises(type(error)) as info:
+            sim._replicate(self.ARGS)
+        assert info.value is error
 
 
 class TestPoolSize:
