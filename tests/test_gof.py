@@ -208,7 +208,12 @@ class TestComparisonModels:
         with pytest.raises(InputError):
             fit_comparison_models(Dataset(np.array(values)))
 
-    @pytest.mark.parametrize("error", [FitError("no bracket")])
+    # the failures that once escaped a fit as a bare RuntimeError, ValueError
+    # and OverflowError now arrive as fit errors, and are recorded as such
+    @pytest.mark.parametrize("error", [FitError("no bracket"), FitError("EE profile score did not converge"),
+                                       FitError("EE profile score has no bracketed root"),
+                                       FitError("the scale grid leaves the floating-point range: the data span "
+                                                "too many orders of magnitude")])
     def test_fit_error_is_recorded(self, heart_data, monkeypatch, error):
         def failing(data):
             raise error
