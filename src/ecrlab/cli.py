@@ -200,10 +200,12 @@ def cmd_moments(args) -> int:
     missing = []
 
     def attempt(name: str, fn, order) -> None:
+        order = _json_ready(order)
         try:
             value = fn()
         except MomentExistenceError as exc:
-            results[name] = {"order": order, "exists": False, "error": str(exc), "window": list(exc.window)}
+            window = [_json_ready(bound) for bound in exc.window]
+            results[name] = {"order": order, "exists": False, "error": str(exc), "window": window}
             missing.append((name, str(exc)))
         else:
             results[name] = {"order": order, "exists": True, "value": value}

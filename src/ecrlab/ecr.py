@@ -116,6 +116,13 @@ class QuantileUnderflowError(EcrlabError, ArithmeticError):
     """The quantile is positive but below the smallest positive float."""
 
 
+def _require_order(r: float) -> None:
+    """A NaN order is bad input: it would pass every window check, as
+    each comparison with NaN is False."""
+    if math.isnan(r):
+        raise InputError(f"moment order r must be a number, got {r!r}")
+
+
 def _window_error(kind: str, r: float, lower: float, upper: float) -> MomentExistenceError:
     if r >= upper:
         detail = f"moment does not exist for r >= {upper:g} (tail index 1)"
@@ -424,6 +431,7 @@ def pwm(s: int, r: float, t: int, p: Params) -> float:
         raise InputError(f"s must be a non-negative integer, got {s!r}")
     if not (isinstance(t, (int, np.integer)) and t >= 0):
         raise InputError(f"t must be a non-negative integer, got {t!r}")
+    _require_order(r)
     lower = -2.0 * (s + 1.0) * p.beta
     if not lower < r < 1.0:
         raise _window_error("probability weighted moment", r, lower, 1.0)
@@ -440,6 +448,7 @@ def raw_moment(r: float, p: Params) -> float:
     2F1(-r/2, r/2+beta; 1-r/2+beta; 1/2). Scale family:
     E(X^r) = lam^r E(Z^r) with Z standard ECR.
     """
+    _require_order(r)
     lower = -2.0 * p.beta
     if not lower < r < 1.0:
         raise _window_error("raw moment", r, lower, 1.0)
@@ -450,6 +459,7 @@ def cr_moment(r: float, lam: float) -> float:
     """CR (beta = 1) moment: lam^r Gamma((1-r)/2) Gamma(1+r/2) / sqrt(pi), -2 < r < 1."""
     if lam <= 0:
         raise InputError("lam must be positive")
+    _require_order(r)
     if not -2.0 < r < 1.0:
         raise _window_error("CR moment", r, -2.0, 1.0)
     return lam**r * math.exp(
@@ -557,6 +567,7 @@ def incomplete_moment(r: float, x0: float, p: Params, *, full_output: bool = Fal
     """
     if not 0.0 < x0 < math.inf:
         raise InputError(f"x0 must be positive and finite, got {x0!r}")
+    _require_order(r)
     lower = -2.0 * p.beta
     if r <= lower:
         raise _window_error("incomplete moment", r, lower, math.inf)
@@ -602,6 +613,7 @@ def order_stat_moment(i: int, n: int, r: float, p: Params) -> float:
     """
     if not (isinstance(i, (int, np.integer)) and isinstance(n, (int, np.integer)) and 1 <= i <= n):
         raise InputError(f"rank out of range: need 1 <= i <= n, got i={i!r}, n={n!r}")
+    _require_order(r)
     lower = -2.0 * i * p.beta
     if not lower < r < 1.0:
         raise _window_error("order statistic moment", r, lower, 1.0)

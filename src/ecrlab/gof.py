@@ -137,9 +137,12 @@ def info_criteria(loglik: float, k: int, n: int) -> InfoCriteria:
 def ttt_transform(data: Dataset) -> np.ndarray:
     """Scaled total time on test: rows (r/n, G(r/n)) for r = 1..n with
 
-        G(r/n) = [sum_{i<=r} y_(i) + (n-r) y_(r)] / sum_i y_(i).
+        G(r/n) = [sum_{i<=r} y_(i) + (n-r) y_(r)] / sum_i y_(i),
+
+    computed on :attr:`Dataset.sorted_units`: G is a ratio, so the power
+    of two cancels and near-top samples keep their sums in range.
     """
-    y = data.sorted_values
+    y, _ = data.sorted_units
     n = data.n
     total = float(np.sum(y))
     cumulative = np.cumsum(y)

@@ -20,6 +20,14 @@ forks the new one, and a study that finds the pool broken raises
 The workers exit with the interpreter. They keep the module state they
 had when they were forked: a patch made after the first parallel study
 does not reach them.
+
+A parallel study hands its replications to the pool largest sample
+first (Graham's largest-first list scheduling), replications of equal n
+in (cell, replication) order, so the last tasks a worker picks up are
+the cheapest ones. The pool takes them in ceil(tasks / (4 workers))
+chunks, at most four per worker, and every result goes back to its
+task's position before the per-cell summaries, so the order changes no
+output. A serial study runs them in (cell, replication) order.
 """
 
 from __future__ import annotations
@@ -229,10 +237,16 @@ def _run_cells(cells: list[_Cell], cfg: StudyConfig, workers: int) -> list[CellS
     # for more than there are tasks or cores
     workers = min(workers, len(tasks), os.cpu_count() or 1)
     if workers > 1:
-        chunk = max(1, len(tasks) // (8 * workers))
+        # largest samples first, each size in (cell, replication) order:
+        # the sort is stable, even reversed
+        order = sorted(range(len(tasks)), key=lambda k: tasks[k][2], reverse=True)
+        chunk = math.ceil(len(tasks) / (4 * workers))
+        results = [None] * len(tasks)
         with _pool_lock:
             try:
-                results = list(_pool(workers).map(_replicate, tasks, chunksize=chunk))
+                done = _pool(workers).map(_replicate, [tasks[k] for k in order], chunksize=chunk)
+                for k, result in zip(order, done):
+                    results[k] = result
             except BrokenProcessPool:
                 _close_pool()
                 raise

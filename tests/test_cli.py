@@ -435,6 +435,33 @@ class TestMoments:
         assert results["order_statistic"]["rank"] == [1, 3]
         assert results["pwm"]["indexes"] == [1, 2]
 
+    @pytest.mark.parametrize("extra", [[], ["--x0", "2"], ["--pwm", "1", "2"], ["--order-stat", "1", "3"]],
+                             ids=["raw", "x0", "pwm", "order-stat"])
+    def test_nan_order_is_bad_input(self, capsys, extra):
+        # it passed every window check: with --x0 the Appell series raised
+        # a ConvergenceError (exit 3), without it "order": NaN was printed
+        code, out, err = run_cli(capsys, "moments", "--beta", "1", "--lambda", "1", "--r", "nan", *extra)
+        assert (code, out, err) == (2, "", "error: moment order r must be a number, got nan\n")
+
+    @pytest.mark.parametrize("r, order, code", [
+        ("inf", "Infinity", 3), ("-inf", "-Infinity", 3), ("-5", -5.0, 3), ("0.5", 0.5, 0),
+    ])
+    def test_json_is_strict(self, capsys, r, order, code):
+        # orders and window bounds that are not finite are strings, as in
+        # gof; json.dumps wrote them as the non-JSON Infinity and -Infinity
+        def refuse(constant):
+            raise AssertionError(f"{constant} is not JSON")
+
+        # the incomplete moment at r = inf is a ConvergenceError, with no JSON
+        x0 = [] if r == "inf" else ["--x0", "2"]
+        status, out, _ = run_cli(capsys, "moments", "--beta", "1", "--lambda", "1", f"--r={r}",
+                                 "--pwm", "1", "2", "--order-stat", "1", "3", *x0)
+        assert status == code
+        results = json.loads(out, parse_constant=refuse)["results"]
+        assert [entry["order"] for entry in results.values() if "order" in entry] == [order] * (len(results) - 1)
+        if r in ("-inf", "-5"):
+            assert results["incomplete"]["window"] == [-2.0, "Infinity"]
+
 
 class TestGofAndTtt:
     def test_gof_reports_sorted(self, capsys):
@@ -480,6 +507,8 @@ class TestGofAndTtt:
 
 COMPARISON_COMMANDS = [("fit", "-", "--model", m) for m in ("ecr", "cr", "weibull", "gamma", "lognormal", "ee")]
 COMPARISON_COMMANDS += [("fit", "-", "--method", "pb"), ("fit", "-", "--method", "csml"), ("gof", "-")]
+# ttt summed the raw sample, which overflowed on the near-top samples
+COMPARISON_COMMANDS += [("ttt", "-")]
 
 
 @st.composite

@@ -487,6 +487,21 @@ class TestMomentsOutsideTheFloatRange:
             moment()
 
 
+# Every comparison with NaN is False, so a NaN order passed the window
+# checks written as `r <= lower`: the incomplete moment's Appell series
+# then raised a ConvergenceError. Each family now refuses it as input.
+@pytest.mark.parametrize("moment", [
+    lambda r: raw_moment(r, Params(1.0, 1.0)),
+    lambda r: cr_moment(r, 1.0),
+    lambda r: pwm(1, r, 2, Params(1.0, 1.0)),
+    lambda r: incomplete_moment(r, 2.0, Params(1.0, 1.0)),
+    lambda r: order_stat_moment(1, 3, r, Params(1.0, 1.0)),
+], ids=["raw", "cr", "pwm", "incomplete", "order_stat"])
+def test_nan_order_is_an_input_error(moment):
+    with pytest.raises(InputError, match="^moment order r must be a number, got nan$"):
+        moment(math.nan)
+
+
 class TestLogMoment:
     def test_cr_standard(self):
         assert log_moment(Params(1.0, 1.0)) == pytest.approx(math.log(2.0), rel=1e-12)

@@ -140,6 +140,15 @@ class TestTtt:
         early = points[: heart_data.n // 3]
         assert np.any(early[:, 1] < early[:, 0])
 
+    def test_near_the_top_of_the_float_range(self):
+        # the raw sum overflowed here: a RuntimeWarning and G = nan for every r;
+        # in units the power of two cancels, so the 2^-1000 copy, inside the
+        # range where nothing is scaled, gives the same bits
+        values = np.array([1.7e308, 1.6e308, 1e308, 3e307, 1.2e300])
+        top = ttt_transform(Dataset(values))
+        assert np.array_equal(top, ttt_transform(Dataset(np.ldexp(values, -1000))))
+        assert top[-1, 1] == 1.0 and np.all(np.diff(top[:, 1]) >= 0.0)
+
 
 @pytest.fixture(scope="module")
 def fits(heart_data):

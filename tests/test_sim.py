@@ -1,3 +1,4 @@
+import math
 import multiprocessing
 import os
 import warnings
@@ -303,20 +304,27 @@ class TestOneMlFitPerReplication:
 class TestPoolSize:
     """The fork start method launches every worker at once, so the pool
     never outnumbers the tasks or the cores. A fake executor records the
-    pool size and maps serially; no real pool is started."""
+    pool size and each map's tasks and chunk size, and maps serially; no
+    real pool is started."""
 
     CFG = StudyConfig(truth=Params(0.5, 0.6), sample_sizes=(20,), replications=3,
                       estimators=("ml",), master_seed=5)
+    # cells differ in n, out of size order, and in beta
+    GRID = StudyConfig(truth=Params(1.0, 1.0), sample_sizes=(8, 40, 20), replications=5,
+                       estimators=("ml", "pb"), master_seed=5, grid=((0.5, 2.0), (1.0,)))
 
     @pytest.fixture
     def pool_sizes(self, monkeypatch):
         sizes = []
+        self.maps = maps = []  # (tasks, chunksize) per map call
 
         class SerialPool:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
             def map(self, fn, tasks, chunksize=1):
+                tasks = list(tasks)
+                maps.append((tasks, chunksize))
                 return map(fn, tasks)
 
             def shutdown(self, wait=True):
@@ -336,6 +344,18 @@ class TestPoolSize:
         assert summaries_to_csv(run_convergence_study(self.CFG, workers=1000)) == serial
         assert pool_sizes == sizes
 
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_largest_samples_first_in_few_chunks(self, pool_sizes, monkeypatch, workers):
+        serial = summaries_to_csv(run_grid_study(self.GRID))
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+        assert summaries_to_csv(run_grid_study(self.GRID, workers=workers)) == serial
+        [(tasks, chunksize)] = self.maps
+        # every (cell, replication) once, sizes never increasing, and
+        # within a size the (cell, replication) order
+        assert sorted((t[5], t[6]) for t in tasks) == [(c, r) for c in range(6) for r in range(5)]
+        assert tasks == sorted(tasks, key=lambda t: (-t[2], t[5], t[6]))
+        assert math.ceil(len(tasks) / chunksize) <= 4 * workers
+
 
 class TestSharedPool:
     """Parallel studies share one pool per process: the same worker count
@@ -344,6 +364,13 @@ class TestSharedPool:
 
     CFG = StudyConfig(truth=Params(0.5, 0.6), sample_sizes=(20,), replications=6,
                       estimators=("ml", "pb"), master_seed=8)
+
+    @pytest.fixture(autouse=True, scope="class")
+    def close_the_pool(self):
+        # the process keeps its pool; join its workers rather than leave
+        # them alive for the rest of the test run
+        yield
+        sim._close_pool()
 
     @pytest.fixture
     def serial(self, monkeypatch):
@@ -388,6 +415,16 @@ class TestSharedPool:
         csv, after = self.study(2)
         assert csv == serial
         assert len(after) == 2 and not after & before
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_grid_study_across_sizes(self, monkeypatch, workers):
+        # the pool runs the n = 40 cells first; each result must go back
+        # to its own cell and replication
+        monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+        grid = StudyConfig(truth=Params(1.0, 1.0), sample_sizes=(8, 40), replications=3,
+                           estimators=ESTIMATORS, master_seed=8, grid=((0.5, 2.0), (1.0,)))
+        reference = summaries_to_csv(run_grid_study(grid))
+        assert summaries_to_csv(run_grid_study(grid, workers=workers)) == reference
 
 
 def alive(pid):
