@@ -40,7 +40,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .data import Dataset
-from .ecr import Params, _hypot, _log_u
+from .ecr import Params, _log_pass
 from .errors import EcrlabError, InputError
 
 __all__ = [
@@ -135,17 +135,16 @@ class _Kernel:
     """Per-sample pieces of the likelihood kernel, built once per fit.
 
     log x, 2 log x and sum log x are computed here once; each method then
-    makes one pass over the sample at scale ``lam`` (hypot once, with log
-    u derived from the same s and log s by :func:`ecrlab.ecr._log_u`, as
-    in :func:`ecrlab.ecr._log_kernel`) and returns only the sums its
-    caller needs. Values equal the point-by-point public functions to the
-    bit: the same numpy operations run in the same order.
+    makes one pass over the sample at scale ``lam``, the pass
+    :func:`ecrlab.ecr._log_pass` behind ``sf`` and ``log_pdf`` (hypot once,
+    with log u derived from the same s and log s), and returns only the
+    sums its caller needs. Values equal the point-by-point public
+    functions to the bit: the same numpy operations run in the same order.
 
     Where hypot(lam, x) overflows, near the top of the floating-point
-    range, every pass takes lam and x halved at those elements only from
-    :func:`ecrlab.ecr._hypot`, adds log 2 back to their log s and returns
-    their s halved with k = 2, so that k s is the true s; elsewhere
-    nothing changes.
+    range, the pass takes lam and x halved at those elements only, adds
+    log 2 back to their log s and returns their s halved with k = 2, so
+    that k s is the true s; elsewhere nothing changes.
     """
 
     def __init__(self, x: np.ndarray):
@@ -155,19 +154,9 @@ class _Kernel:
         self.two_log_x = 2.0 * log_x
         self.sum_log_x = float(log_x.sum())
 
-    def _pass(self, lam):
-        """s, k, log s and log u at ``lam``, a scale or a column of scales;
-        k is :func:`ecrlab.ecr._hypot`'s 1.0, or its array of 1s and 2s
-        where hypot(lam, x) overflows."""
-        lam_k, x, s, k = _hypot(lam, self.x)
-        log_s = np.log(s)
-        if x is self.x:
-            return s, k, log_s, _log_u(x, self.two_log_x, lam, s, log_s)
-        return s, k, log_s + np.log(k), _log_u(x, 2.0 * np.log(x), lam_k, s, log_s)
-
     def scan(self, lam: float):
         """s, k, log s and the checked sum log u at ``lam``."""
-        s, k, log_s, log_u = self._pass(lam)
+        s, k, log_s, log_u = _log_pass(lam, self.x, self.two_log_x)
         return s, k, log_s, _checked_sum_log_u(lam, float(log_u.sum()))
 
     def log_sums(self, lam: float) -> tuple[float, float]:
@@ -184,7 +173,7 @@ class _Kernel:
         the bit, from one broadcast pass per row block."""
         values, scores = [], []
         for col in _row_blocks(grid, self.n):
-            s, k, log_s, log_u = self._pass(col)
+            s, k, log_s, log_u = _log_pass(col, self.x, self.two_log_x)
             sums_log_s = log_s.sum(axis=1).tolist()
             sums_log_u = log_u.sum(axis=1)
             for lam, sum_log_s, sum_log_u in zip(col[:, 0].tolist(), sums_log_s, sums_log_u.tolist()):
@@ -464,7 +453,7 @@ def _ml_result(kernel: _Kernel, lam: float, iterations: int, converged: bool,
     :func:`log_likelihood` at every e. None where that scale admits no
     valid parameters in the floating-point range or the shape exceeds
     _MAX_SHAPE; its ``std_errors`` are None where one is not finite."""
-    _, _, log_s, log_u = kernel._pass(lam)
+    _, _, log_s, log_u = _log_pass(lam, kernel.x, kernel.two_log_x)
     sum_log_s, sum_log_u = float(log_s.sum()), float(log_u.sum())
     beta = -kernel.n / sum_log_u if sum_log_u < 0.0 else math.nan
     scale = math.ldexp(lam, e) if math.frexp(lam)[1] + e <= 1024 else math.inf  # else ldexp overflows

@@ -15,7 +15,7 @@ block, one lane per series, with every term and partial sum formed by
 sequential accumulation in the order of a term loop, so each lane equals
 that loop to the bit. It sums ``appell_f1``'s rows, a block at a time,
 and, through ``_gauss_2f1_lanes``, the 2F1 factors of the moments' wide
-binomial sums (``ecr._moment_sum`` from 8 terms on). A second helper,
+binomial sums (``ecr._moment_sum`` from 4 terms on). A second helper,
 ``_binomial_product_sum``, sums a power series of (1 - x)^p (1 - y x)^q
 against weights, its coefficients a convolution of two cumulative
 products in one numpy block; it carries the two series of

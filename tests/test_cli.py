@@ -333,6 +333,16 @@ class TestMoments:
         payload = json.loads(out)
         assert payload["results"]["raw"]["exists"] is False
 
+    def test_infinite_incomplete_order_is_a_window_error(self, capsys):
+        # it passed the check `r <= lower` and failed in the Appell series
+        code, out, err = run_cli(capsys, "moments", "--beta", "1", "--lambda", "1", "--r", "inf", "--x0", "2")
+        assert code == 3
+        entry = json.loads(out)["results"]["incomplete"]
+        assert entry["exists"] is False
+        assert entry["window"] == [-2.0, "Infinity"]
+        assert "incomplete: incomplete moment of order r=inf: the order must be finite" in err
+        assert "tail index" not in entry["error"]
+
     def test_valid_moment_values(self, capsys):
         code, out, _ = run_cli(capsys, "moments", "--beta", "1", "--lambda", "1", "--r", "-1")
         assert code == 0

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -36,6 +37,16 @@ from ecrlab.ecr import (
 from ecrlab.specfun import ConvergenceError, beta_fn, gauss_2f1
 
 TABLE_FIT = Params(0.38669, 80.68399)
+
+
+def density_reference(x, p):
+    """f(x) and 1 - F(x) at 50 digits, with u = x^2/(s (s + lam)) and
+    1 - F = -expm1(beta log1p(-lam/s)), so neither cancels."""
+    with mpmath.workdps(50):
+        xm, lam = mpmath.mpf(x), mpmath.mpf(p.lam)
+        s = mpmath.sqrt(lam**2 + xm**2)
+        u = xm**2 / (s * (s + lam))
+        return p.beta * lam * xm / s**3 * u ** (p.beta - 1), -mpmath.expm1(p.beta * mpmath.log1p(-lam / s))
 
 
 def weighted_moment_oracle(r, s, t, p, upper=1.0, epsabs=1e-13):
@@ -256,6 +267,22 @@ class TestPdf:
         assert c * pdf(c * x, scaled) == pytest.approx(pdf(x, p), rel=1e-13, abs=0)
         assert pdf(c * x, scaled) == pytest.approx(math.exp(log_pdf(c * x, scaled)), rel=1e-12, abs=0)
 
+    # u = x^2/(s (s + lam)) underflowed to 0 below about 1e-154 lam, where
+    # u^(beta-1) is inf or 0: pdf came out inf with a RuntimeWarning (an
+    # error in this suite), or 0
+    @pytest.mark.parametrize("x, p", [(1e-300, Params(0.3, 1.0)), (1e-200, Params(0.05, 1e100)),
+                                      (1e-170, Params(1.2, 1.0)), (1e-300, Params(1.0001, 1.0))])
+    def test_underflowed_u_takes_the_log_form(self, x, p):
+        assert pdf(x, p) == pytest.approx(float(density_reference(x, p)[0]), rel=1e-12, abs=0)
+        # the other elements keep the direct formula's bits
+        others = np.array([0.5, 2.0, 1e3]) * p.lam
+        assert pdf(np.concatenate([[x], others]), p)[1:].tobytes() == pdf(others, p).tobytes()
+
+    def test_density_beyond_the_float_range_is_inf(self):
+        p = Params(0.3, 1e-300)
+        assert pdf(5e-324, p) == math.inf  # 1.024e309
+        assert log_pdf(5e-324, p) == pytest.approx(float(mpmath.log(density_reference(5e-324, p)[0])), rel=1e-14)
+
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             pdf(0.0, Params(1.0, 1.0))
@@ -335,6 +362,42 @@ class TestHazard:
         p = Params(0.3, 1.0)
         xs = np.geomspace(1e-3, 1e3, 300)
         assert np.all(np.diff(hrf(xs, p)) < 0)
+
+    # 1 - F underflowed to 0 where lam/s did, above about 1e308 lam: a
+    # scalar raised ZeroDivisionError, an array gave NaN with
+    # RuntimeWarnings. Where only f underflowed the rate came out 0.
+    @pytest.mark.parametrize("x, p", [(1e100, Params(1.0, 1e-300)), (1e100, Params(0.3, 1e-300)),
+                                      (1e100, Params(7.0, 1e-300)), (1.7e308, Params(0.3, 1.0)),
+                                      (1.7e308, Params(7.0, 1.0)), (1e300, Params(0.05, 1e-20)),
+                                      (1e200, Params(1.0, 1.0)), (1e-300, Params(0.3, 1.0))])
+    def test_where_f_or_sf_underflows(self, x, p):
+        f, surv = density_reference(x, p)
+        assert hrf(x, p) == pytest.approx(float(f / surv), rel=1e-12, abs=0)
+        assert hrf(np.array([x, 2.0 * p.lam]), p).tolist() == [hrf(x, p), hrf(2.0 * p.lam, p)]
+
+
+class TestAcrossTheFloatRange:
+    """From the smallest subnormal to the top of the float range, at
+    scales from 1e-300 to 1e300, the distribution functions raise no
+    warning and no bare error, and return no NaN, on scalars and arrays."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(log_x=st.lists(st.floats(-323.3, math.log10(1.79e308)), min_size=1, max_size=4),
+           log_lam=st.floats(-300.0, 300.0), beta=st.floats(0.05, 60.0))
+    @example(log_x=[-300.0], log_lam=0.0, beta=0.3)
+    @example(log_x=[math.log10(5e-324)], log_lam=-300.0, beta=0.3)
+    @example(log_x=[100.0], log_lam=-300.0, beta=1.0)
+    @example(log_x=[308.2], log_lam=0.0, beta=7.0)
+    def test_no_warning_and_no_nan(self, log_x, log_lam, beta):
+        x = np.maximum(10.0 ** np.array(log_x), 5e-324)
+        p = Params(beta, 10.0**log_lam)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for f in (cdf, sf, pdf, log_pdf, hrf):
+                values = f(x, p)
+                assert not np.any(np.isnan(values))
+                # numpy's scalar power differs from its vectorized one by rounding
+                assert values.tolist() == pytest.approx([f(v, p) for v in x.tolist()], rel=1e-12, abs=1e-300)
 
 
 class TestTailRatio:
@@ -568,6 +631,11 @@ class TestIncompleteMoments:
     def test_window(self):
         with pytest.raises(MomentExistenceError):
             incomplete_moment(-1.4, 1.0, Params(0.7, 1.0))
+        # r = inf passed the check `r <= lower` and failed in the Appell series
+        with pytest.raises(MomentExistenceError, match=r"r=inf: the order must be finite; admissible window is") as info:
+            incomplete_moment(math.inf, 2.0, Params(1.0, 1.0))
+        assert "tail index" not in str(info.value)
+        assert info.value.window == (-2.0, math.inf)
         with pytest.raises(ValueError):
             incomplete_moment(0.5, -1.0, Params(0.7, 1.0))
 
