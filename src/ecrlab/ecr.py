@@ -590,7 +590,9 @@ def incomplete_moment(r: float, x0: float, p: Params, *, full_output: bool = Fal
     u0 = 1 - v0, whose F1 is integrated by quadrature above u0 = 0.95
     (see :func:`ecrlab.specfun.appell_f1`). ``full_output=True`` returns
     ``(value, terms)``: the Appell series rows summed, the two series'
-    terms, or 0 for quadrature.
+    terms, or 0 for quadrature. A value that is not positive, which the
+    Appell path can give at large beta and very negative r, or 0 where
+    the moment underflows, raises :class:`LossOfPrecisionError`.
     """
     if not 0.0 < x0 < math.inf:
         raise InputError(f"x0 must be positive and finite, got {x0!r}")
@@ -623,6 +625,11 @@ def incomplete_moment(r: float, x0: float, p: Params, *, full_output: bool = Fal
         raise LossOfPrecisionError(
             f"incomplete moment: the closed form's factors leave the floating-point range at beta = {p.beta:g},"
             f" lambda = {p.lam:g}, r = {r:g}"
+        )
+    if moment <= 0.0:  # the integrand is positive
+        raise LossOfPrecisionError(
+            f"incomplete moment: the evaluation gives {moment:g}, but the moment is positive: precision is lost,"
+            f" or the value lies below the floating-point range, at beta = {p.beta:g}, lambda = {p.lam:g}, r = {r:g}"
         )
     return (moment, terms) if full_output else moment
 

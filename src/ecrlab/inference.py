@@ -24,9 +24,11 @@ scans a fixed 241-point shape grid for sign changes of its root
 function and runs Brent's method in each cell with one; a grid without
 a sign change is a fit error, and its iteration count is the 241 grid
 points plus Brent's calls. The grid's data-free factors depend only on
-the sample size; they are memoized for up to four sizes of n <= 543
-(about 4 MB each), so repeated fits at one size, as in a simulation
-cell, pay only for the two data sums.
+the sample size; for up to four sizes of n <= 543 two (241, n) factor
+matrices are memoized (about 2 MB per size), so repeated fits at one
+size, as in a simulation cell, pay only for two matrix-vector products.
+A grid value within its rounding bound of zero is recomputed by the
+exact path, so the grid's signs are the exact path's.
 """
 
 from __future__ import annotations
@@ -145,6 +147,10 @@ class _Kernel:
     range, the pass takes lam and x halved at those elements only, adds
     log 2 back to their log s and returns their s halved with k = 2, so
     that k s is the true s; elsewhere nothing changes.
+
+    The last scalar pass is kept, keyed by its scale, so that the profile
+    and the fit at a root Brent's method has just scored reuse its final
+    pass instead of making two more.
     """
 
     def __init__(self, x: np.ndarray):
@@ -153,16 +159,20 @@ class _Kernel:
         self.n = x.size
         self.two_log_x = 2.0 * log_x
         self.sum_log_x = float(log_x.sum())
+        self._scanned = (None, None)  # (lam, scan at lam) of the last pass
 
     def scan(self, lam: float):
-        """s, k, log s and the checked sum log u at ``lam``."""
-        s, k, log_s, log_u = _log_pass(lam, self.x, self.two_log_x)
-        return s, k, log_s, _checked_sum_log_u(lam, float(log_u.sum()))
+        """s, k, log s and the unchecked sum log u at ``lam``; a call at the
+        previous call's scale returns that call's pass and makes none."""
+        if lam != self._scanned[0]:
+            s, k, log_s, log_u = _log_pass(lam, self.x, self.two_log_x)
+            self._scanned = lam, (s, k, log_s, float(log_u.sum()))
+        return self._scanned[1]
 
     def log_sums(self, lam: float) -> tuple[float, float]:
         """(sum log s, sum log u) at ``lam``."""
         _, _, log_s, sum_log_u = self.scan(lam)
-        return float(log_s.sum()), sum_log_u
+        return float(log_s.sum()), _checked_sum_log_u(lam, sum_log_u)
 
     def profile(self, lam: float) -> float:
         """:func:`profile_log_likelihood` at ``lam``."""
@@ -187,7 +197,8 @@ class _Kernel:
     def score(self, lam: float) -> float:
         """:func:`profile_score` at ``lam``."""
         s, k, _, sum_log_u = self.scan(lam)
-        return _scale_score(self.n, lam, -self.n / sum_log_u, *map(float, _inverse_sums(lam, s, k)))
+        beta = -self.n / _checked_sum_log_u(lam, sum_log_u)
+        return _scale_score(self.n, lam, beta, *map(float, _inverse_sums(lam, s, k)))
 
 
 def _scale_score(n: int, lam, beta, sum_inv_s, lam_sum_inv_s2):
@@ -239,7 +250,8 @@ def score(data: Dataset, p: Params) -> tuple[float, float]:
     """Analytic gradient of the log-likelihood, (d/dbeta, d/dlam)."""
     n = data.n
     s, k, _, sum_log_u = _Kernel(data.values).scan(p.lam)
-    return n / p.beta + sum_log_u, _scale_score(n, p.lam, p.beta, *map(float, _inverse_sums(p.lam, s, k)))
+    d_beta = n / p.beta + _checked_sum_log_u(p.lam, sum_log_u)
+    return d_beta, _scale_score(n, p.lam, p.beta, *map(float, _inverse_sums(p.lam, s, k)))
 
 
 def profile_beta(data: Dataset, lam: float) -> float:
@@ -453,8 +465,8 @@ def _ml_result(kernel: _Kernel, lam: float, iterations: int, converged: bool,
     :func:`log_likelihood` at every e. None where that scale admits no
     valid parameters in the floating-point range or the shape exceeds
     _MAX_SHAPE; its ``std_errors`` are None where one is not finite."""
-    _, _, log_s, log_u = _log_pass(lam, kernel.x, kernel.two_log_x)
-    sum_log_s, sum_log_u = float(log_s.sum()), float(log_u.sum())
+    _, _, log_s, sum_log_u = kernel.scan(lam)
+    sum_log_s = float(log_s.sum())
     beta = -kernel.n / sum_log_u if sum_log_u < 0.0 else math.nan
     scale = math.ldexp(lam, e) if math.frexp(lam)[1] + e <= 1024 else math.inf  # else ldexp overflows
     if not (0.0 < beta < _MAX_SHAPE and 0.0 < scale < math.inf):
@@ -822,25 +834,47 @@ def _pb_weights(beta, p: np.ndarray, log_p: np.ndarray) -> _PbWeights:
     )
 
 
-# fit_pb's shape grid. Its data-free factors depend only on n and take
-# most of a fit's time at n in the hundreds, so they are memoized while
-# each of the four (241, n) factor arrays stays within _MEMO_ELEMENTS.
+# fit_pb's shape grid. Its data-free factors depend only on n and took
+# most of a fit's time at n in the hundreds, so two (241, n) factor
+# matrices are memoized while each stays within _MEMO_ELEMENTS (about
+# 2 MB per size at n = 543), and the grid's data sums become two
+# matrix-vector products.
 _SHAPE_GRID = np.logspace(-3.0, 3.0, 241)
 _SHAPE_GRID.flags.writeable = False
 _MEMO_ELEMENTS = 2**17
 
 
+class _GridFactors(NamedTuple):
+    """The data-free factors of the percentile sums on _SHAPE_GRID at the
+    positions of an n-point sample: t6 and t9 as :func:`_pb_weights`
+    gives them, and the factors t7 and t8 take the data with, combined."""
+
+    d_shape_quad: np.ndarray  # t6
+    quad: np.ndarray  # t9
+    d_shape_cross: np.ndarray  # W7 = sqrt(w / (2 - w)) / (1 - w)^2, per shape and position
+    cross: np.ndarray  # W8 = sqrt((2 - w) w) / (1 - w), per shape and position
+
+
 @functools.lru_cache(maxsize=4)
-def _memoized_grid_weights(n: int) -> tuple[_PbWeights, ...]:
-    """:func:`_pb_weights` of each row block of _SHAPE_GRID at the
-    positions of an n-point sample, read-only."""
+def _memoized_grid_factors(n: int) -> _GridFactors:
+    """:class:`_GridFactors` at n, read-only, filled from the
+    :func:`_pb_weights` of one row block of _SHAPE_GRID at a time."""
     p = _plotting_positions(n)
     log_p = np.log(p)
-    blocks = tuple(_pb_weights(col, p, log_p) for col in _row_blocks(_SHAPE_GRID, n))
-    for weights in blocks:
-        for array in weights:
-            array.flags.writeable = False
-    return blocks
+    size = _SHAPE_GRID.size
+    factors = _GridFactors(np.empty(size), np.empty(size), np.empty((size, n)), np.empty((size, n)))
+    start = 0
+    for col in _row_blocks(_SHAPE_GRID, n):
+        rows = slice(start, start + col.shape[0])
+        weights = _pb_weights(col, p, log_p)
+        factors.d_shape_quad[rows] = weights.d_shape_quad
+        factors.quad[rows] = weights.quad
+        np.divide(weights.sqrt_ratio, weights.one_minus_sq, out=factors.d_shape_cross[rows])
+        np.divide(weights.sqrt_prod, weights.one_minus, out=factors.cross[rows])
+        start = rows.stop
+    for array in factors:
+        array.flags.writeable = False
+    return factors
 
 
 class _Percentiles:
@@ -848,7 +882,8 @@ class _Percentiles:
     p_i, log p_i and x_(i) log p_i over the dataset's
     :attr:`Dataset.sorted_units`. Each method takes a 1-D array of
     shapes, one broadcast pass per row block, and gives per shape the
-    point-by-point formulas' values to the bit."""
+    point-by-point formulas' values to the bit; :meth:`grid_roots` gives
+    the signs of those values on _SHAPE_GRID."""
 
     def __init__(self, data: Dataset):
         self.n = data.n
@@ -858,13 +893,9 @@ class _Percentiles:
         self.xs_log_p = self.xs_unit * self.log_p
 
     def _weights(self, betas: np.ndarray):
-        """The weights of ``betas`` per row block: memoized for _SHAPE_GRID
-        itself up to _MEMO_ELEMENTS per array, else fresh block by block,
-        so no call holds more than a block's temporaries."""
-        n = self.n
-        if betas is _SHAPE_GRID and _SHAPE_GRID.size * n <= _MEMO_ELEMENTS:
-            return _memoized_grid_weights(n)
-        return (_pb_weights(col, self.p, self.log_p) for col in _row_blocks(betas, n))
+        """Fresh weights of ``betas`` per row block, so that no call holds
+        more than a block's temporaries."""
+        return (_pb_weights(col, self.p, self.log_p) for col in _row_blocks(betas, self.n))
 
     def sums(self, weights: _PbWeights):
         """(t6, t7, t8, t9): the two data sums t7 and t8 over the sorted
@@ -881,6 +912,65 @@ class _Percentiles:
             t6, t7, t8, t9 = self.sums(weights)
             roots.append(t6 * t8 - t7 * t9)
         return roots[0] if len(roots) == 1 else np.concatenate(roots)
+
+    def grid_roots(self) -> np.ndarray:
+        """The root function on _SHAPE_GRID, for its signs: at each shape
+        either :meth:`roots`' value to the bit or one of the same sign.
+
+        Up to _MEMO_ELEMENTS per factor matrix it is formed from the
+        memoized :class:`_GridFactors`, with t7 = W7 . x log p and t8 =
+        -W8 . x as matrix-vector products on the calling thread (einsum
+        without ``optimize`` calls no BLAS). A value that does not exceed
+        :meth:`_grid_bounds` in magnitude, NaN included, is replaced by
+        :meth:`roots`' value at that shape; above that size every value
+        is :meth:`roots`'.
+        """
+        if _SHAPE_GRID.size * self.n > _MEMO_ELEMENTS:
+            return self.roots(_SHAPE_GRID)
+        values, bounds = self._grid_bounds()
+        uncertain = np.flatnonzero(~(np.abs(values) > bounds))
+        if uncertain.size:
+            values[uncertain] = self.roots(_SHAPE_GRID[uncertain])
+        return values
+
+    def _grid_bounds(self) -> tuple[np.ndarray, np.ndarray]:
+        """The root function on _SHAPE_GRID by the memoized factors, and a
+        bound per shape that a value must exceed in magnitude for its sign
+        to be that of :meth:`roots`.
+
+        Both paths start from the same floats: the sample terms x log p and
+        x, the factors sqrt(w/(2-w)), (1-w)^2, sqrt((2-w)w), 1-w and the
+        sums t6, t9. Let R* = t6 t8* - t7* t9 be the root function in
+        real arithmetic on them, and u = eps/2 the unit roundoff. Every
+        term of t7, and of t8, has one sign, so the sum equals its terms'
+        absolute sum: each term carries two roundings (x log p / (1-w)^2
+        times sqrt(w/(2-w)), or x log p times W7) and any summation order
+        n - 1 more, so either path's t7 is t7* (1 + theta) with |theta| <=
+        gamma_{n+1}, gamma_k = k u / (1 - k u) (Higham, *Accuracy and
+        Stability of Numerical Algorithms*, 2002, ch. 3-4), and so is t8.
+        The two products and the difference add two more, so either
+        path's R lies within E = gamma_{n+3} M* of R*, with M* = |t6 t8*|
+        + |t7* t9|. A value R with |R| > 2E has the sign of R*, and
+        |R*| > E, so the other path's value is nonzero with that sign too.
+        2 gamma_{n+3} M* is (n + 3) eps M to within a relative
+        O(n eps), where M is M* as computed here, so the bound (n + 8) eps
+        M covers it with room to spare at every n this path takes.
+
+        The smallest normal number added to it covers underflow in the two
+        products and in the bound itself (each at most 2^-1075). An
+        underflowed term of t7 or t8 errs by at most 2^-1075 (1 + |x log p|
+        + 1/(1-w)); the sample's largest unit lies in [2^-201, 2^200] and
+        the grid's largest w is above 1e-177, so the largest terms of t7
+        and t8 exceed 1e-160 and n such errors stay far inside the room
+        between n + 3 and n + 8. Where a product overflows, the bound is
+        inf or the value NaN, and the value is not cleared.
+        """
+        factors = _memoized_grid_factors(self.n)
+        t7 = np.einsum("ij,j->i", factors.d_shape_cross, self.xs_log_p)
+        t8 = -np.einsum("ij,j->i", factors.cross, self.xs_unit)
+        left, right = factors.d_shape_quad * t8, t7 * factors.quad
+        bounds = (self.n + 8) * sys.float_info.epsilon * (np.abs(left) + np.abs(right)) + sys.float_info.min
+        return left - right, bounds
 
     def scores(self, betas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The scales lam2 = t8/t9 at every shape of ``betas`` and the
@@ -943,18 +1033,23 @@ def fit_pb(data: Dataset) -> FitResult:
     find. A chosen root whose search does not converge raises
     :class:`FitError` carrying that fit.
 
-    Every evaluation goes through one :class:`_Percentiles`: one
-    broadcast pass per row block for the grid and for the candidate
-    roots, and one pass at one shape per Brent evaluation. The root
-    function there equals the grid's value at the same shape to the bit,
-    so Brent's method starts from the grid's signs. The factors of the
-    241-point grid that do not involve the data depend only on n, so they
-    are memoized for the four most recent sample sizes with 241 n <= 2^17
-    (n <= 543, about 4 MB per size) and regenerated block by block above
-    that; every other shape gets fresh factors. A lam2 that overflows as
-    it is scaled back from the dataset's :attr:`Dataset.sorted_units` is
-    inadmissible. ``iterations`` counts the 241 grid points and Brent's
-    calls over all brackets.
+    Every evaluation goes through one :class:`_Percentiles`: the grid
+    by :meth:`_Percentiles.grid_roots`, one broadcast pass per row block
+    for the candidate roots, and one pass at one shape per Brent
+    evaluation. For the four most recent sample sizes with 241 n <= 2^17
+    (n <= 543) the grid takes t7 and t8 as two matrix-vector products
+    with memoized data-free factor matrices (about 2 MB per size). Each
+    such value carries a rounding bound, (n + 8) eps (|t6 t8| + |t7 t9|)
+    plus the smallest normal number, at least twice the rounding error of
+    either path (see :meth:`_Percentiles._grid_bounds`); a value not
+    above its bound, NaN included, is recomputed by the exact path with
+    fresh weights. So the grid's signs, and with them the brackets, the
+    roots and every output, are those of the exact path, whose value at
+    one shape Brent's method evaluates. Above n = 543 the grid is the
+    exact path block by block; every other shape gets fresh factors. A
+    lam2 that overflows as it is scaled back from the dataset's
+    :attr:`Dataset.sorted_units` is inadmissible. ``iterations`` counts
+    the 241 grid points and Brent's calls over all brackets.
 
     Each of t6, t7, t8 and t9 is a sum of terms of one sign (t9 as
     written in :class:`_PbWeights`), so the root function cancels only
@@ -970,8 +1065,7 @@ def fit_pb(data: Dataset) -> FitResult:
         raise FitError("need at least two distinct observations to fit")
     percentiles = _Percentiles(data)
     grid = _SHAPE_GRID
-    vals = percentiles.roots(grid)
-    sign_change = _sign_changes(vals)
+    sign_change = _sign_changes(percentiles.grid_roots())
     if not sign_change.size:
         raise FitError("percentile objective has no interior minimum")
     p, log_p = percentiles.p, percentiles.log_p

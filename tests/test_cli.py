@@ -359,6 +359,14 @@ class TestMoments:
         assert err.startswith("error: order statistic moment")
         assert err.count("\n") == 1
 
+    def test_non_positive_incomplete_moment_exits_three(self, capsys):
+        # it printed "incomplete": -8.09e-10 and exited 0
+        code, out, err = run_cli(capsys, "moments", "--beta", "30", "--lambda", "1", "--r=-50", "--x0", "3")
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: incomplete moment: the evaluation gives -8.09036e-10")
+        assert err.count("\n") == 1
+
     @pytest.mark.parametrize("argv, cause", [
         (["--beta", "1e6", "--lambda", "1", "--r=-1e6"], "the closed form evaluates to nan"),
         (["--beta", "1e5", "--lambda", "1e-3", "--r=-1e5", "--pwm", "0", "8"], "(lambda sqrt 2)^r overflows"),

@@ -660,6 +660,16 @@ class TestIncompleteMoments:
         assert incomplete_moment(0.5, x0, p) == pytest.approx(raw_moment(0.5, p) - tail, rel=1e-14)
 
 
+    def test_non_positive_value_is_a_loss_of_precision(self):
+        # the Appell series returned -8.09e-10 with no error; the 50-digit
+        # value is 1.868e-13, the full raw moment to 12 digits
+        with pytest.raises(LossOfPrecisionError,
+                           match=r"^incomplete moment: the evaluation gives -8\.09036e-10, but the moment is positive"):
+            incomplete_moment(-50.0, 3.0, Params(30.0, 1.0))
+        # lambda^r underflows to 0 here, where the moment is below x0^5 = 1e-1500
+        with pytest.raises(LossOfPrecisionError, match="gives 0, but the moment is positive"):
+            incomplete_moment(5.0, 1e-300, Params(1.0, 1e-300))
+
 class TestOrderStatMoments:
     def test_single_observation_reduces_to_raw(self):
         p = Params(0.7, 2.0)

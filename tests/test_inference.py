@@ -1037,15 +1037,17 @@ class TestRootFunctionSigns:
         samples = [Dataset(sample(n, Params(*law), seed=seed)) for law, seed in draws]
         grid = inference._SHAPE_GRID
         for data, signs in zip(samples, mp_root_signs([data.sorted_values for data in samples], grid.tolist())):
-            expected = inference._sign_changes(np.array(signs, dtype=float))
-            assert inference._sign_changes(inference._Percentiles(data).roots(grid)).tolist() == expected.tolist()
+            expected = inference._sign_changes(np.array(signs, dtype=float)).tolist()
+            percentiles = inference._Percentiles(data)
+            assert inference._sign_changes(percentiles.roots(grid)).tolist() == expected
+            assert inference._sign_changes(percentiles.grid_roots()).tolist() == expected
 
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(n=st.integers(2, 543))
     @example(n=2)
     @example(n=543)
     def test_t9_negative_and_finite_on_the_grid(self, n):
-        t9 = np.concatenate([weights.quad for weights in inference._memoized_grid_weights(n)])
+        t9 = inference._memoized_grid_factors(n).quad
         assert t9.size == inference._SHAPE_GRID.size
         assert np.all(np.isfinite(t9) & (t9 < 0.0))
 
@@ -1137,6 +1139,23 @@ class TestKernel:
         fit = inference._ml_result(inference._Kernel(heart_data.values), lam, 0, True)
         assert fit.params.beta == profile_beta(heart_data, lam)
         assert fit.loglik == log_likelihood(heart_data, fit.params)
+
+    def test_root_shares_one_pass(self, heart_data, monkeypatch):
+        # after Brent's score evaluations (the iterations past the 41-point
+        # grid), the profile and the fit at the root share one pass, or
+        # reuse Brent's last where that is the root; they made two more
+        expected = fit_ml(heart_data)
+        scales = []
+
+        def counted(lam, *args):
+            scales.append(lam)
+            return _log_pass(lam, *args)
+
+        monkeypatch.setattr(inference, "_log_pass", counted)
+        assert fit_ml(heart_data) == expected
+        scalar = [lam for lam in scales if np.ndim(lam) == 0]
+        assert scalar[-1] == expected.params.lam
+        assert len(scalar) - (expected.iterations - 41) <= 1
 
 
 class TestBlockedPasses:
@@ -1365,16 +1384,34 @@ class TestPbFallbackObjective:
 
     def test_finer_grid_without_sign_change_raises(self, monkeypatch):
         data = Dataset(sample(40, Params(1.5, 2.0), seed=4))
-        roots = inference._Percentiles.roots
-        monkeypatch.setattr(inference._Percentiles, "roots", lambda self, betas: np.abs(roots(self, betas)))
+        grid_roots = inference._Percentiles.grid_roots
+        monkeypatch.setattr(inference._Percentiles, "grid_roots", lambda self: np.abs(grid_roots(self)))
         with pytest.raises(FitError, match="percentile objective has no interior minimum"):
             fit_pb(data)
 
 
+def grid_sample(kind, n, seed, shift):
+    """An n-point sample of ``kind`` times 2^``shift``: ECR draws, lognormal
+    draws, three quartiles of ECR draws each drawn many times (ties), or
+    one value spread by 1e-9 (near-constant)."""
+    rng = np.random.default_rng(seed)
+    if kind == "ecr":
+        values = sample_from(rng, n, Params(float(10.0 ** rng.uniform(-1.0, 1.0)), 1.0))
+    elif kind == "lognormal":
+        values = rng.lognormal(0.0, rng.uniform(0.1, 3.0), n)
+    elif kind == "tied":
+        values = np.quantile(sample_from(rng, n, Params(1.0, 1.0)), [0.25, 0.5, 0.75])[rng.integers(0, 3, n)]
+    else:
+        values = 1.0 + 1e-9 * rng.random(n)
+    return Dataset(np.ldexp(values, shift))
+
+
 class TestShapeGridMemo:
-    """fit_pb's 241-point grid reads data-free weights memoized per sample
-    size up to _MEMO_ELEMENTS per array; they must give the fresh pass's
-    values to the bit, and the memo must stay bounded."""
+    """fit_pb's 241-point grid reads two data-free factor matrices, and t6
+    and t9, memoized per sample size up to _MEMO_ELEMENTS per matrix; its
+    signs must be those of the fresh pass, every value its rounding bound
+    does not clear must be the fresh pass's to the bit, and the memo must
+    stay bounded."""
 
     def test_threshold_lies_between_543_and_544(self):
         size = inference._SHAPE_GRID.size
@@ -1383,14 +1420,51 @@ class TestShapeGridMemo:
     @pytest.mark.parametrize("n", [2, 15, 543, 544, 5000])
     def test_memoized_grid_matches_fresh_grid(self, n):
         percentiles = inference._Percentiles(Dataset(sample(n, Params(0.8, 2.0), seed=n)))
-        fresh_grid = inference._SHAPE_GRID.copy()
-        memo = (percentiles.roots(inference._SHAPE_GRID), *percentiles.scores(inference._SHAPE_GRID))
-        fresh = (percentiles.roots(fresh_grid), *percentiles.scores(fresh_grid))
-        for memo_part, fresh_part in zip(memo, fresh):
-            assert memo_part.tobytes() == fresh_part.tobytes()
+        fresh = percentiles.roots(inference._SHAPE_GRID.copy())
+        memo = percentiles.grid_roots()
+        assert np.array_equal(np.sign(memo), np.sign(fresh))
+        if n > 543:
+            assert memo.tobytes() == fresh.tobytes()
+            return
+        weights = inference._pb_weights(inference._SHAPE_GRID[:, None], percentiles.p, percentiles.log_p)
+        factors = inference._memoized_grid_factors(n)
+        for memoized, expected in [(factors.d_shape_quad, weights.d_shape_quad), (factors.quad, weights.quad),
+                                   (factors.d_shape_cross, weights.sqrt_ratio / weights.one_minus_sq),
+                                   (factors.cross, weights.sqrt_prod / weights.one_minus)]:
+            assert memoized.tobytes() == expected.tobytes()
+
+    # n from 2 to 543, where the memoized path runs, on ECR, lognormal,
+    # tied and near-constant samples, shifted by powers of two across the
+    # range the sample's units take
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(kind=st.sampled_from(("ecr", "lognormal", "tied", "near-constant")), n=st.integers(2, 543),
+           seed=st.integers(0, 2**32 - 1), shift=st.integers(-900, 900))
+    # the memoized value at shape 42 is -1.2e-38 where the exact one is 0
+    @example(kind="lognormal", n=2, seed=6, shift=0)
+    @example(kind="ecr", n=15, seed=0, shift=0)
+    @example(kind="near-constant", n=2, seed=1, shift=0)
+    @example(kind="tied", n=543, seed=2, shift=-900)
+    def test_grid_signs_are_the_exact_signs(self, kind, n, seed, shift):
+        percentiles = inference._Percentiles(grid_sample(kind, n, seed, shift))
+        exact = percentiles.roots(inference._SHAPE_GRID.copy())
+        signs = percentiles.grid_roots()
+        assert np.array_equal(np.sign(signs), np.sign(exact))
+        values, bounds = percentiles._grid_bounds()
+        uncertain = ~(np.abs(values) > bounds)
+        assert signs[uncertain].tobytes() == exact[uncertain].tobytes()
+
+    def test_fallback_fires_on_report_set_samples(self):
+        # the report set's n = 15 draws at seed 0 leave a few grid points
+        # per fit to the exact path, at the grid's small-shape end
+        uncertain = []
+        for cell, beta in enumerate((0.5, 1.0, 2.0)):
+            for rep in range(40):
+                values, bounds = inference._Percentiles(study_draw(0, (cell, rep), 15, (beta, 1.0)))._grid_bounds()
+                uncertain += np.flatnonzero(~(np.abs(values) > bounds)).tolist()
+        assert len(uncertain) > 120 and max(uncertain) < 10
 
     def test_memo_holds_at_most_four_small_sizes(self):
-        memo = inference._memoized_grid_weights
+        memo = inference._memoized_grid_factors
         memo.cache_clear()
         for n in (544, 5000):
             fit_pb(Dataset(sample(n, Params(0.8, 2.0), seed=1)))
@@ -1402,12 +1476,9 @@ class TestShapeGridMemo:
         assert info.misses == 5
 
     def test_memoized_arrays_reject_writes(self):
-        blocks = inference._memoized_grid_weights(100)
-        assert len(blocks) > 1
-        for weights in blocks:
-            for array in weights:
-                with pytest.raises(ValueError):
-                    array[...] = 0.0
+        for array in inference._memoized_grid_factors(100):
+            with pytest.raises(ValueError):
+                array[...] = 0.0
         with pytest.raises(ValueError):
             inference._SHAPE_GRID[0] = 1.0
 

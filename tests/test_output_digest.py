@@ -8,6 +8,11 @@ Crowley-Hu scaled by 2^1000 and 2^-1000. Errors count as outputs, by
 class and message. A value is written as the repr of a float, so that a
 numpy scalar and a float with the same bits agree.
 
+A second digest covers the four fitters on the report set's n = 15
+slice at seed 0 (shapes 0.5, 1 and 2 as cells 0-2, 40 replications
+each), where fit_pb's shape grid has points whose sign its rounding
+bound cannot certify and recomputes them exactly.
+
 A change that moves an output on purpose says which ones in CHANGES.md;
 ``PYTHONPATH=src python tests/test_output_digest.py`` prints the lines,
 so that two trees can be compared line by line.
@@ -24,11 +29,13 @@ from ecrlab.ecr import Params
 from ecrlab.errors import EcrlabError
 
 DIGEST = "f6d545e62ae93fa0a7521d5b8bba7de93c7c91639d1b1db2800bdd47d2be93e0"
+N15_DIGEST = "71763b0000ae1f4c944fc11b8abeec724b9504436e5e445bb6c8a96dc1f5505c"
 
 MC_BETAS = (0.5, 2.0)
 MC_SIZES = (20, 100, 500)
 MC_REPS = 40
 MOMENT_POINTS = 60
+N15_BETAS = (0.5, 1.0, 2.0)
 
 
 def _outcome(f, *args, **kwargs):
@@ -70,21 +77,26 @@ def moment_lines() -> list[str]:
     return lines
 
 
-def _samples():
-    for cell, (beta, n) in enumerate((b, n) for b in MC_BETAS for n in MC_SIZES):
+def _cells(tag, cells):
+    """The seed-0 draws of each (beta, n) cell, at lambda 1."""
+    for cell, (beta, n) in enumerate(cells):
         for rep in range(MC_REPS):
             rng = np.random.default_rng(np.random.SeedSequence(0, spawn_key=(cell, rep)))
-            yield f"mc {cell} {rep}", ecr.sample_from(rng, n, Params(beta, 1.0))
+            yield f"{tag} {cell} {rep}", ecr.sample_from(rng, n, Params(beta, 1.0))
+
+
+def _samples():
+    yield from _cells("mc", [(b, n) for b in MC_BETAS for n in MC_SIZES])
     values = crowley_hu().values
     for e in (0, 1000, -1000):
         yield f"crowley-hu 2^{e}", np.ldexp(values, e)
 
 
-def fit_lines() -> list[str]:
+def fit_lines(samples) -> list[str]:
     """fit_ml, fit_cs_ml (correcting that ML fit), fit_pb and fit_cr on
     each sample."""
     lines = []
-    for tag, values in _samples():
+    for tag, values in samples:
         data = Dataset(values)
         ml_line, ml = _outcome(inference.fit_ml, data)
         lines += [
@@ -99,14 +111,28 @@ def fit_lines() -> list[str]:
 def output_lines() -> list[str]:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        return moment_lines() + fit_lines()
+        return moment_lines() + fit_lines(_samples())
+
+
+def n15_lines() -> list[str]:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return fit_lines(_cells("n15", [(beta, 15) for beta in N15_BETAS]))
+
+
+def _digest(lines: list[str]) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def test_outputs_keep_their_digest():
     lines = output_lines()
-    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == DIGEST, f"{len(lines)} outputs hash to {digest}"
+    assert _digest(lines) == DIGEST, f"{len(lines)} outputs hash to {_digest(lines)}"
+
+
+def test_n15_outputs_keep_their_digest():
+    lines = n15_lines()
+    assert _digest(lines) == N15_DIGEST, f"{len(lines)} outputs hash to {_digest(lines)}"
 
 
 if __name__ == "__main__":
-    print("\n".join(output_lines()))
+    print("\n".join(output_lines() + n15_lines()))
