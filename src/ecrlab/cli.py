@@ -29,7 +29,6 @@ from .data import EMBEDDED_NAME, Dataset, describe, load_dataset, parse_values
 from .ecr import (
     MomentExistenceError,
     Params,
-    _incomplete_path,
     incomplete_moment,
     log_moment,
     order_stat_moment,
@@ -217,8 +216,7 @@ def cmd_moments(args) -> int:
         entry = results["incomplete"]
         if entry["exists"]:
             # series_rows: the terms of the path's series, 0 on the quadrature path
-            entry["value"], entry["series_rows"] = entry["value"]
-            entry["path"] = _incomplete_path(args.r, args.x0, p, entry["series_rows"])
+            entry["value"], entry["series_rows"], entry["path"] = entry["value"]
         entry["x0"] = args.x0
     if args.order_stat is not None:
         i, n = args.order_stat

@@ -317,9 +317,8 @@ def quantile(q, p: Params):
 
 
 def median(p: Params) -> float:
-    """Closed-form median: lam sqrt(2^((beta+1)/beta) - 1) / (2^(1/beta) - 1)."""
-    root = 2.0 ** (1.0 / p.beta)
-    return p.lam * math.sqrt(2.0 ** ((p.beta + 1.0) / p.beta) - 1.0) / (root - 1.0)
+    """The quantile at 1/2, lam sqrt(2^((beta+1)/beta) - 1) / (2^(1/beta) - 1)."""
+    return quantile(0.5, p)
 
 
 def sample_from(rng: np.random.Generator, count: int, p: Params) -> np.ndarray:
@@ -382,6 +381,7 @@ def tail_ratio(c: float, x: float, p: Params) -> float:
 
 
 _CANCELLATION_TOL = 1e-6  # estimated relative error before refusing
+_EPS = float(np.finfo(float).eps)
 
 # Sums of at least this many terms evaluate their 2F1 factors in one
 # numpy block; below it the block's fixed cost outweighs the scalar calls.
@@ -395,7 +395,12 @@ def _moment_sum(r: float, weights, shapes, label: str) -> float:
     """sum_k w_k B(1-r, r/2 + g_k) 2F1(-r/2, r/2+g_k; 1-r/2+g_k; 1/2).
 
     Tracks the gross term magnitude so alternating-sign cancellation is
-    detected instead of silently eroding the result. A sum of at least
+    detected instead of silently eroding the result. A beta factor
+    B(a, b) = exp(lnGamma(a) + lnGamma(b) - lnGamma(a+b)) carries a
+    relative error of about eps (|lnGamma(a)| + |lnGamma(b)| +
+    |lnGamma(a+b)|); the sum refuses where that estimate, taken at its
+    largest shape, exceeds ``_CANCELLATION_TOL``: from g of about 1.3e8
+    on. A sum of at least
     ``_BLOCK_TERMS`` (4) terms evaluates all of its 2F1 factors as the
     lanes of one block of specfun's series engine
     (:func:`ecrlab.specfun._gauss_2f1_lanes`), equal to the scalar series
@@ -403,6 +408,13 @@ def _moment_sum(r: float, weights, shapes, label: str) -> float:
     still comes in term order. Narrower sums, such as the raw
     moment's single term, call :func:`ecrlab.specfun.gauss_2f1` per term,
     which is faster there than the block's fixed cost."""
+    a, b = 1.0 - r, r / 2.0 + shapes[-1]
+    rounding = _EPS * (abs(log_gamma(a)) + abs(log_gamma(b)) + abs(log_gamma(a + b)))
+    if rounding > _CANCELLATION_TOL:
+        raise LossOfPrecisionError(
+            f"{label}: the log-gammas of the beta factor B({a:g}, {b:g}) leave it a relative error of about"
+            f" {rounding:.1e}, beyond double precision"
+        )
     block = len(shapes) >= _BLOCK_TERMS
     if block:
         g = np.array(shapes, dtype=float)
@@ -420,7 +432,7 @@ def _moment_sum(r: float, weights, shapes, label: str) -> float:
         term = w * beta * factor
         total += term
         gross += abs(term)
-    if gross * np.finfo(float).eps > _CANCELLATION_TOL * abs(total):
+    if gross * _EPS > _CANCELLATION_TOL * abs(total):
         raise LossOfPrecisionError(
             f"{label}: the alternating sum cancels {gross / max(abs(total), 1e-300):.1e}-fold,"
             " beyond double precision; integrate the density numerically instead"
@@ -448,15 +460,22 @@ def _pwm_sum(label: str, s: int, t: int, r: float, p: Params, count: int = 1) ->
     The closed form is beta (lam sqrt(2))^r count sum_i (-1)^i C(t, i)
     B(1-r, r/2 + g_i) 2F1(-r/2, r/2 + g_i; 1-r/2 + g_i; 1/2) with
     g_i = (s + i + 1) beta, its factors multiplied left to right; the raw
-    and order-statistic moments are its cases. A power that overflows or
-    a value that is not finite raises :class:`LossOfPrecisionError`
-    naming ``label``. The indexes are Python ints, so that every term,
-    and the result, is a float whichever way the 2F1 factors are summed."""
+    and order-statistic moments are its cases. A binomial weight or
+    ``count`` beyond the float range, a power that overflows, or a value
+    that is not finite raises :class:`LossOfPrecisionError` naming
+    ``label``. The indexes are Python ints, so that every term, and the
+    result, is a float whichever way the 2F1 factors are summed."""
     _check_window(label, r, -2.0 * (s + 1.0) * p.beta, 1.0)
     weights, shapes = [], []
-    for i in range(t + 1):  # a loop, not comprehensions: cheaper for the raw moment's one term
-        weights.append((-1.0) ** i * math.comb(t, i))
-        shapes.append((s + i + 1.0) * p.beta)
+    try:
+        count = float(count)
+        for i in range(t + 1):  # a loop, not comprehensions: cheaper for the raw moment's one term
+            weights.append((-1.0) ** i * math.comb(t, i))
+            shapes.append((s + i + 1.0) * p.beta)
+    except OverflowError:  # an int beyond the float range
+        raise LossOfPrecisionError(
+            f"{label}: a binomial weight of the closed form (s = {s}, t = {t}) leaves the floating-point range"
+        ) from None
     total = _moment_sum(r, weights, shapes, label)
     try:
         power = (p.lam * math.sqrt(2.0)) ** r
@@ -518,30 +537,6 @@ _V_SERIES_MAX_BETA = 5.0
 _V_SERIES_MAX_ORDER = 10.0
 
 
-def _in_v_series(r: float, v0: float, beta: float) -> bool:
-    """Whether incomplete_moment takes its two series in v at these inputs."""
-    return v0 < _V_SERIES_MAX_V0 and beta <= _V_SERIES_MAX_BETA and r <= _V_SERIES_MAX_ORDER
-
-
-def _scalar_hypot(lam: float, x0: float) -> tuple[float, float, float]:
-    """(lam, x0, s0) with s0 = hypot(lam, x0), on Python floats, with lam
-    and x0 halved where that overflows, as in :func:`_hypot`."""
-    s0 = math.hypot(lam, x0)
-    if math.isinf(s0):
-        lam, x0 = lam / 2.0, x0 / 2.0
-        s0 = math.hypot(lam, x0)
-    return lam, x0, s0
-
-
-def _incomplete_path(r: float, x0: float, p: Params, terms: int) -> str:
-    """The evaluation behind ``incomplete_moment(r, x0, p, full_output=True)``
-    that reported ``terms``: "v_series", "appell_series" or "quadrature"."""
-    if not terms:
-        return "quadrature"
-    lam, _, s0 = _scalar_hypot(p.lam, x0)
-    return "v_series" if _in_v_series(r, lam / s0, p.beta) else "appell_series"
-
-
 def _incomplete_in_v(r: float, v0: float, beta: float) -> tuple[float, int]:
     """W + V(v0) of :func:`incomplete_moment` and the two series' terms.
 
@@ -589,8 +584,9 @@ def incomplete_moment(r: float, x0: float, p: Params, *, full_output: bool = Fal
     (2 beta + r)] F1(r/2+beta; r, -r/2; r/2+beta+1; u0, u0/2) with
     u0 = 1 - v0, whose F1 is integrated by quadrature above u0 = 0.95
     (see :func:`ecrlab.specfun.appell_f1`). ``full_output=True`` returns
-    ``(value, terms)``: the Appell series rows summed, the two series'
-    terms, or 0 for quadrature. A value that is not positive, which the
+    ``(value, terms, path)``: the two series' terms and "v_series", the
+    Appell series rows summed and "appell_series", or 0 and
+    "quadrature". A value that is not positive, which the
     Appell path can give at large beta and very negative r, or 0 where
     the moment underflows, raises :class:`LossOfPrecisionError`.
     """
@@ -598,9 +594,13 @@ def incomplete_moment(r: float, x0: float, p: Params, *, full_output: bool = Fal
         raise InputError(f"x0 must be positive and finite, got {x0!r}")
     _check_window("incomplete moment", r, -2.0 * p.beta, math.inf)
     # v0 and u0 as in _hypot and _u; they depend on x0/lam only
-    lam, x0, s0 = _scalar_hypot(p.lam, x0)
+    lam, s0 = p.lam, math.hypot(p.lam, x0)
+    if math.isinf(s0):
+        lam, x0 = lam / 2.0, x0 / 2.0
+        s0 = math.hypot(lam, x0)
     v0 = lam / s0
-    if _in_v_series(r, v0, p.beta):
+    if v0 < _V_SERIES_MAX_V0 and p.beta <= _V_SERIES_MAX_BETA and r <= _V_SERIES_MAX_ORDER:
+        path = "v_series"
         total, terms = _incomplete_in_v(r, v0, p.beta)
         try:
             moment = p.beta * p.lam**r * total
@@ -617,6 +617,7 @@ def incomplete_moment(r: float, x0: float, p: Params, *, full_output: bool = Fal
             )
         value, terms = appell_f1(r / 2.0 + p.beta, r, -r / 2.0, r / 2.0 + p.beta + 1.0, u0, u0 / 2.0,
                                  full_output=True)
+        path = "appell_series" if terms else "quadrature"
         try:
             moment = p.beta * 2.0 ** (r / 2.0 + 1.0) * p.lam**r * u0 ** (p.beta + r / 2.0) / (2.0 * p.beta + r) * value
         except OverflowError:  # a power overflows
@@ -631,7 +632,7 @@ def incomplete_moment(r: float, x0: float, p: Params, *, full_output: bool = Fal
             f"incomplete moment: the evaluation gives {moment:g}, but the moment is positive: precision is lost,"
             f" or the value lies below the floating-point range, at beta = {p.beta:g}, lambda = {p.lam:g}, r = {r:g}"
         )
-    return (moment, terms) if full_output else moment
+    return (moment, terms, path) if full_output else moment
 
 
 def order_stat_moment(i: int, n: int, r: float, p: Params) -> float:

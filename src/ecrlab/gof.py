@@ -36,7 +36,6 @@ __all__ = [
     "ModelEntry",
     "ComparisonFit",
     "MODELS",
-    "MODEL_ORDER",
     "ks_statistic",
     "cvm_wstar",
     "ad_astar",
@@ -430,8 +429,6 @@ MODELS: dict[str, ModelEntry] = {
     ),
     "ee": ModelEntry("ee", ("shape", "rate"), _fit_ee, _ee_cdf, _ee_loglik),
 }
-
-MODEL_ORDER = tuple(MODELS)
 
 
 def gof_report(data: Dataset, entry: ModelEntry, theta: tuple[float, ...]) -> GofReport:

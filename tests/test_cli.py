@@ -359,6 +359,19 @@ class TestMoments:
         assert err.startswith("error: order statistic moment")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("argv, cause", [
+        # exit 1 with a traceback: C(1099, 549) and C(1100, 550) leave the float range
+        (["--beta", "1", "--r", "0.5", "--order-stat", "1", "1100"], "order statistic moment: a binomial weight"),
+        (["--beta", "1", "--r", "0.5", "--pwm", "0", "1100"], "probability weighted moment: a binomial weight"),
+        # exit 0 with "value": 1e20, where the moment is 8.9e-11
+        (["--beta", "1e20", "--r=-0.5"], "raw moment: the log-gammas of the beta factor B(1.5, 1e+20)"),
+    ])
+    def test_beyond_double_precision_exits_three(self, capsys, argv, cause):
+        code, out, err = run_cli(capsys, "moments", "--lambda", "1", *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith(f"error: {cause}")
+        assert err.count("\n") == 1
+
     def test_non_positive_incomplete_moment_exits_three(self, capsys):
         # it printed "incomplete": -8.09e-10 and exited 0
         code, out, err = run_cli(capsys, "moments", "--beta", "30", "--lambda", "1", "--r=-50", "--x0", "3")
@@ -951,13 +964,15 @@ def cli_argv(draw, command, config):
         argv = [command, f"--beta={draw(number)}", f"--lambda={draw(number)}", f"--r={draw(r)}"]
         if draw(st.booleans()):
             argv.append(f"--x0={draw(number)}")
+        # sizes past 1,030, where the binomial weights leave the float range
+        wide = st.integers(1031, 1200)
         if draw(st.booleans()):
-            size = draw(st.integers(1, 40))
+            size = draw(st.one_of(st.integers(1, 40), wide))
             rank = st.integers(1, size) if clean else st.integers(-3, 40)
             argv += ["--order-stat", str(draw(rank)), str(size)]
         if draw(st.booleans()):
             index = st.integers(0 if clean else -2, 6)
-            argv += ["--pwm", str(draw(index)), str(draw(index))]
+            argv += ["--pwm", str(draw(index)), str(draw(st.one_of(index, wide)))]
     else:
         estimators = st.lists(st.sampled_from(("ml", "csml", "pb")), min_size=1, max_size=3)
         if not clean:

@@ -106,8 +106,21 @@ class TestCdfQuantile:
         for p in [Params(0.4, 80.0), Params(1.0, 1.0), Params(3.3, 0.2)]:
             b = p.beta
             expected = p.lam / (2.0 ** (1.0 / b) - 1.0) * math.sqrt(2.0 ** ((b + 1.0) / b) - 1.0)
-            assert median(p) == pytest.approx(expected, rel=1e-13)
-            assert quantile(0.5, p) == pytest.approx(expected, rel=1e-12)
+            assert median(p) == quantile(0.5, p) == pytest.approx(expected, rel=1e-13)
+
+    @pytest.mark.parametrize("beta, bound", [(1e-3, 3e-14), (1e12, 1e-16), (1e20, 2e-16)])
+    def test_median_against_50_digits(self, beta, bound):
+        # the closed form's 2^(1/beta) - 1 cancelled: 1.442537e12 at 1e12,
+        # where the median is 1.442695e12, and a ZeroDivisionError at 1e20
+        with mpmath.workdps(50):
+            d = mpmath.expm1(mpmath.log(2) / beta)  # 2^(1/beta) - 1
+            exact = mpmath.sqrt(2 * d + 1) / d
+        assert abs(median(Params(beta, 1.0)) - exact) <= bound * exact
+
+    def test_median_below_the_float_range(self):
+        # 2^(1/beta) overflowed as a bare OverflowError
+        with pytest.raises(QuantileUnderflowError, match="at level 0.5 lies below"):
+            median(Params(1e-4, 1.0))
 
     @pytest.mark.parametrize("q", [1e-6, 0.25, 0.5, 0.75, 1.0 - 1e-6])
     def test_round_trip(self, q):
@@ -618,11 +631,12 @@ class TestIncompleteMoments:
     def test_reports_the_series_rows(self):
         p = Params(0.8, 1.0)
         # v0 = 1/sqrt 5 = 0.45 >= 0.4: the Appell series' rows
-        assert incomplete_moment(0.5, 2.0, p, full_output=True) == (incomplete_moment(0.5, 2.0, p), 47)
+        assert incomplete_moment(0.5, 2.0, p, full_output=True) == (
+            incomplete_moment(0.5, 2.0, p), 47, "appell_series")
         # v0 = 1/sqrt 17 = 0.24 < 0.4: the two series in v, 41 and 38 terms
-        assert incomplete_moment(0.5, 4.0, p, full_output=True) == (incomplete_moment(0.5, 4.0, p), 79)
+        assert incomplete_moment(0.5, 4.0, p, full_output=True) == (incomplete_moment(0.5, 4.0, p), 79, "v_series")
         # beta 8 lies above the series' limit, and u0 = 0.9501 above the switch
-        assert incomplete_moment(0.5, 20.0, Params(8.0, 1.0), full_output=True)[1] == 0  # quadrature
+        assert incomplete_moment(0.5, 20.0, Params(8.0, 1.0), full_output=True)[1:] == (0, "quadrature")
 
     def test_high_order_allowed(self):
         # truncated moments are finite for any order above the lower window

@@ -11,7 +11,6 @@ from ecrlab import gof
 from ecrlab.data import Dataset, InputError
 from ecrlab.ecr import Params, cdf, quantile, sample
 from ecrlab.gof import (
-    MODEL_ORDER,
     MODELS,
     ad_astar,
     cvm_wstar,
@@ -157,15 +156,15 @@ def fits(heart_data):
 
 class TestComparisonModels:
     def test_every_model_fits(self, fits):
-        assert set(fits) == set(MODEL_ORDER)
+        assert set(fits) == set(MODELS)
         assert all(f.report is not None for f in fits.values())
 
-    @pytest.mark.parametrize("name", MODEL_ORDER)
+    @pytest.mark.parametrize("name", tuple(MODELS))
     def test_estimates_match_reference(self, fits, name):
         expected = REFERENCE_ROWS[name][0]
         assert fits[name].params == pytest.approx(expected, rel=1e-3)
 
-    @pytest.mark.parametrize("name", MODEL_ORDER)
+    @pytest.mark.parametrize("name", tuple(MODELS))
     def test_gof_row_matches_reference(self, fits, name):
         _, wstar, astar, ks, aic, caic, bic, hqic = REFERENCE_ROWS[name]
         report = fits[name].report

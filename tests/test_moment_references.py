@@ -24,7 +24,7 @@ import math
 import mpmath as mp
 import pytest
 
-from ecrlab.ecr import Params, _in_v_series, incomplete_moment, log_moment, order_stat_moment, pwm, raw_moment
+from ecrlab.ecr import LossOfPrecisionError, Params, incomplete_moment, log_moment, order_stat_moment, pwm, raw_moment
 
 # family: largest relative error measured on its cases -> asserted bound
 BOUNDS = {
@@ -172,6 +172,36 @@ def test_within_the_family_bound(family, args, beta, lam, value):
     assert abs(_moment(family, args, beta, lam) - exact) <= BOUNDS[family] * abs(exact)
 
 
+# The raw moment at large beta: (r, beta, bound, 40-digit value) at lambda 1.
+# Each beta factor is exp(lgamma(a) + lgamma(b) - lgamma(a + b)), whose
+# rounding, estimated as eps (|lgamma(a)| + |lgamma(b)| + |lgamma(a + b)|),
+# is the bound: 4.7e-10 at beta 1e5 and 7.7e-7 at 1e8, against errors of
+# 3.4e-10, 3.6e-10, 4.3e-7 and 2.5e-8 measured here. From beta 1e10 on
+# (estimate 9.8e-5) the moment refuses; it returned 1e20 for 8.9e-11 at
+# beta 1e20, r = -0.5.
+LARGE_SHAPE_CASES = [
+    (-0.5, 1e5, 4.7e-10, "2.802485099157892027805849562618845628296e-3"),
+    (0.5, 1e5, 4.7e-10, "5.604998222536236453872982900624684307581e+2"),
+    (-0.5, 1e8, 7.7e-7, "8.862269221294071435941313636439483654897e-5"),
+    (0.5, 1e8, 7.7e-7, "1.772453853121083309081282998479089649436e+4"),
+]
+
+
+@pytest.mark.parametrize("r, beta, bound, value", LARGE_SHAPE_CASES)
+def test_large_shape_within_the_log_gamma_estimate(r, beta, bound, value):
+    exact = float(value)
+    assert abs(raw_moment(r, Params(beta, 1.0)) - exact) <= bound * abs(exact)
+
+
+@pytest.mark.parametrize("beta", [1e10, 1e12, 1e14, 1e16, 1e20])
+@pytest.mark.parametrize("r", [-0.5, 0.5])
+def test_large_shape_beyond_the_log_gamma_estimate_refuses(r, beta):
+    with pytest.raises(LossOfPrecisionError, match="raw moment: the log-gammas of the beta factor"):
+        raw_moment(r, Params(beta, 1.0))
+    with pytest.raises(LossOfPrecisionError, match="probability weighted moment: the log-gammas"):
+        pwm(1, r, 0, Params(beta, 1.0))
+
+
 @pytest.mark.parametrize("case", [CASES[7], CASES[12]], ids=["pwm-wide", "log"])
 def test_references_regenerate(case):
     *inputs, value = case
@@ -223,10 +253,10 @@ def incomplete_reference(r, x0, beta, lam):
 def test_incomplete_within_the_path_bound(path, args, value):
     r, x0, beta, lam = args
     p = Params(beta, lam)
-    assert _in_v_series(r, lam / math.hypot(lam, x0), beta) == (path == "v-series")
-    assert (incomplete_moment(r, x0, p, full_output=True)[1] == 0) == (path == "quadrature")
+    moment, _, taken = incomplete_moment(r, x0, p, full_output=True)
+    assert taken == {"v-series": "v_series", "appell": "appell_series"}.get(path, path)
     exact = float(value)
-    assert abs(incomplete_moment(r, x0, p) - exact) <= INCOMPLETE_BOUNDS[path] * abs(exact)
+    assert abs(moment - exact) <= INCOMPLETE_BOUNDS[path] * abs(exact)
 
 
 @pytest.mark.parametrize("case", [INCOMPLETE_CASES[1], INCOMPLETE_CASES[3]], ids=["v0>1/2", "near-1/2"])
@@ -238,5 +268,7 @@ def test_incomplete_references_regenerate(case):
 if __name__ == "__main__":
     for *inputs, _ in [*CASES, BETA_FN_ROUNDING]:
         print((*inputs, reference(*inputs)))
+    for r, beta, bound, _ in LARGE_SHAPE_CASES:
+        print((r, beta, bound, reference("raw", (r,), beta, 1.0)))
     for path, args, _ in [*INCOMPLETE_CASES, INCOMPLETE_LARGE_BETA]:
         print((path, args, incomplete_reference(*args)))
