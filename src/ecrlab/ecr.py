@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EcrlabError, FloatRangeError, InputError
+from .errors import EcrlabError, FloatRangeError, InputError, _count, _positive
 from .specfun import (
     EULER_GAMMA,
     ConvergenceError,
@@ -80,15 +80,8 @@ class Params:
     lam: float
 
     def __post_init__(self) -> None:
-        for name, value in (("beta", self.beta), ("lam", self.lam)):
-            if not (
-                isinstance(value, (int, float))
-                and not isinstance(value, bool)
-                and math.isfinite(value)
-                and value > 0
-            ):
-                raise InputError(f"{name} must be a positive finite real, got {value!r}")
-            object.__setattr__(self, name, float(value))
+        object.__setattr__(self, "beta", _positive("beta", self.beta))
+        object.__setattr__(self, "lam", _positive("lam", self.lam))
 
 
 class MomentExistenceError(EcrlabError, ValueError):
@@ -323,9 +316,7 @@ def median(p: Params) -> float:
 
 def sample_from(rng: np.random.Generator, count: int, p: Params) -> np.ndarray:
     """Inverse-transform draws using an existing generator."""
-    if count < 1:
-        raise InputError(f"count must be >= 1, got {count!r}")
-    u = rng.random(count)
+    u = rng.random(_count("count", count, 1))
     np.clip(u, UNIFORM_CLIP, 1.0 - UNIFORM_CLIP, out=u)
     return quantile(u, p)
 
@@ -375,8 +366,7 @@ def mode(p: Params) -> float | None:
 
 def tail_ratio(c: float, x: float, p: Params) -> float:
     """sf(c x) / sf(x); tends to 1/c as x grows (regular variation, index 1)."""
-    if c <= 0 or x <= 0:
-        raise InputError("c and x must be positive")
+    c, x = _positive("c", c), _positive("x", x)
     return sf(c * x, p) / sf(x, p)
 
 
@@ -447,11 +437,7 @@ def pwm(s: int, r: float, t: int, p: Params) -> float:
     non-negative integers (the finite binomial expansion behind the
     closed form requires integer t).
     """
-    if not (isinstance(s, (int, np.integer)) and s >= 0):
-        raise InputError(f"s must be a non-negative integer, got {s!r}")
-    if not (isinstance(t, (int, np.integer)) and t >= 0):
-        raise InputError(f"t must be a non-negative integer, got {t!r}")
-    return _pwm_sum("probability weighted moment", int(s), int(t), r, p)
+    return _pwm_sum("probability weighted moment", _count("s", s, 0), _count("t", t, 0), r, p)
 
 
 def _pwm_sum(label: str, s: int, t: int, r: float, p: Params, count: int = 1) -> float:
@@ -505,12 +491,16 @@ def raw_moment(r: float, p: Params) -> float:
 
 def cr_moment(r: float, lam: float) -> float:
     """CR (beta = 1) moment: lam^r Gamma((1-r)/2) Gamma(1+r/2) / sqrt(pi), -2 < r < 1."""
-    if lam <= 0:
-        raise InputError("lam must be positive")
+    lam = _positive("lam", lam)
     _check_window("CR moment", r, -2.0, 1.0)
-    return lam**r * math.exp(
-        log_gamma((1.0 - r) / 2.0) + log_gamma(1.0 + r / 2.0) - 0.5 * math.log(math.pi)
-    )
+    try:
+        value = lam**r * math.exp(log_gamma((1.0 - r) / 2.0) + log_gamma(1.0 + r / 2.0) - 0.5 * math.log(math.pi))
+    except OverflowError:  # lam^r overflows
+        value = math.inf
+    if math.isinf(value):
+        raise LossOfPrecisionError(f"CR moment: the closed form leaves the floating-point range at lambda = {lam:g},"
+                                   f" r = {r:g}")
+    return value
 
 
 def log_moment(p: Params) -> float:
@@ -588,10 +578,10 @@ def incomplete_moment(r: float, x0: float, p: Params, *, full_output: bool = Fal
     Appell series rows summed and "appell_series", or 0 and
     "quadrature". A value that is not positive, which the
     Appell path can give at large beta and very negative r, or 0 where
-    the moment underflows, raises :class:`LossOfPrecisionError`.
+    the moment underflows, raises :class:`LossOfPrecisionError`, as does
+    an F1 whose r/2 + beta + 1 is not a float, from 2^53 on.
     """
-    if not 0.0 < x0 < math.inf:
-        raise InputError(f"x0 must be positive and finite, got {x0!r}")
+    x0 = _positive("x0", x0)
     _check_window("incomplete moment", r, -2.0 * p.beta, math.inf)
     # v0 and u0 as in _hypot and _u; they depend on x0/lam only
     lam, s0 = p.lam, math.hypot(p.lam, x0)
@@ -615,8 +605,13 @@ def incomplete_moment(r: float, x0: float, p: Params, *, full_output: bool = Fal
             raise LossOfPrecisionError(
                 f"incomplete moment: u0 = 1 - lambda/hypot(lambda, x0) rounds to 1 at x0/lambda = {x0 / lam:g}"
             )
-        value, terms = appell_f1(r / 2.0 + p.beta, r, -r / 2.0, r / 2.0 + p.beta + 1.0, u0, u0 / 2.0,
-                                 full_output=True)
+        a = r / 2.0 + p.beta
+        if a >= 2.0**53:  # F1's c = a + 1 is not a float: it rounds to a or a + 2
+            raise LossOfPrecisionError(
+                f"incomplete moment: the shape beta = {p.beta:g} puts a = r/2 + beta = {a:g} beyond 2^53,"
+                " where the Appell F1's c = a + 1 is not a float"
+            )
+        value, terms = appell_f1(a, r, -r / 2.0, a + 1.0, u0, u0 / 2.0, full_output=True)
         path = "appell_series" if terms else "quadrature"
         try:
             moment = p.beta * 2.0 ** (r / 2.0 + 1.0) * p.lam**r * u0 ** (p.beta + r / 2.0) / (2.0 * p.beta + r) * value
@@ -645,7 +640,6 @@ def order_stat_moment(i: int, n: int, r: float, p: Params) -> float:
     is i C(n, i) times the probability weighted moment with s = i - 1,
     t = n - i; its normalizer 1/B(i, n-i+1) is the exact integer i C(n, i).
     """
-    if not (isinstance(i, (int, np.integer)) and isinstance(n, (int, np.integer)) and 1 <= i <= n):
-        raise InputError(f"rank out of range: need 1 <= i <= n, got i={i!r}, n={n!r}")
-    i, n = int(i), int(n)
+    i = _count("i", i, 1)
+    n = _count("n", n, i)  # 1 <= i <= n
     return _pwm_sum("order statistic moment", i - 1, n - i, r, p, i * math.comb(n, i))

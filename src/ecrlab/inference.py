@@ -43,7 +43,7 @@ import numpy as np
 
 from .data import Dataset
 from .ecr import Params, _log_pass
-from .errors import EcrlabError, InputError
+from .errors import EcrlabError, InputError, _count, _positive
 
 __all__ = [
     "FitResult",
@@ -563,6 +563,7 @@ def fisher_info(p: Params, n: int) -> InfoMatrix:
 
     packaged as K = -(1/n)[kappa].
     """
+    n = _count("n", n, 1)
     kbb, kbl, kll = _kappa_entries(p, n)
     cumulants = np.array([[kbb, kbl], [kbl, kll]])
     return InfoMatrix(entries=-cumulants / n, n=n, cumulants=cumulants)
@@ -578,6 +579,7 @@ def fisher_info_inverse(p: Params, n: int) -> InfoMatrix:
         (K^-1)_bl = -lam beta (beta+1)(beta+2)(beta+3)(beta+4)^2 / q
         (K^-1)_ll =  lam^2 (beta+1)^2 (beta+2)^2 (beta+3)(beta+4) / (beta q)
     """
+    n = _count("n", n, 1)
     b, lam = p.beta, p.lam
     q = b**3 - 7.0 * b**2 + 10.0 * b + 72.0
     inv_bb = b**2 * (b + 1.0) ** 2 * (b + 2.0) * (b**2 + 11.0 * b + 36.0) / q
@@ -609,6 +611,7 @@ class FisherDerivatives(NamedTuple):
 
 
 def fisher_derivatives(p: Params, n: int) -> FisherDerivatives:
+    n = _count("n", n, 1)
     b, lam = p.beta, p.lam
     return FisherDerivatives(
         kbb_dbeta=2.0 * n / b**3,
@@ -633,6 +636,7 @@ class ThirdCumulants:
 
 
 def third_cumulants(p: Params, n: int) -> ThirdCumulants:
+    n = _count("n", n, 1)
     b, lam = p.beta, p.lam
     return ThirdCumulants(
         kbbb=2.0 * n / b**3,
@@ -664,6 +668,7 @@ def cox_snell_bias(p: Params, n: int) -> tuple[float, float]:
     the top of the floating-point range, where lam (...) overflows, the
     scale bias is lam times its value at lam = 1 instead.
     """
+    n = _count("n", n, 1)
     b, lam = p.beta, p.lam
     q = b**3 - 7.0 * b**2 + 10.0 * b + 72.0
     bias_b = (
@@ -704,6 +709,7 @@ def cox_snell_bias_generic(p: Params, n: int) -> tuple[float, float]:
     and the third cumulants. Used as an internal oracle for the closed
     forms above.
     """
+    n = _count("n", n, 1)
     kbb, kbl, kll = _kappa_entries(p, n)
     kinv = np.linalg.inv(np.array([[kbb, kbl], [kbl, kll]]))
     d = fisher_derivatives(p, n)
@@ -724,9 +730,7 @@ def cox_snell_bias_generic(p: Params, n: int) -> tuple[float, float]:
 
 def bias_known_lambda(beta_hat: float, n: int) -> float:
     """Second-order shape bias when the scale is known: beta_hat / n."""
-    if beta_hat <= 0:
-        raise InputError("beta_hat must be positive")
-    return beta_hat / n
+    return _positive("beta_hat", beta_hat) / _count("n", n, 1)
 
 
 def bias_known_beta(lambda_hat: float, beta0: float, n: int) -> float:
@@ -735,9 +739,7 @@ def bias_known_beta(lambda_hat: float, beta0: float, n: int) -> float:
     (lam/n) * [(b+2)(b+3)(b+4) / (b (b+5)(b+6))]
             * [(b^4 + 24 b^3 + 216 b^2 + 761 b + 294) / (b^2 + 11 b + 36)^2].
     """
-    if lambda_hat <= 0 or beta0 <= 0:
-        raise InputError("lambda_hat and beta0 must be positive")
-    b = beta0
+    lambda_hat, b, n = _positive("lambda_hat", lambda_hat), _positive("beta0", beta0), _count("n", n, 1)
     factor = (b + 2.0) * (b + 3.0) * (b + 4.0) / (b * (b + 5.0) * (b + 6.0))
     ratio = (b**4 + 24.0 * b**3 + 216.0 * b**2 + 761.0 * b + 294.0) / (
         b**2 + 11.0 * b + 36.0
@@ -747,9 +749,7 @@ def bias_known_beta(lambda_hat: float, beta0: float, n: int) -> float:
 
 def cr_bias(lambda_hat: float, n: int) -> float:
     """Second-order scale bias of the CR (beta = 1) ML estimator: 45 lam / (56 n)."""
-    if lambda_hat <= 0:
-        raise InputError("lambda_hat must be positive")
-    return 45.0 * lambda_hat / (56.0 * n)
+    return 45.0 * _positive("lambda_hat", lambda_hat) / (56.0 * _count("n", n, 1))
 
 
 def cs_correctable(n: int, beta_hat: float) -> bool:

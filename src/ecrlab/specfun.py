@@ -30,7 +30,7 @@ import math
 
 import numpy as np
 
-from .errors import EcrlabError, FloatRangeError, InputError
+from .errors import EcrlabError, FloatRangeError, InputError, _positive
 
 __all__ = [
     "EULER_GAMMA",
@@ -70,17 +70,10 @@ class ConvergenceError(EcrlabError, ArithmeticError):
         self.terms = terms
 
 
-def _require_positive(name: str, x: float) -> float:
-    x = float(x)
-    if not math.isfinite(x) or x <= 0.0:
-        raise InputError(f"{name} must be a positive finite real, got {x!r}")
-    return x
-
-
 def log_gamma(x: float) -> float:
     """ln Gamma(x) for x > 0, by ``math.lgamma``. Above about 2.5e305 the
     value leaves the float range, and a :class:`FloatRangeError` names x."""
-    x = _require_positive("x", x)
+    x = _positive("x", x)
     try:
         return math.lgamma(x)
     except OverflowError:
@@ -94,8 +87,7 @@ def gamma_fn(x: float) -> float:
 
 def beta_fn(a: float, b: float) -> float:
     """B(a, b) = Gamma(a)Gamma(b)/Gamma(a+b), evaluated in log space."""
-    a = _require_positive("a", a)
-    b = _require_positive("b", b)
+    a, b = _positive("a", a), _positive("b", b)
     return math.exp(log_gamma(a) + log_gamma(b) - log_gamma(a + b))
 
 
@@ -103,7 +95,7 @@ def digamma(x: float) -> float:
     """psi(x) = d/dx ln Gamma(x) for x > 0, by ``scipy.special.digamma``."""
     from scipy.special import digamma as scipy_digamma
 
-    return float(scipy_digamma(_require_positive("x", x)))
+    return float(scipy_digamma(_positive("x", x)))
 
 
 def gauss_2f1(a: float, b: float, c: float, z: float, *, full_output: bool = False):
@@ -144,7 +136,8 @@ def _series_lanes(first: np.ndarray, a: float, b: np.ndarray, c: np.ndarray, z: 
     gets stop 0 and its partial sum. Each factor is formed as
     ((b + n) - 1)((a + n) - 1) / (((c + n) - 1) n) z, so every lane
     equals a term loop from ``first[k]`` to the bit. The caller keeps
-    every (c + n) - 1 nonzero and runs this under
+    every (c + n) - 1 nonzero, or zero only where (a + n) - 1 is too, so
+    that the term is 0/0 and the lane NaN, and runs this under
     ``np.errstate(all="ignore")``: terms past a lane's stop may overflow
     or divide inf by inf, and are never read.
     """
@@ -262,9 +255,11 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float, *,
     consecutive settled row sums. Blocks of about 33/(-ln|x|) + 8 rows,
     at most about ``_BLOCK_ELEMENTS`` terms wide at first, are each one
     call of :func:`_series_lanes`, so the value, the row count and any
-    :class:`ConvergenceError` equal a term-by-term loop's exactly. For x
-    above 0.95 the series converges too slowly and the one-dimensional
-    integral representation
+    :class:`ConvergenceError` equal a term-by-term loop's exactly. The
+    one exception is a c for which c + 1 rounds to 1: a + 1 does too, the
+    loop divides by zero, and the first row, 0/0, raises
+    :class:`ConvergenceError`. For x above 0.95 the series converges too
+    slowly and the one-dimensional integral representation
 
         F1 = 1/B(a, c-a) * int_0^1 t^{a-1} (1-t)^{c-a-1}
                                    (1-xt)^{-b1} (1-yt)^{-b2} dt
@@ -273,9 +268,7 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float, *,
     returns ``(value, rows)`` where ``rows`` is the number of summed
     series rows (0 on the quadrature path).
     """
-    a = float(a)
-    if a <= 0.0:
-        raise InputError(f"a must be positive, got {a!r}")
+    a = _positive("a", a)
     if c - a <= 0.0:
         raise InputError(f"c - a must be positive, got c={c!r}, a={a!r}")
     if abs(x) >= 1.0 or abs(y) >= 1.0:
@@ -283,11 +276,6 @@ def appell_f1(a: float, b1: float, b2: float, c: float, x: float, y: float, *,
     if x > _F1_QUAD_SWITCH:
         value = _appell_f1_quad(a, b1, b2, c, x, y)
         return (value, 0) if full_output else value
-
-    if c + 1.0 == 1.0:
-        # The first inner factor divides by (c + 0 + 1) - 1, which rounds
-        # to 0 here; summing term by term raises this error.
-        raise ZeroDivisionError("float division by zero")
 
     total = 0.0
     lead = 1.0  # the n = 0 term of the next row
@@ -357,7 +345,7 @@ def lerch_phi_half(s: float, a: float, *, full_output: bool = False):
     Specialized to argument 1/2, the only case the log-moment needs;
     convergence is geometric.
     """
-    a = _require_positive("a", a)
+    a = _positive("a", a)
     total = 0.0
     power = 1.0
     settled = 0

@@ -514,6 +514,13 @@ class TestCrMoments:
         with pytest.raises(MomentExistenceError):
             cr_moment(-2.0, 1.0)
 
+    # lam^r raised a bare OverflowError at lam = 1e-300, and the value was
+    # inf at lam = 1e-162
+    @pytest.mark.parametrize("lam", [1e-300, 1e-162])
+    def test_value_beyond_the_float_range_is_a_loss_of_precision(self, lam):
+        with pytest.raises(LossOfPrecisionError, match=r"^CR moment: the closed form leaves the floating-point range"):
+            cr_moment(-1.9, lam)
+
 
 class TestPwm:
     def test_total_probability(self):
@@ -656,8 +663,17 @@ class TestIncompleteMoments:
     @pytest.mark.parametrize("x0", [math.nan, math.inf])
     def test_non_finite_limit_is_bad_input(self, x0):
         # reached appell_f1, which rejected its x = nan as out of (-1, 1)
-        with pytest.raises(ValueError, match="^x0 must be positive and finite"):
+        with pytest.raises(ValueError, match="^x0 must be a positive finite real"):
             incomplete_moment(0.5, x0, Params(0.7, 1.0))
+
+    # appell_f1 refused c - a = 0 as bad input where a + 1 rounds to a, and
+    # took c - a = 2 at 2^53 + 2
+    @pytest.mark.parametrize("beta", [2.0**53, 2.0**53 + 2.0, 1e20])
+    @pytest.mark.parametrize("r", [-0.5, 0.0])
+    def test_shape_beyond_2_53_is_a_loss_of_precision(self, r, beta):
+        with pytest.raises(LossOfPrecisionError,
+                           match=r"^incomplete moment: the shape beta = \S+ puts a = r/2 \+ beta = \S+ beyond 2\^53"):
+            incomplete_moment(r, 3.0, Params(beta, 1.0))
 
     @pytest.mark.parametrize("x0, lam", [(1e16, 1.0), (1e20, 1.0), (1e300, 1e-10)])
     def test_u0_rounding_to_one_is_a_numerical_failure(self, x0, lam):

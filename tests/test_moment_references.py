@@ -122,6 +122,16 @@ INCOMPLETE_CASES = [
 # path that mends it fails this until it is moved into INCOMPLETE_CASES.
 INCOMPLETE_LARGE_BETA = ("appell", (-21.4, 12.0, 12.0, 1.0), "1.582439791318927027696512908128992109672e-4")
 
+# Quadrature at beta 1e5 returns values with no error: 3.14e-90 at
+# x0/lambda 1e3 and 6.41e-47 at 1e10, the latter where the moment is
+# within 2.4e-8 of the full raw moment. Strict, so the incomplete-beta
+# series that replaces the Appell path fails these until they are moved
+# into INCOMPLETE_CASES.
+INCOMPLETE_LARGE_SHAPE_QUADRATURE = [
+    ("quadrature", (-0.5, 1000.0, 1e5, 1.0), "1.124598742329113991826849102276328249719e-45"),
+    ("quadrature", (-0.5, 1e10, 1e5, 1.0), "2.802485032491625355710658028140370799863e-3"),
+]
+
 
 def _binomial_sum(r, weights, shapes):
     r = mp.mpf(r)
@@ -249,6 +259,9 @@ def incomplete_reference(r, x0, beta, lam):
     *INCOMPLETE_CASES,
     pytest.param(*INCOMPLETE_LARGE_BETA, marks=pytest.mark.xfail(
         strict=True, reason="the Appell series at beta 12, r -21.4 is off by 3.1e-7")),
+    *(pytest.param(*case, marks=pytest.mark.xfail(
+        strict=True, reason="quadrature at beta 1e5 returns a value far below the moment"))
+      for case in INCOMPLETE_LARGE_SHAPE_QUADRATURE),
 ])
 def test_incomplete_within_the_path_bound(path, args, value):
     r, x0, beta, lam = args
@@ -270,5 +283,5 @@ if __name__ == "__main__":
         print((*inputs, reference(*inputs)))
     for r, beta, bound, _ in LARGE_SHAPE_CASES:
         print((r, beta, bound, reference("raw", (r,), beta, 1.0)))
-    for path, args, _ in [*INCOMPLETE_CASES, INCOMPLETE_LARGE_BETA]:
+    for path, args, _ in [*INCOMPLETE_CASES, INCOMPLETE_LARGE_BETA, *INCOMPLETE_LARGE_SHAPE_QUADRATURE]:
         print((path, args, incomplete_reference(*args)))

@@ -316,7 +316,7 @@ def _f1_term_loop(a, b1, b2, c, x, y):
 def _f1_outcome(f, args):
     try:
         return repr(f(*args))
-    except (ConvergenceError, ZeroDivisionError) as exc:
+    except ConvergenceError as exc:
         return type(exc), str(exc), repr(getattr(exc, "partial", None)), getattr(exc, "terms", None)
 
 
@@ -392,12 +392,20 @@ class TestAppellF1:
     @example(args=(1.3, 0.4, -0.2, 2.2, -0.9999, 0.0))  # the outer rule never settles
     @example(args=(0.5, 0.5, 0.5, 4.5, 0.9, 0.9999))  # row 17 does not settle
     @example(args=(0.8, 1.5, -2.5, 2.3, -0.6, -0.9))
-    @example(args=(1e-17, 0.5, 0.5, 2e-17, 0.1, 0.1))  # (c + 1) - 1 rounds to 0
     def test_blocks_match_the_term_loop(self, budget, args):
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(specfun, "_BLOCK_ELEMENTS", budget)
             blocked = _f1_outcome(lambda *a: appell_f1(*a, full_output=True), args)
         assert blocked == _f1_outcome(_f1_term_loop, args)
+
+    # c + 1 rounds to 1, and so does a + 1: the term loop divides by zero,
+    # and the first row's first term is 0/0
+    @pytest.mark.parametrize("budget", [specfun._BLOCK_ELEMENTS, 40])
+    @pytest.mark.parametrize("x, y", [(0.1, 0.1), (0.5, 0.25), (0.0, 0.1), (0.1, 0.0)])
+    def test_c_beside_zero_is_a_convergence_error(self, monkeypatch, budget, x, y):
+        monkeypatch.setattr(specfun, "_BLOCK_ELEMENTS", budget)
+        with pytest.raises(ConvergenceError, match=r"^appell_f1 inner series did not converge \(partial sum nan"):
+            appell_f1(1e-17, 0.5, 0.5, 2e-17, x, y)
 
     def test_domain(self):
         with pytest.raises(ValueError):
